@@ -82,4 +82,4 @@ from .verify import (
     run_all_checks,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

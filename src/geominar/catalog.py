@@ -262,7 +262,9 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    out = _domain_constraints(name, p)
+    # inf passes mu > 0 and nan fails later checks with a nan margin: name them first
+    out = [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
+           if not math.isfinite(v)] or _domain_constraints(name, p)
     if not all(c.satisfied for c in out):
         return tuple(out)
 

@@ -78,8 +78,8 @@ class FractionalDecomposition:
         return v
 
     def remaining_mass(self, m: int) -> float:
-        """Exact mass of all geometric terms beyond index m."""
-        return sum(rho * s ** (-(m + 2)) / (s - 1.0) for rho, s in self.terms)
+        """Exact mass beyond index m: sum_i rho_i s_i^-(m+1) / (s_i - 1)."""
+        return sum(rho * s ** (-(m + 1)) / (s - 1.0) for rho, s in self.terms)
 
     def total_mass(self) -> float:
         return sum(self.atom_poly.coeffs) + sum(r / (s - 1.0) for r, s in self.terms)

@@ -2,8 +2,11 @@
 
 The recursion X_t = thin(X_{t-1}) + e_t starts from an exact stationary draw
 (X_0 sampled from the marginal by analytic inversion), so every finite
-sample is stationary; burn_in only exists as a cross-check. Counting-series
-sums collapse into single binomial or negative-binomial variates.
+sample is stationary; burn_in only exists as a cross-check.
+
+Thinning acts on each unit independently, so a path is drawn by generations,
+not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
+step t+1 is one vector draw thinning the nonzero entries of generation k at t.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -55,6 +58,10 @@ class SeriesSample:
             raise ValueError("series contains negative counts")
 
 
+# uniforms per block of innovation draws: bounds their temporaries, whatever n
+BLOCK = 1 << 16
+
+
 def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     """Quantile of the geometric law on {0,1,...} with failure ratio q."""
     if ratio <= 0.0:
@@ -62,50 +69,50 @@ def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / np.log(ratio)).astype(np.int64)
 
 
-def _innovation_quantile(d: InnovationDistribution, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF over the pmf table, geometric tail beyond it."""
-    table = np.asarray(d.pmf_table)
-    cdf = np.cumsum(table)
+def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
+    """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms at a time."""
+    cdf = np.cumsum(d.pmf_table)
     total = cdf[-1]
-    out = np.searchsorted(cdf, u, side="right").astype(np.int64)
-    beyond = out > d.truncation
-    if beyond.any():
-        if d.tail_rho <= 0.0 or not np.isfinite(d.tail_s):
-            out[beyond] = d.truncation
-        else:
-            # residual mass beyond the table is geometric with ratio 1/tail_s
-            v = (u[beyond] - total) / max(1.0 - total, 1e-300)
-            v = np.clip(v, 0.0, 1.0 - 1e-16)
-            out[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / d.tail_s)
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, BLOCK):
+        u = gen.random(min(BLOCK, size - start))
+        k = out[start:start + len(u)]
+        k[:] = np.searchsorted(cdf, u, side="right")
+        beyond = k > d.truncation
+        if beyond.any():
+            if d.tail_rho <= 0.0 or not np.isfinite(d.tail_s):
+                k[beyond] = d.truncation
+            else:
+                # residual mass beyond the table is geometric with ratio 1/tail_s
+                v = (u[beyond] - total) / max(1.0 - total, 1e-300)
+                v = np.clip(v, 0.0, 1.0 - 1e-16)
+                k[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / d.tail_s)
     return out
 
 
 def sample_innovation(d: InnovationDistribution, rng: RngStream | np.random.Generator) -> int:
     """One inverse-CDF draw from the innovation law."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u = gen.random(1)
-    return int(_innovation_quantile(d, u)[0])
+    return int(_innovation_draws(d, gen, 1)[0])
 
 
-def apply_thinning(t: ThinningOperator, x: int,
-                   rng: RngStream | np.random.Generator) -> int:
-    """Thin a count x: binomial(x, alpha) or negative binomial with mean alpha*x."""
+def apply_thinning(t: ThinningOperator, x, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """Thin a count or array of counts x: binomial(x, alpha), or NB with mean alpha*x."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if x <= 0 or t.alpha == 0.0:
-        return 0
     if isinstance(t, BinomialThinning):
-        return int(gen.binomial(x, t.alpha))
+        return gen.binomial(x, t.alpha)
     if isinstance(t, NegativeBinomialThinning):
-        # sum of x geometrics on {0,1,...} with mean alpha: NB(x, 1/(1+alpha))
-        return int(gen.negative_binomial(x, 1.0 / (1.0 + t.alpha)))
+        # sum of x geometrics on {0,1,...} with mean alpha: NB(x, 1/(1+alpha)),
+        # drawn as Poisson(Gamma(x, scale alpha)), which is zero at x = 0
+        return gen.poisson(gen.gamma(x, t.alpha))
     raise TypeError(f"unknown thinning operator {type(t).__name__}")
 
 
 def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     m = model.spec.marginal
-    u = gen.random(1)
     if m is None:
-        return int(_innovation_quantile(model.innovation, u)[0])
+        return int(_innovation_draws(model.innovation, gen, 1)[0])
+    u = gen.random(1)
     if isinstance(m, Geometric):
         return int(_geometric_inverse(u, 1.0 - m.theta)[0])
     if isinstance(m, GeometricMean):
@@ -126,10 +133,8 @@ def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
 
 def simulate_series(model: INARModel, n: int, seed: RngStream,
                     burn_in: int = 0) -> SeriesSample:
-    """Simulate X_0..X_{n-1} from an exact stationary start.
-
-    Innovations are drawn in one vectorized inverse-CDF pass; the thinning
-    recursion then runs sequentially. Identical (model, n, seed, burn_in)
+    """Simulate X_0..X_{n-1} from an exact stationary start, by generations
+    (see the module docstring). Identical (model, n, seed, burn_in)
     arguments reproduce the series bit for bit.
     """
     if n < 1:
@@ -138,22 +143,15 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     gen = seed.generator()
     total = n + burn_in
-    x = _sample_marginal(model, gen)
-    eps = _innovation_quantile(model.innovation, gen.random(total - 1)) if total > 1 else []
-    out = np.empty(total, dtype=np.int64)
-    out[0] = x
-    thinning = model.spec.thinning
-    alpha = thinning.alpha
-    binom = isinstance(thinning, BinomialThinning)
-    nb_p = 1.0 / (1.0 + alpha) if alpha > 0.0 else 1.0
-    for t in range(1, total):
-        if x > 0 and alpha > 0.0:
-            if binom:
-                x = gen.binomial(x, alpha)
-            else:
-                x = gen.negative_binomial(x, nb_p)
-        else:
-            x = 0
-        x = int(x + eps[t - 1])
-        out[t] = x
+    out = _innovation_draws(model.innovation, gen, total)
+    out[0] = _sample_marginal(model, gen)
+    # generation 0 is out itself; the last step has no successor
+    idx = np.flatnonzero(out[:-1])
+    cnt = out[idx]
+    while idx.size:
+        idx += 1
+        cnt = apply_thinning(model.spec.thinning, cnt, gen)
+        out[idx] += cnt  # indices are unique within a generation
+        keep = (cnt > 0) & (idx < total - 1)
+        idx, cnt = idx[keep], cnt[keep]
     return SeriesSample(out[burn_in:], model, seed, burn_in)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from geominar.catalog import (
@@ -44,6 +46,13 @@ class TestBuildModel:
             build_model("ginar", theta=0.5)
         with pytest.raises(ValidityViolationError):
             build_model("ginar", theta=0.5, alpha=0.5, mu=1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_named(self, value):
+        cons = validate_params("nginar", mu=value, alpha=0.3)
+        assert [(c.name, c.satisfied) for c in cons] == [("mu finite", False)]
+        with pytest.raises(ValidityViolationError, match="'mu finite'"):
+            build_model("nginar", mu=value, alpha=0.3)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_canonical_point_builds_and_reconstructs(self, name):

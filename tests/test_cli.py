@@ -31,6 +31,12 @@ class TestDerive:
         assert code == 2
         assert "alpha <= mu/(1+mu)" in err
 
+    def test_infinite_parameter_named_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "derive", "nginar", "--mu", "inf",
+                                 "--alpha", "0.3")
+        assert code == 2
+        assert "'mu finite'" in err
+
     def test_missing_model_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "derive")
         assert code == 2
@@ -144,6 +150,13 @@ class TestVerify:
                                "--alpha", "0.5", "--n", "5000",
                                "--tolerance", "1e-18")
         assert code == 1
+        assert "overall: FAIL" in out
+
+    def test_all_zero_sample_is_a_failed_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "nginar", "--mu", "1e-6",
+                               "--alpha", "1e-7", "--n", "2000")
+        assert code == 1
+        assert "[FAIL] marginal_dispersion_empirical: observed=nan" in out
         assert "overall: FAIL" in out
 
     def test_full_scale_point_passes(self, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,17 @@ class TestPmfFromDecomposition:
         var_sum = sum(m * m * dist.pmf(m) for m in range(800)) - mean_sum**2
         assert dist.mean() == pytest.approx(mean_sum, rel=1e-11)
         assert dist.variance() == pytest.approx(var_sum, rel=1e-11)
+
+    def test_remaining_mass_is_exact_tail(self):
+        # the nginar two-term decomposition; the tail beyond m is the exact
+        # series mass sum rho_i / (s_i - 1) minus the entries 0..m, in Fractions
+        dec = partial_fractions(nginar_rf())
+        assert len(dec.terms) == 2
+        terms = [(Fraction(r), Fraction(s)) for r, s in dec.terms]
+        total = sum(r / (s - 1) for r, s in terms)
+        for m in (0, 1, 7, 30):
+            head = sum(r / s ** (k + 1) for r, s in terms for k in range(m + 1))
+            assert dec.remaining_mass(m) == pytest.approx(float(total - head), rel=1e-12)
 
     def test_truncation_honors_target(self):
         loose = pmf_from_decomposition(partial_fractions(GINAR_RF), 0.99)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geominar import simulate
 from geominar.catalog import build_model
 from geominar.decompose import FractionalDecomposition, pmf_from_decomposition
 from geominar.pgf import BinomialThinning, NegativeBinomialThinning
@@ -77,6 +78,103 @@ class TestApplyThinning:
                           for _ in range(n)])
         se = math.sqrt(x * alpha * (1 + alpha) / n)
         assert abs(draws.mean() - x * alpha) < 4.0 * se
+
+    def test_array_counts_thin_elementwise(self):
+        gen = RngStream(8).generator()
+        x = np.array([0, 3, 0, 10] * 50_000)
+        for t in (BinomialThinning(0.4), NegativeBinomialThinning(0.4)):
+            y = apply_thinning(t, x, gen)
+            assert y.shape == x.shape
+            assert (y[x == 0] == 0).all()
+            tens = y[x == 10]
+            assert abs(tens.mean() - 4.0) < 4.0 * math.sqrt(tens.var() / len(tens))
+
+
+def _thinning_pmf(model, i: int, kmax: int) -> list[float]:
+    """P(alpha o i = k), k = 0..kmax: binomial(i, alpha), or for NB thinning
+    the sum of i geometrics with mean alpha, NB(i, 1/(1+alpha))."""
+    a = model.alpha
+    if isinstance(model.spec.thinning, BinomialThinning):
+        return [math.comb(i, k) * a**k * (1 - a) ** (i - k) if k <= i else 0.0
+                for k in range(kmax + 1)]
+    if i == 0:
+        return [1.0] + [0.0] * kmax
+    p = 1.0 / (1.0 + a)
+    return [math.comb(k + i - 1, k) * p**i * (1 - p) ** k for k in range(kmax + 1)]
+
+
+def _kernel_row(model, i: int, cells: int) -> np.ndarray:
+    """Exact P(X_{t+1} = j | X_t = i) for j < cells - 1, then P(X_{t+1} >= cells - 1):
+    the thinning pmf of i units convolved with the innovation pmf."""
+    thin = _thinning_pmf(model, i, cells - 2)
+    row = [sum(thin[k] * model.innovation.pmf(j - k) for k in range(j + 1))
+           for j in range(cells - 1)]
+    return np.array(row + [1.0 - sum(row)])
+
+
+def _transition_chi_square(model, prev: np.ndarray, nxt: np.ndarray,
+                           rows: int, cells: int) -> float:
+    """Pearson chi-square of the pair counts (prev, nxt) for prev < rows
+    against the exact one-step kernel; nxt >= cells - 1 is one cell."""
+    sel = prev < rows
+    codes = prev[sel] * cells + np.minimum(nxt[sel], cells - 1)
+    counts = np.bincount(codes, minlength=rows * cells).reshape(rows, cells)
+    stat = 0.0
+    for i in range(rows):
+        expected = counts[i].sum() * _kernel_row(model, i, cells)
+        assert expected.min() >= 5.0, (i, expected)  # chi-square approximation holds
+        stat += float(((counts[i] - expected) ** 2 / expected).sum())
+    return stat
+
+
+def _gate(rows: int, cells: int) -> float:
+    """Under the true law the statistic is chi-square with rows * (cells - 1)
+    degrees of freedom; the gate sits 6 sd above its mean."""
+    df = rows * (cells - 1)
+    return df + 6.0 * math.sqrt(2.0 * df)
+
+
+class TestTransitionLaw:
+    """The sampler's exact oracle: pair counts of one long path against the
+    one-step kernel."""
+
+    ROWS, CELLS = 5, 9
+    GATE = _gate(ROWS, CELLS)
+
+    @pytest.mark.parametrize("name", ["ginar", "nginar", "zmg"])
+    def test_pair_counts_match_kernel(self, name):
+        # zmg has alpha = 0: the kernel rows are all the innovation law, so
+        # this is the test that the path is iid
+        model = build_model(name, **CANONICAL[name])
+        s = simulate_series(model, 1_000_000, RngStream(314))
+        stat = _transition_chi_square(model, s.values[:-1], s.values[1:],
+                                      self.ROWS, self.CELLS)
+        assert stat < self.GATE, (name, stat, self.GATE)
+
+    def test_statistic_rejects_wrong_alpha(self):
+        model = build_model("ginar", **CANONICAL["ginar"])
+        s = simulate_series(model, 1_000_000, RngStream(314))
+        wrong = build_model("ginar", theta=CANONICAL["ginar"]["theta"],
+                            alpha=0.9 * model.alpha)
+        stat = _transition_chi_square(wrong, s.values[:-1], s.values[1:],
+                                      self.ROWS, self.CELLS)
+        assert stat > self.GATE, stat
+
+    def test_innovation_blocks_do_not_change_the_path(self, monkeypatch):
+        # innovations are drawn a block of uniforms at a time; the block size
+        # must not change a seeded path
+        model = build_model("ginar", **CANONICAL["ginar"])
+        whole = simulate_series(model, 1000, RngStream(5)).values
+        monkeypatch.setattr(simulate, "BLOCK", 16)
+        assert (simulate_series(model, 1000, RngStream(5)).values == whole).all()
+
+    def test_burn_in_returns_exactly_n_values(self):
+        for name in ("ginar", "nginar"):
+            model = build_model(name, **CANONICAL[name])
+            for n, burn in ((1, 0), (1, 5), (2, 0), (1000, 250)):
+                s = simulate_series(model, n, RngStream(2), burn_in=burn)
+                assert len(s.values) == n
+                assert s.burn_in == burn
 
 
 class TestSimulateSeries:

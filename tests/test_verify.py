@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from geominar import verify
 from geominar.catalog import build_model
 from geominar.simulate import RngStream, simulate_series
 from geominar.verify import (
@@ -144,6 +145,27 @@ class TestMoments:
         assert not rep.overall
         failed = {c.name for c in rep.checks if not c.passed}
         assert "innovation_mean_pmf_vs_closed" in failed
+
+    def test_block_sums_match_whole_sample(self, monkeypatch, rho_geo_bin):
+        # the centered sums run a block at a time; 7-step blocks put a block
+        # boundary every 7 steps, and the result must equal the whole-array values
+        sample = simulate_series(rho_geo_bin, 10_001, RngStream(4))
+        monkeypatch.setattr(verify, "MOMENT_BLOCK", 7)
+        observed = {c.name: c.observed for c in check_moments(rho_geo_bin, sample).checks}
+        xs = sample.values.astype(float)
+        c = xs - xs.mean()
+        assert observed["marginal_var_empirical"] == pytest.approx(xs.var(), rel=1e-12)
+        assert observed["lag1_autocorrelation_empirical"] == pytest.approx(
+            (c[1:] @ c[:-1]) / (c @ c), rel=1e-12)
+
+    def test_all_zero_sample_fails_without_raising(self):
+        # mean 1e-6: a 2000-step path is all zeros, so var/mean is 0/0
+        model = build_model("nginar", mu=1e-6, alpha=1e-7)
+        sample = simulate_series(model, 2000, RngStream(0))
+        assert not sample.values.any()
+        rep = check_moments(model, sample)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"marginal_dispersion_empirical", "lag1_autocorrelation_empirical"}
 
 
 class TestTailQuality:
