@@ -100,7 +100,7 @@ class DispersionClass:
 
 @dataclass(frozen=True)
 class INARModel:
-    """A fully derived model: pgfs, innovation law, optional hurdle form, moments."""
+    """A derived model: pgfs, innovation law, optional hurdle form, moments, constraints."""
 
     name: str
     params: Mapping[str, float]
@@ -111,6 +111,7 @@ class INARModel:
     innovation: InnovationDistribution
     hurdle: HurdleForm | None
     moments: Moments
+    constraints: tuple[Constraint, ...]
     notes: tuple[str, ...] = ()
 
     @property
@@ -214,12 +215,6 @@ def _linear_moments(bd: float, s1: float) -> tuple[float, float]:
     return mean, var
 
 
-def _numeric_pmf_constraint(rf: RationalFunction, n: int = 400) -> Constraint:
-    table = pmf_recursive(rf, n)
-    worst = min(table)
-    return _constraint("innovation pmf nonnegative (numeric)", worst >= -1e-12, worst)
-
-
 def _domain_constraints(name: str, p: dict) -> list[Constraint]:
     if name == "ginar":
         return [_open01("theta", p["theta"]), _alpha_dom(p["alpha"])]
@@ -260,13 +255,18 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     pmf values are computed by the series recursion (which needs no root
     geometry) and checked for nonnegativity.
     """
-    entry = _entry(name)
-    p = _coerce_params(entry, params)
+    return _validate(name, _coerce_params(_entry(name), params))[0]
+
+
+def _validate(name: str, p: dict) -> tuple[tuple[Constraint, ...],
+                                           RationalFunction | None, list[float] | None]:
+    """The constraint report of validate_params, with the innovation pgf and
+    its 400-term recursion table when the domain admits them (else None)."""
     # inf passes mu > 0 and nan fails later checks with a nan margin: name them first
     out = [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
            if not math.isfinite(v)] or _domain_constraints(name, p)
     if not all(c.satisfied for c in out):
-        return tuple(out)
+        return tuple(out), None, None
 
     if name == "nginar":
         bound = p["mu"] / (1.0 + p["mu"])
@@ -290,13 +290,16 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     # the numeric check runs whenever the domain admits an innovation pgf,
     # even if a closed-form condition above already failed: the recursion
     # needs no root geometry, so the report stays informative
+    rf = table = None
     try:
         rf = _innovation_rf(name, p)
-        out.append(_numeric_pmf_constraint(rf))
+        table = pmf_recursive(rf, 400)
+        worst = min(table)
+        out.append(_constraint("innovation pmf nonnegative (numeric)", worst >= -1e-12, worst))
     except GeominarError as exc:
         out.append(_constraint(f"innovation pmf nonnegative (numeric: {exc})", False,
                                -math.inf))
-    return tuple(out)
+    return tuple(out), rf, table
 
 
 def _innovation_rf(name: str, p: dict) -> RationalFunction:
@@ -392,13 +395,12 @@ def build_model(name: str, **params: float) -> INARModel:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    constraints = validate_params(name, **p)
+    constraints, rf, table = _validate(name, p)
     for c in constraints:
         if not c.satisfied:
             raise ValidityViolationError(
                 f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
     spec = _model_spec(name, p)
-    rf = _innovation_rf(name, p)
     notes: list[str] = []
 
     hurdle = None
@@ -416,7 +418,7 @@ def build_model(name: str, **params: float) -> INARModel:
                      "(matches the pgf derivatives; simplified polynomial "
                      "shortcuts do not)")
 
-    _cross_check(rf, innovation)
+    _cross_check(table, innovation)
 
     if spec.marginal is not None:
         marg_rf = marginal_pgf(spec.marginal)
@@ -424,13 +426,12 @@ def build_model(name: str, **params: float) -> INARModel:
         marg_rf = rf
     moments = closed_form_moments(name, **p)
     return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), rf,
-                     innovation, hurdle, moments, tuple(notes))
+                     innovation, hurdle, moments, constraints, tuple(notes))
 
 
-def _cross_check(rf: RationalFunction, innovation: InnovationDistribution,
+def _cross_check(recursive: list[float], innovation: InnovationDistribution,
                  n: int = 32, tol: float = 1e-9) -> None:
-    recursive = pmf_recursive(rf, n)
-    for m, expected in enumerate(recursive):
+    for m, expected in enumerate(recursive[:n + 1]):
         if abs(innovation.pmf(m) - expected) > tol:
             raise GeominarError(
                 f"innovation construction mismatch at m={m}: "

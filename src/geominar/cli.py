@@ -3,17 +3,19 @@
 Subcommands: derive (innovation decomposition and pmf table), simulate
 (seeded CSV trajectories), verify (full check suite, exit 1 on failure),
 catalog (model listing). Output is byte-identical for identical invocations:
-no timestamps, sorted JSON keys, repr floats.
+no timestamps, sorted JSON keys, repr floats. The argument parser is built
+once per process and holds no state between calls to main.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .catalog import build_model, dispersion_class, model_entries, validate_params
+from .catalog import build_model, dispersion_class, model_entries
 from .decompose import DEFAULT_TARGET_MASS, pmf_from_decomposition
 from .errors import GeominarError
 from .simulate import RngStream, simulate_series
@@ -67,11 +69,10 @@ def _cmd_derive(args) -> int:
     innovation = model.innovation
     if args.truncation_mass != DEFAULT_TARGET_MASS:
         innovation = pmf_from_decomposition(innovation.decomposition, args.truncation_mass)
-    constraints = validate_params(name, **model.params)
     doc = {
         "model": name,
         "params": model.params,
-        "constraints": [dataclasses.asdict(c) for c in constraints],
+        "constraints": [dataclasses.asdict(c) for c in model.constraints],
         "atoms": list(innovation.decomposition.atom_poly.coeffs),
         "terms": [{"rho": r, "s": s} for r, s in innovation.decomposition.terms],
         "hurdle": dataclasses.asdict(model.hurdle) if model.hurdle else None,
@@ -182,6 +183,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geominar",

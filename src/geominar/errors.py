@@ -25,7 +25,7 @@ class ValidityViolationError(InvalidParameterError):
 
 
 class ZeroDivisorError(GeominarError, ZeroDivisionError):
-    """Polynomial division by the zero polynomial."""
+    """Polynomial division by zero, or by a lead too small for a finite quotient."""
 
 
 class DomainViolationError(GeominarError, ValueError):

@@ -112,6 +112,8 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
         q[k - dn] = f
         for j in range(dn + 1):
             r[k - dn + j] -= f * den.coeffs[j]
+    if not all(map(math.isfinite, q + r)):
+        raise ZeroDivisorError(f"leading coefficient {lead!r} too small: the quotient overflows")
     rem = Polynomial(tuple(r[:dn])) if dn > 0 else Polynomial((0.0,))
     return Polynomial(tuple(q)), rem
 

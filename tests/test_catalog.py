@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+from geominar import decompose, pgf
 from geominar.catalog import (
     MODEL_NAMES,
     build_model,
@@ -14,6 +16,23 @@ from geominar.errors import ValidityViolationError
 
 from grids import CANONICAL, GRIDS
 from oracles import oracle_moments, oracle_pmf
+
+
+def count_calls(monkeypatch, home, func):
+    """Wrap home.func in every geominar module that binds it; list the calls' args."""
+    original = getattr(home, func)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("geominar"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 class TestBuildModel:
@@ -66,6 +85,20 @@ class TestBuildModel:
         for params in GRIDS[name]:
             constraints = validate_params(name, **params)
             assert all(c.satisfied for c in constraints), (params, constraints)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_build_derives_pgf_and_recursion_once(self, name, monkeypatch):
+        # validation's pgf and 400-term table serve the build and its cross-check
+        pgf_calls = count_calls(monkeypatch, pgf, "innovation_pgf")
+        recursions = count_calls(monkeypatch, decompose, "pmf_recursive")
+        build_model(name, **CANONICAL[name])
+        assert len(pgf_calls) == (0 if name in ("zmg", "two-param") else 1)
+        assert [n for _, n in recursions] == [400]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_model_carries_its_validation_report(self, name):
+        for params in GRIDS[name]:
+            assert build_model(name, **params).constraints == validate_params(name, **params)
 
 
 class TestValidateParams:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from geominar.cli import main
+from geominar.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -152,12 +152,15 @@ class TestVerify:
         assert code == 1
         assert "overall: FAIL" in out
 
-    def test_all_zero_sample_is_a_failed_check(self, capsys):
+    def test_all_zero_sample_omits_undefined_checks(self, capsys):
+        # mean 1e-6: the all-zero path is the expected sample of a valid model
         code, out, _ = run_cli(capsys, "verify", "nginar", "--mu", "1e-6",
                                "--alpha", "1e-7", "--n", "2000")
-        assert code == 1
-        assert "[FAIL] marginal_dispersion_empirical: observed=nan" in out
-        assert "overall: FAIL" in out
+        assert code == 0
+        assert "[pass] marginal_mean_empirical" in out
+        assert "marginal_dispersion_empirical" not in out
+        assert "lag1_autocorrelation_empirical" not in out
+        assert "overall: pass" in out
 
     def test_full_scale_point_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "rho-geo-nb", "--mu", "1",
@@ -183,6 +186,22 @@ class TestCatalog:
 
 
 class TestEntryPoint:
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys):
+        assert build_parser() is build_parser()
+        point = ["ginar", "--theta", "0.3", "--alpha", "0.4"]
+        assert run_cli(capsys, "derive", *point, "--format", "csv",
+                       "--truncation-mass", "0.999")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", *point, "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, "verify", *point, "--n", "2000")[0] == 0
+        code, out, _ = run_cli(capsys, "derive", *point, "--format", "json")
+        assert code == 0
+        fresh = subprocess.run([sys.executable, "-m", "geominar", "derive", *point,
+                                "--format", "json"], capture_output=True, check=True)
+        assert out.encode() == fresh.stdout
+
     def test_module_invocation_byte_identical(self, tmp_path):
         cmd = [sys.executable, "-m", "geominar", "simulate", "ginar",
                "--theta", "0.5", "--alpha", "0.5", "--n", "200", "--seed", "9"]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,35 @@ class TestDivmod:
         with pytest.raises(ZeroDivisorError):
             poly_divmod(poly(1.0), poly(0.0))
 
+    @pytest.mark.parametrize("ncs, lead", [((0.0, 1.0), 5e-324),
+                                           ((0.0, 2.0), 2.0 ** -1023)])
+    def test_overflowing_quotient_raises(self, ncs, lead):
+        # the quotient's coefficient would be inf, and trimming it left (0.0,)
+        with pytest.raises(ZeroDivisorError, match="quotient overflows"):
+            poly_divmod(poly(*ncs), poly(lead))
+
+    def test_quotient_near_float_limit_is_exact(self):
+        q, r = poly_divmod(poly(0.0, 1.5), poly(2.0 ** -1023))
+        assert q.coeffs == (0.0, 1.5 * 2.0 ** 1023)
+        assert r.is_zero()
+
+
+def exact_divmod(num, den):
+    """Long division of the float coefficients in exact rationals."""
+    r = [Fraction(c) for c in num.coeffs]
+    d = [Fraction(c) for c in den.coeffs]
+    dn = len(d) - 1
+    q = [Fraction(0)] * max(len(r) - dn, 1)
+    for k in range(len(r) - 1, dn - 1, -1):
+        q[k - dn] = r[k] / d[-1]
+        for j in range(dn + 1):
+            r[k - dn + j] -= q[k - dn] * d[j]
+    return q, r[:dn]
+
+
+def exact_value(p, s):
+    return sum(Fraction(c) * s**k for k, c in enumerate(p.coeffs))
+
 
 coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -77,14 +107,23 @@ def test_divmod_reconstruction(ncs, dcs, seed):
     if den.is_zero():
         den = poly(1.0, -0.5)
     num = Polynomial(tuple(ncs))
+    try:  # float() of an exact coefficient beyond the float range raises OverflowError
+        [float(c) for cs in exact_divmod(num, den) for c in cs]
+    except OverflowError:
+        # a subnormal divisor lead can put the true quotient there: refused, not trimmed
+        with pytest.raises(ZeroDivisorError):
+            poly_divmod(num, den)
+        return
     q, r = poly_divmod(num, den)
     # reconstruction can amplify rounding when the divisor leading
     # coefficient is tiny relative to the rest; scale accordingly
     blowup = max(abs(c) for cs in (q.coeffs, r.coeffs, den.coeffs) for c in cs)
     rng_points = [math.sin(seed + 17.0 * i) * 2.0 for i in range(20)]
     for s in rng_points:
-        lhs = num(s)
-        rhs = q(s) * den(s) + r(s)
+        # exact evaluation: q(s) * den(s) overflows floats for a quotient near the limit
+        x = Fraction(s)
+        lhs = exact_value(num, x)
+        rhs = exact_value(q, x) * exact_value(den, x) + exact_value(r, x)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, blowup) * max(1.0, abs(s)) ** num.degree
 
 

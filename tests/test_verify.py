@@ -1,10 +1,11 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from geominar import verify
 from geominar.catalog import build_model
-from geominar.simulate import RngStream, simulate_series
+from geominar.simulate import RngStream, SeriesSample, simulate_series
 from geominar.verify import (
     check_cross_method,
     check_moments,
@@ -158,14 +159,24 @@ class TestMoments:
         assert observed["lag1_autocorrelation_empirical"] == pytest.approx(
             (c[1:] @ c[:-1]) / (c @ c), rel=1e-12)
 
-    def test_all_zero_sample_fails_without_raising(self):
-        # mean 1e-6: a 2000-step path is all zeros, so var/mean is 0/0
+    def test_all_zero_sample_omits_undefined_checks(self):
+        # mean 1e-6: a 2000-step path is all zeros, so var/mean and the lag-1
+        # autocorrelation are 0/0; both checks are left out and the rest pass
         model = build_model("nginar", mu=1e-6, alpha=1e-7)
         sample = simulate_series(model, 2000, RngStream(0))
         assert not sample.values.any()
         rep = check_moments(model, sample)
+        names = {c.name for c in rep.checks}
+        assert "marginal_mean_empirical" in names
+        assert not names & {"marginal_dispersion_empirical", "lag1_autocorrelation_empirical"}
+        assert rep.overall
+
+    def test_all_zero_sample_fails_mean_at_large_mean(self, ginar):
+        # a broken simulator returning zeros is still caught by the mean check
+        sample = SeriesSample(np.zeros(2000, dtype=np.int64), ginar, RngStream(0), 0)
+        rep = check_moments(ginar, sample)
         failed = {c.name for c in rep.checks if not c.passed}
-        assert failed == {"marginal_dispersion_empirical", "lag1_autocorrelation_empirical"}
+        assert "marginal_mean_empirical" in failed
 
 
 class TestTailQuality:
