@@ -33,11 +33,25 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=float, default=None)
 
 
+def _read_spec(path: Path) -> dict:
+    """The spec document, or a GeominarError naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise GeominarError(f"spec file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GeominarError(f"spec file {path}: top level must be a JSON object")
+    for key in ("params", "thinning"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise GeominarError(f"spec file {path}: {key!r} must be a JSON object")
+    return doc
+
+
 def _resolve_model(args) -> tuple[str, dict]:
     params: dict[str, float] = {}
     name = args.model
     if args.spec_file is not None:
-        doc = json.loads(args.spec_file.read_text())
+        doc = _read_spec(args.spec_file)
         name = doc.get("model", name)
         params.update(doc.get("params", {}))
         thinning = doc.get("thinning", {})

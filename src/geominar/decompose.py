@@ -18,8 +18,11 @@ dominance argument.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConstraintViolationError,
@@ -43,6 +46,10 @@ from .polyrat import (
 CLAMP_TOL = 1e-12
 
 DEFAULT_TARGET_MASS = 1.0 - 1e-12
+
+# most guide-table buckets per innovation law (a power of two): bounds the
+# table, like simulate.BLOCK bounds the draws, whatever the pmf table length
+GUIDE_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,8 @@ class InnovationDistribution:
 
     pmf_table covers m = 0..truncation; beyond that the smallest-root
     geometric term (tail_rho, tail_s) carries the residual mass and the
-    decomposition formula stays exact.
+    decomposition formula stays exact. sampling_table is built on first use
+    and cached on the instance, so derive never builds it.
     """
 
     decomposition: FractionalDecomposition
@@ -114,6 +122,24 @@ class InnovationDistribution:
 
     def pgf_value(self, s: float) -> float:
         return self.decomposition.pgf_value(s)
+
+    @functools.cached_property
+    def sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf, guide): the table CDF and a guide over M buckets (Chen & Asau).
+
+        M is the smallest power of two >= 4 len(cdf), at most GUIDE_MAX.
+        guide[b] is searchsorted(cdf, u, side="right") for every u in
+        [b/M, (b+1)/M) when no CDF value lies in that bucket, and -1 when one
+        does. Scaling by a power of two is exact, so the counts below are
+        exact: lo[b] = #{cdf <= b/M} and hi[b] = #{cdf < (b+1)/M}.
+        """
+        cdf = np.cumsum(self.pmf_table)
+        m = min(GUIDE_MAX, 1 << (4 * len(cdf) - 1).bit_length())
+        lo = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))[:m]
+        hi = np.cumsum(np.bincount(np.floor(cdf * m).astype(np.intp), minlength=m + 1))[:m]
+        guide = np.where(lo == hi, lo, -1)
+        cdf.flags.writeable = guide.flags.writeable = False
+        return cdf, guide
 
     def table_mass(self) -> float:
         return sum(self.pmf_table)

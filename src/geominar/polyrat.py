@@ -30,6 +30,9 @@ DISTINCT_TOL = 1e-9
 
 def _normalized(coeffs) -> tuple[float, ...]:
     cs = [float(c) for c in coeffs]
+    if not all(map(math.isfinite, cs)):
+        i = next(i for i, c in enumerate(cs) if not math.isfinite(c))
+        raise DomainViolationError(f"polynomial coefficient {i} is {cs[i]!r}, not finite")
     if not cs:
         return (0.0,)
     big = max(abs(c) for c in cs)

@@ -7,6 +7,12 @@ sample is stationary; burn_in only exists as a cross-check.
 Thinning acts on each unit independently, so a path is drawn by generations,
 not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
 step t+1 is one vector draw thinning the nonzero entries of generation k at t.
+With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
+
+Innovations are drawn by inverse CDF over the pmf table, with the geometric
+tail beyond it. The table index comes from a guide table (Chen & Asau),
+cached on the InnovationDistribution; it returns exactly the index a binary
+search over the CDF returns, so seeded output is unchanged from 0.2.0.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -69,15 +75,26 @@ def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / np.log(ratio)).astype(np.int64)
 
 
+def _table_index(d: InnovationDistribution, u: np.ndarray, k: np.ndarray) -> None:
+    """Write searchsorted(cdf, u, side="right") into k, exactly: the guide
+    answers every u whose bucket holds no CDF value, binary search the rest."""
+    cdf, guide = d.sampling_table
+    # u < 1 keeps every bucket index in range, so "clip" never clips; unlike
+    # the default "raise" it writes into k without an intermediate buffer
+    np.take(guide, (u * len(guide)).astype(np.intp), out=k, mode="clip")
+    miss = np.flatnonzero(k < 0)
+    if miss.size:
+        k[miss] = np.searchsorted(cdf, u[miss], side="right")
+
+
 def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
     """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms at a time."""
-    cdf = np.cumsum(d.pmf_table)
-    total = cdf[-1]
+    total = d.sampling_table[0][-1]
     out = np.empty(size, dtype=np.int64)
     for start in range(0, size, BLOCK):
         u = gen.random(min(BLOCK, size - start))
         k = out[start:start + len(u)]
-        k[:] = np.searchsorted(cdf, u, side="right")
+        _table_index(d, u, k)
         beyond = k > d.truncation
         if beyond.any():
             if d.tail_rho <= 0.0 or not np.isfinite(d.tail_s):
@@ -145,13 +162,19 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
     total = n + burn_in
     out = _innovation_draws(model.innovation, gen, total)
     out[0] = _sample_marginal(model, gen)
+    if model.alpha == 0.0:
+        # thinning by zero leaves no offspring: the path is X_0 and iid innovations
+        return SeriesSample(out[burn_in:], model, seed, burn_in)
     # generation 0 is out itself; the last step has no successor
     idx = np.flatnonzero(out[:-1])
     cnt = out[idx]
     while idx.size:
         idx += 1
         cnt = apply_thinning(model.spec.thinning, cnt, gen)
-        out[idx] += cnt  # indices are unique within a generation
-        keep = (cnt > 0) & (idx < total - 1)
+        keep = cnt > 0
         idx, cnt = idx[keep], cnt[keep]
+        out[idx] += cnt  # indices are unique within a generation
+        if idx.size and idx[-1] == total - 1:
+            # idx is sorted, so only its last entry can sit on the last step
+            idx, cnt = idx[:-1], cnt[:-1]
     return SeriesSample(out[burn_in:], model, seed, burn_in)

@@ -73,6 +73,33 @@ class TestDerive:
         assert code == 0
         assert json.loads(out)["model"] == "rho-geo-nb"
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"model": "ginar", "params": [0.5, 0.5]}', "'params' must be a JSON object"),
+        ('{"model": "ginar", "params": {"theta": 0.5}, "thinning": 0.5}',
+         "'thinning' must be a JSON object"),
+    ])
+    def test_malformed_spec_file_exit_2(self, capsys, tmp_path, text, message):
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "derive", "--spec-file", str(spec))
+        assert code == 2 and out == ""
+        assert err.startswith(f"geominar: error: spec file {spec}: ")
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_spec_file_exit_2(self, capsys, tmp_path, kind):
+        spec = tmp_path / "spec.json"
+        if kind == "directory":
+            spec.mkdir()
+        elif kind == "not-utf8":
+            spec.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "derive", "--spec-file", str(spec))
+        assert code == 2 and out == ""
+        assert err.startswith(f"geominar: error: spec file {spec}: ")
+        assert err.count("\n") == 1
+
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "derive.json"
         code, stdout, _ = run_cli(capsys, "derive", "ginar", "--theta", "0.5",

@@ -1,0 +1,75 @@
+"""Golden digests pinning the seeded output of version 0.2.0.
+
+The determinism tests elsewhere compare two runs of the same code; these
+compare against sha256 digests recorded from the 0.2.0 sampler, so any change
+to the drawn values shows here. A change to the sampler algorithm that moves
+a single drawn value must update these digests and bump the version (see the
+README's numerical conventions). The digests were recorded with numpy 2.4.6;
+numpy does not promise that Generator streams stay the same across its
+releases, so a failure after a numpy upgrade alone means the dependency
+moved, not this code.
+"""
+import hashlib
+
+import pytest
+
+from geominar import __version__
+from geominar.catalog import build_model
+from geominar.cli import main
+from geominar.simulate import RngStream, simulate_series
+
+from grids import CANONICAL
+
+# (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
+SERIES = {
+    ("ginar", 20000, 0): "2c06c380b55f73fb340875c018802bbbfba94e8701a92399f74b6aeac34322c8",
+    ("nginar", 20000, 0): "452bdfe20575c713dac1a88eef5b2eea91cf109bed0a9ffde6615fd9fa63c4db",
+    ("zmg", 20000, 0): "68a4ec6aa31ac78c0f8aef3a352f3cf27e84155c05a8682cfb09f272276b6f7b",
+    ("two-param", 20000, 0): "67e8133990fa54911991167648042c7a863e8f1292f7d96277bb181834458747",
+    ("rho-geo-bin", 20000, 0): "c3346444131db46cf9efc15bb5a2ab4b69a7225dc94745840e47881f74f8692a",
+    ("hurdle-geo-bin", 20000, 0): "0513252e4b411979ca722be04631ac1352e8ba334e5925692d8a54b314f4f367",
+    ("rho-geo-nb", 20000, 0): "4f6eb7ec744e0db15e38ee09f0aa98201f6d9c9a8927844b8d2ed583f80e382b",
+    ("hurdle-geo-nb", 20000, 0): "e75494baba58ee211bdf82c1c586ab2c05fc5b020066b3aa1d5c8e6202bb6a17",
+    ("ginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
+    ("ginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ("ginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    ("ginar", 2, 7): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ("nginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
+    ("nginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ("nginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    ("nginar", 2, 7): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+}
+
+# model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
+VERIFY = {
+    "ginar": "04353c8b54e0bc6034c9ddd4708398b4b64f46677c60002e532b361e4955e789",
+    "nginar": "7cd7962683b64e50497ce63426e19489b677be234b1619d28a067f15f4fd622b",
+    "zmg": "6cd8f2a912ae219e4f5d02736b6337b89bfbcec80efc698426730829a1bc6dc4",
+    "two-param": "41172dc4c2f8e089c32e9d5753ec03542622805c5c8af03cdc8f4e2b21c25455",
+    "rho-geo-bin": "f8d53d85e6088b2c79d1a2436042663611d11feeef7e9eda642918c1853d7caf",
+    "hurdle-geo-bin": "83cb7142c802af00e5fb7cb9390356d54650adbb2543bc35d6ce249e4fce52bc",
+    "rho-geo-nb": "2b23d22117afaf779f6e8dba330050a14bd95ebc3a0310efbee15ee4a2bce165",
+    "hurdle-geo-nb": "c8dd222131d58ceac7c0f81f9f5507ad8767105e08f6af6fd1a953cfe6571818",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_version_matches_the_digests():
+    assert __version__ == "0.2.0"
+
+
+@pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
+def test_series_digest(name, n, burn_in):
+    model = build_model(name, **CANONICAL[name])
+    values = simulate_series(model, n, RngStream(5), burn_in).values
+    assert _sha(values.tobytes()) == SERIES[name, n, burn_in]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_stdout_digest(name, capsys):
+    flags = [x for k, v in CANONICAL[name].items() for x in (f"--{k}", repr(v))]
+    assert main(["verify", name, *flags, "--n", "20000", "--seed", "5"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == VERIFY[name]

@@ -41,6 +41,14 @@ class TestEvalAndDerivative:
         assert poly(1.0, 2.0, 0.0).coeffs == (1.0, 2.0)
         assert poly(0.0, 0.0).coeffs == (0.0,)
 
+    @pytest.mark.parametrize("cs, index", [((1.0, math.inf), 1), ((math.nan,), 0),
+                                           ((-math.inf, 1.0), 0)])
+    def test_non_finite_coefficient_named(self, cs, index):
+        # an infinite coefficient used to set the trim cut to inf and drop
+        # everything after it; nan passed unchecked
+        with pytest.raises(DomainViolationError, match=f"coefficient {index} is"):
+            Polynomial(cs)
+
 
 class TestDivmod:
     def test_zero_inflated_split(self):

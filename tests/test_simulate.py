@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from geominar import simulate
 from geominar.catalog import build_model
-from geominar.decompose import FractionalDecomposition, pmf_from_decomposition
+from geominar.decompose import (
+    GUIDE_MAX,
+    FractionalDecomposition,
+    InnovationDistribution,
+    pmf_from_decomposition,
+)
 from geominar.pgf import BinomialThinning, NegativeBinomialThinning
 from geominar.polyrat import Polynomial
 from geominar.simulate import (
@@ -56,6 +62,97 @@ class TestSampleInnovation:
         assert draws.max() > short.truncation
         se = math.sqrt(model.moments.innovation_var / n)
         assert abs(draws.mean() - model.moments.innovation_mean) < 4.0 * se
+
+
+# the canonical laws, plus a 262k-row table where the bucket count is capped
+GUIDE_POINTS = {name: (name, p) for name, p in CANONICAL.items()}
+GUIDE_POINTS["ginar-theta-1e-4"] = ("ginar", {"theta": 1e-4, "alpha": 0.5})
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        head, self.u = self.u[:size], self.u[size:]
+        return head
+
+
+def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """0, every bucket edge, every CDF value and its float neighbours, and
+    values from the table mass up to the largest double below one."""
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    above = np.linspace(cdf[-1], 1.0, 64, endpoint=False)
+    u = np.concatenate([[0.0], np.arange(buckets) / buckets, near, above,
+                        [np.nextafter(1.0, 0.0)]])
+    return u[u < 1.0]
+
+
+def _lookup(d, u: np.ndarray) -> np.ndarray:
+    k = np.empty(len(u), dtype=np.int64)
+    simulate._table_index(d, u, k)
+    return k
+
+
+class TestGuideTable:
+    @pytest.fixture(scope="class", params=list(GUIDE_POINTS.values()), ids=list(GUIDE_POINTS))
+    def dist(self, request):
+        name, p = request.param
+        return build_model(name, **p).innovation
+
+    def test_shape_and_cdf(self, dist):
+        cdf, guide = dist.sampling_table
+        assert np.array_equal(cdf, np.cumsum(dist.pmf_table))
+        m = len(guide)
+        assert m & (m - 1) == 0
+        assert m == GUIDE_MAX or m // 2 < 4 * len(cdf) <= m
+        assert not cdf.flags.writeable and not guide.flags.writeable
+
+    def test_lookup_equals_binary_search(self, dist):
+        cdf, guide = dist.sampling_table
+        u = _adversarial_uniforms(cdf, len(guide))
+        assert np.array_equal(_lookup(dist, u), np.searchsorted(cdf, u, side="right"))
+
+    def test_mass_beyond_table_reaches_the_tail(self, dist):
+        cdf, _ = dist.sampling_table
+        u = np.concatenate([[cdf[-1], np.nextafter(cdf[-1], 1.0)],
+                            np.linspace(cdf[-1], 1.0, 16, endpoint=False)[1:],
+                            [np.nextafter(1.0, 0.0)]])
+        u = u[u < 1.0]
+        draws = simulate._innovation_draws(dist, _FixedUniforms(u), len(u))
+        assert (draws > dist.truncation).all()
+
+    def test_built_once_per_distribution(self, monkeypatch):
+        d = pmf_from_decomposition(FractionalDecomposition(Polynomial((0.3,)), ((0.7 * 0.6, 1.6),)))
+        prop = InnovationDistribution.sampling_table
+        builds = []
+        real = prop.func
+
+        def counting(self):
+            builds.append(self)
+            return real(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+        gen = RngStream(4).generator()
+        for _ in range(50):
+            sample_innovation(d, gen)
+        assert builds == [d]
+
+    def test_table_follows_its_distribution_across_collection(self):
+        # a cache keyed by id() would hand a collected law's table to a new
+        # one at the same address; the cache lives on the instance instead
+        for i in range(20):
+            model = build_model("ginar", theta=0.3 + 0.02 * i, alpha=0.5)
+            d = model.innovation
+            sample_innovation(d, RngStream(i).generator())
+            cdf, guide = d.sampling_table
+            assert np.array_equal(cdf, np.cumsum(d.pmf_table))
+            u = _adversarial_uniforms(cdf, len(guide))
+            assert np.array_equal(_lookup(d, u), np.searchsorted(cdf, u, side="right"))
+            del model, d, cdf, guide
+            gc.collect()
 
 
 class TestApplyThinning:
@@ -193,6 +290,14 @@ class TestSimulateSeries:
         xs -= xs.mean()
         lag1 = float(xs[1:] @ xs[:-1] / (xs @ xs))
         assert abs(lag1) < 4.0 / math.sqrt(len(xs))
+
+    def test_alpha_zero_runs_no_thinning_pass(self, monkeypatch):
+        def no_thinning(*args):
+            raise AssertionError("thinning pass at alpha = 0")
+
+        monkeypatch.setattr(simulate, "apply_thinning", no_thinning)
+        for name in ("zmg", "two-param"):
+            simulate_series(build_model(name, **CANONICAL[name]), 1000, RngStream(1))
 
     def test_stationary_mean_with_burn_in_insensitivity(self):
         model = build_model("rho-geo-bin", **CANONICAL["rho-geo-bin"])
