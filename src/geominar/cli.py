@@ -241,9 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each sampling flag: a smaller one is a usage error (exit 2)
+_FLAG_MINIMUM = {"n": 1, "burn_in": 0, "seed": 0, "replicates": 1}
+
+
+def _check_flag_minima(args) -> None:
+    for dest, least in _FLAG_MINIMUM.items():
+        value = getattr(args, dest, least)
+        if value < least:
+            raise GeominarError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flag_minima(args)
         return args.func(args)
     except GeominarError as exc:
         print(f"geominar: error: {exc}", file=sys.stderr)

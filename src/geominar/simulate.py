@@ -12,7 +12,10 @@ With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
 Innovations are drawn by inverse CDF over the pmf table, with the geometric
 tail beyond it. The table index comes from a guide table (Chen & Asau),
 cached on the InnovationDistribution; it returns exactly the index a binary
-search over the CDF returns, so seeded output is unchanged from 0.2.0.
+search over the CDF returns. The uniforms are drawn BLOCK at a time, and all
+blocks of one call reuse one pair of buffers (uniforms, bucket indices),
+which draws the same stream as a fresh array per block. Seeded output is
+unchanged from 0.2.0.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -75,28 +78,36 @@ def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / np.log(ratio)).astype(np.int64)
 
 
-def _table_index(d: InnovationDistribution, u: np.ndarray, k: np.ndarray) -> None:
+def _table_index(d: InnovationDistribution, u: np.ndarray, k: np.ndarray,
+                 bucket: np.ndarray) -> None:
     """Write searchsorted(cdf, u, side="right") into k, exactly: the guide
-    answers every u whose bucket holds no CDF value, binary search the rest."""
+    answers every u whose bucket holds no CDF value, binary search the rest.
+    bucket is intp scratch of len(u)."""
     cdf, guide = d.sampling_table
+    # the unsafe cast truncates like astype(intp), into the caller's buffer
+    np.multiply(u, len(guide), out=bucket, casting="unsafe")
     # u < 1 keeps every bucket index in range, so "clip" never clips; unlike
     # the default "raise" it writes into k without an intermediate buffer
-    np.take(guide, (u * len(guide)).astype(np.intp), out=k, mode="clip")
+    np.take(guide, bucket, out=k, mode="clip")
     miss = np.flatnonzero(k < 0)
     if miss.size:
         k[miss] = np.searchsorted(cdf, u[miss], side="right")
 
 
 def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
-    """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms at a time."""
+    """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms
+    at a time; every block reuses one pair of buffers."""
     total = d.sampling_table[0][-1]
     out = np.empty(size, dtype=np.int64)
+    ubuf = np.empty(min(BLOCK, size))
+    bucket = np.empty(len(ubuf), dtype=np.intp)
     for start in range(0, size, BLOCK):
-        u = gen.random(min(BLOCK, size - start))
-        k = out[start:start + len(u)]
-        _table_index(d, u, k)
-        beyond = k > d.truncation
-        if beyond.any():
+        m = min(BLOCK, size - start)
+        u = gen.random(out=ubuf[:m])  # the same stream as gen.random(m)
+        k = out[start:start + m]
+        _table_index(d, u, k, bucket[:m])
+        if k.max() > d.truncation:
+            beyond = k > d.truncation
             if d.tail_rho <= 0.0 or not np.isfinite(d.tail_s):
                 k[beyond] = d.truncation
             else:
@@ -166,14 +177,18 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
         # thinning by zero leaves no offspring: the path is X_0 and iid innovations
         return SeriesSample(out[burn_in:], model, seed, burn_in)
     # generation 0 is out itself; the last step has no successor
-    idx = np.flatnonzero(out[:-1])
+    idx = np.flatnonzero(out[:-1] != 0)  # faster than on the int64 values
     cnt = out[idx]
     while idx.size:
         idx += 1
         cnt = apply_thinning(model.spec.thinning, cnt, gen)
-        keep = cnt > 0
-        idx, cnt = idx[keep], cnt[keep]
-        out[idx] += cnt  # indices are unique within a generation
+        # positions once, then one gather each: faster than a boolean mask at
+        # every size; rebinding idx before cnt[kept] frees the old idx first
+        kept = (cnt > 0).nonzero()[0]
+        idx = idx[kept]
+        cnt = cnt[kept]
+        # indices are unique within a generation, so this equals out[idx] += cnt
+        np.add.at(out, idx, cnt)
         if idx.size and idx[-1] == total - 1:
             # idx is sorted, so only its last entry can sit on the last step
             idx, cnt = idx[:-1], cnt[:-1]

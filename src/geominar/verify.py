@@ -166,9 +166,9 @@ def check_moments(model: INARModel, sample: SeriesSample,
     se_disp = math.sqrt(max(g_var, 1e-30))
     checks.append(_check("marginal_dispersion_empirical", emp_var / emp_mean, disp,
                          n_se * se_disp))
-    if n > 2:
-        lag1 = lag / ss if ss > 0.0 else math.nan
-        checks.append(_check("lag1_autocorrelation_empirical", lag1, alpha,
+    # a constant sample has ss = 0 and no autocorrelation: omit it there too
+    if n > 2 and ss > 0.0:
+        checks.append(_check("lag1_autocorrelation_empirical", lag / ss, alpha,
                              n_se * (1.0 + 2.0 * alpha) / math.sqrt(n)))
     return VerificationReport(tuple(checks))
 

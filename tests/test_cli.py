@@ -189,12 +189,53 @@ class TestVerify:
         assert "lag1_autocorrelation_empirical" not in out
         assert "overall: pass" in out
 
+    def test_constant_sample_omits_lag1(self, capsys):
+        # this seed draws [1, 1, 1]: the lag-1 autocorrelation is 0/0 there,
+        # while the dispersion is 0 and still checked
+        code, out, _ = run_cli(capsys, "verify", "ginar", "--theta", "0.5",
+                               "--alpha", "0.5", "--n", "3", "--seed", "2")
+        assert code == 0
+        assert "[pass] marginal_dispersion_empirical: observed=0.0" in out
+        assert "lag1_autocorrelation_empirical" not in out
+        assert "overall: pass" in out
+
     def test_full_scale_point_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "rho-geo-nb", "--mu", "1",
                                "--rho", "0.2", "--alpha", "0.3",
                                "--n", "1000000", "--seed", "42")
         assert code == 0
         assert "overall: pass" in out
+
+
+GINAR = ("ginar", "--theta", "0.5", "--alpha", "0.5")
+
+
+class TestSamplingFlagUsage:
+    """A sampling flag below its least value is a usage error: exit 2 and
+    one error line naming the flag, before any model is built or drawn."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("simulate", *GINAR, "--n", "0"), "--n"),
+        (("verify", *GINAR, "--n", "0"), "--n"),
+        (("simulate", *GINAR, "--burn-in", "-1"), "--burn-in"),
+        (("verify", *GINAR, "--burn-in", "-1"), "--burn-in"),
+        (("simulate", *GINAR, "--seed", "-1"), "--seed"),
+        (("verify", *GINAR, "--seed", "-1"), "--seed"),
+        (("simulate", *GINAR, "--replicates", "0"), "--replicates"),
+        (("simulate", *GINAR, "--replicates", "0", "--output", "x.csv"), "--replicates"),
+    ])
+    def test_exit_2_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"geominar: error: {flag} must be >= ")
+        assert err.count("\n") == 1
+
+    def test_least_values_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", *GINAR, "--n", "1", "--seed", "0",
+                               "--burn-in", "0", "--replicates", "1")
+        assert code == 0
+        assert out.startswith("t,x\n0,")
 
 
 class TestCatalog:

@@ -9,6 +9,7 @@ numpy does not promise that Generator streams stay the same across its
 releases, so a failure after a numpy upgrade alone means the dependency
 moved, not this code.
 """
+import dataclasses
 import hashlib
 
 import pytest
@@ -16,7 +17,8 @@ import pytest
 from geominar import __version__
 from geominar.catalog import build_model
 from geominar.cli import main
-from geominar.simulate import RngStream, simulate_series
+from geominar.decompose import pmf_from_decomposition
+from geominar.simulate import BLOCK, RngStream, simulate_series
 
 from grids import CANONICAL
 
@@ -39,6 +41,30 @@ SERIES = {
     ("nginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
     ("nginar", 2, 7): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
 }
+
+# Paths longer than one innovation block (BLOCK = 65,536 uniforms), burn_in 3,
+# seed 5: these pin the block boundaries, which the 20,000-step paths above
+# never cross. (model, n) -> sha256 of simulate_series(...).values.tobytes()
+ACROSS_BLOCKS = {
+    ("ginar", 2 * BLOCK + 3): "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854",
+    ("nginar", 2 * BLOCK + 3): "86db037d5e7c45464bc8b59bc490d8c32020bc981a2753b2308e4a85c8e312e8",
+    ("zmg", 2 * BLOCK + 3): "30cc48e7ac26531c5f7b98b9fc125287d81402072c2e776856d84f0af9d27eea",
+    ("two-param", 2 * BLOCK + 3): "caf7838c35d10ec41fe92ec9dc7959d24be210de3cb7c9706f3d7c39c9e6aedc",
+    ("rho-geo-bin", 2 * BLOCK + 3): "058a51f8590f07bc5b7dbfb239fd50ba6d8c51d20b1a733ad05b395307a9f2ac",
+    ("hurdle-geo-bin", 2 * BLOCK + 3): "46ae6764e7998fab076be4bbb62f0d16a27a5004995f2a32b814b0336d2b72c8",
+    ("rho-geo-nb", 2 * BLOCK + 3): "a79020ad41bfae34683fb69debb739a4a386d8818716431069269a9911b49cc4",
+    ("hurdle-geo-nb", 2 * BLOCK + 3): "b02562cbc3ecc9b8a39497700d6613d28737ecc622da5c3ad86c528aacdc7e07",
+}
+
+# ginar theta=1e-4 alpha=0.5: a 262,564-row table, where the guide leaves many
+# buckets to binary search; n = BLOCK + 1, burn_in 3, seed 5
+WIDE_TABLE = "ba1507a8ed0a6be8e4c7b900d70045296d554d7fd5166784a5317d83e19ca69a"
+
+# canonical ginar with its table cut at mass 0.999, so that about one draw in
+# a thousand lands beyond the table and takes the geometric tail, in both
+# full blocks; n = 2 * BLOCK + 3, burn_in 3, seed 5. The tail continues the
+# law exactly, so the path equals the full-table one (ACROSS_BLOCKS ginar).
+SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
@@ -66,6 +92,27 @@ def test_series_digest(name, n, burn_in):
     model = build_model(name, **CANONICAL[name])
     values = simulate_series(model, n, RngStream(5), burn_in).values
     assert _sha(values.tobytes()) == SERIES[name, n, burn_in]
+
+
+@pytest.mark.parametrize("name, n", sorted(ACROSS_BLOCKS))
+def test_series_digest_across_blocks(name, n):
+    model = build_model(name, **CANONICAL[name])
+    values = simulate_series(model, n, RngStream(5), 3).values
+    assert _sha(values.tobytes()) == ACROSS_BLOCKS[name, n]
+
+
+def test_series_digest_wide_table():
+    model = build_model("ginar", theta=1e-4, alpha=0.5)
+    values = simulate_series(model, BLOCK + 1, RngStream(5), 3).values
+    assert _sha(values.tobytes()) == WIDE_TABLE
+
+
+def test_series_digest_through_the_geometric_tail():
+    model = build_model("ginar", **CANONICAL["ginar"])
+    short = pmf_from_decomposition(model.innovation.decomposition, 0.999)
+    values = simulate_series(dataclasses.replace(model, innovation=short),
+                             2 * BLOCK + 3, RngStream(5), 3).values
+    assert _sha(values.tobytes()) == SHORT_TABLE
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY))

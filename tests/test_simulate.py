@@ -75,9 +75,9 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size):
-        head, self.u = self.u[:size], self.u[size:]
-        return head
+    def random(self, out):
+        out[:], self.u = self.u[:len(out)], self.u[len(out):]
+        return out
 
 
 def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
@@ -92,7 +92,7 @@ def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
 
 def _lookup(d, u: np.ndarray) -> np.ndarray:
     k = np.empty(len(u), dtype=np.int64)
-    simulate._table_index(d, u, k)
+    simulate._table_index(d, u, k, np.empty(len(u), dtype=np.intp))
     return k
 
 

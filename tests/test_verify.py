@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ class TestMoments:
         assert "marginal_mean_empirical" in names
         assert not names & {"marginal_dispersion_empirical", "lag1_autocorrelation_empirical"}
         assert rep.overall
+
+    def test_constant_sample_omits_lag1(self, ginar):
+        # a constant nonzero sample has no centered variation: the lag-1
+        # autocorrelation is 0/0 and left out; the dispersion is 0 and checked
+        sample = SeriesSample(np.ones(3, dtype=np.int64), ginar, RngStream(0), 0)
+        rep = check_moments(ginar, sample)
+        observed = {c.name: c.observed for c in rep.checks}
+        assert "lag1_autocorrelation_empirical" not in observed
+        assert observed["marginal_dispersion_empirical"] == 0.0
+        assert all(math.isfinite(v) for v in observed.values())
+        assert rep.overall
+
+    def test_constant_long_sample_fails_without_lag1(self, ginar):
+        # a long constant path is still caught, by the variance check
+        sample = SeriesSample(np.ones(20_000, dtype=np.int64), ginar, RngStream(0), 0)
+        rep = check_moments(ginar, sample)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert "marginal_var_empirical" in failed
+        assert "lag1_autocorrelation_empirical" not in {c.name for c in rep.checks}
 
     def test_all_zero_sample_fails_mean_at_large_mean(self, ginar):
         # a broken simulator returning zeros is still caught by the mean check
