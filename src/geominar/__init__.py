@@ -39,7 +39,6 @@ from .errors import (
     InvalidParameterError,
     NegativeProbabilityError,
     NoGeometricTermsError,
-    NotAllRealRootsError,
     RepeatedRootsError,
     RootInsideDiskError,
     ValidityViolationError,
@@ -56,10 +55,6 @@ from .pgf import (
     RhoGeometric,
     counting_pgf,
     innovation_pgf,
-    marginal_mean,
-    marginal_pgf,
-    marginal_pmf,
-    marginal_variance,
 )
 from .polyrat import (
     Polynomial,

@@ -28,10 +28,9 @@ only in the test suite as rejected candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping
 
-from . import pgf as pgfmod
 from .decompose import (
     HurdleForm,
     InnovationDistribution,
@@ -53,22 +52,8 @@ from .pgf import (
     RhoGeometric,
     counting_pgf,
     innovation_pgf,
-    marginal_mean,
-    marginal_pgf,
-    marginal_variance,
 )
 from .polyrat import Polynomial, RationalFunction
-
-MODEL_NAMES = (
-    "ginar",
-    "nginar",
-    "zmg",
-    "two-param",
-    "rho-geo-bin",
-    "hurdle-geo-bin",
-    "rho-geo-nb",
-    "hurdle-geo-nb",
-)
 
 _MARGIN_CAP = 1e18
 
@@ -121,7 +106,7 @@ class INARModel:
     def marginal_pmf(self, k: int) -> float:
         if self.spec.marginal is None:
             return self.innovation.pmf(k)
-        return pgfmod.marginal_pmf(self.spec.marginal, k)
+        return self.spec.marginal.pmf(k)
 
 
 def _cap(x: float) -> float:
@@ -215,7 +200,8 @@ def _linear_moments(bd: float, s1: float) -> tuple[float, float]:
     return mean, var
 
 
-def _domain_constraints(name: str, p: dict) -> list[Constraint]:
+def _domain_constraints(entry: _Entry, p: dict) -> list[Constraint]:
+    name = entry.name
     if name == "ginar":
         return [_open01("theta", p["theta"]), _alpha_dom(p["alpha"])]
     if name == "nginar":
@@ -236,7 +222,7 @@ def _domain_constraints(name: str, p: dict) -> list[Constraint]:
         ]
     mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
     out = []
-    if name in ("rho-geo-bin", "rho-geo-nb"):
+    if entry.marginal is RhoGeometric:
         out.append(_constraint("mu > 0", mu > 0.0, mu))
         out.append(_constraint("rho in [0,1)", 0.0 <= rho < 1.0,
                                min(rho, 1.0 - rho) if rho > 0 else 1.0 - rho))
@@ -255,24 +241,26 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     pmf values are computed by the series recursion (which needs no root
     geometry) and checked for nonnegativity.
     """
-    return _validate(name, _coerce_params(_entry(name), params))[0]
+    entry = _entry(name)
+    return _validate(entry, _coerce_params(entry, params))[0]
 
 
-def _validate(name: str, p: dict) -> tuple[tuple[Constraint, ...],
-                                           RationalFunction | None, list[float] | None]:
+def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...],
+                                               RationalFunction | None, list[float] | None]:
     """The constraint report of validate_params, with the innovation pgf and
     its 400-term recursion table when the domain admits them (else None)."""
     # inf passes mu > 0 and nan fails later checks with a nan margin: name them first
     out = [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
-           if not math.isfinite(v)] or _domain_constraints(name, p)
+           if not math.isfinite(v)] or _domain_constraints(entry, p)
     if not all(c.satisfied for c in out):
         return tuple(out), None, None
 
+    name = entry.name
     if name == "nginar":
         bound = p["mu"] / (1.0 + p["mu"])
         out.append(_constraint("alpha <= mu/(1+mu)", p["alpha"] <= bound + 1e-12,
                                bound - p["alpha"]))
-    elif name in ("rho-geo-bin", "hurdle-geo-bin", "rho-geo-nb", "hurdle-geo-nb"):
+    elif entry.method == "hurdle":
         mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
         if name == "hurdle-geo-bin":
             bound = rho / (1.0 + rho)
@@ -292,7 +280,7 @@ def _validate(name: str, p: dict) -> tuple[tuple[Constraint, ...],
     # needs no root geometry, so the report stays informative
     rf = table = None
     try:
-        rf = _innovation_rf(name, p)
+        rf = _innovation_rf(entry, p)
         table = pmf_recursive(rf, 400)
         worst = min(table)
         out.append(_constraint("innovation pmf nonnegative (numeric)", worst >= -1e-12, worst))
@@ -302,11 +290,11 @@ def _validate(name: str, p: dict) -> tuple[tuple[Constraint, ...],
     return tuple(out), rf, table
 
 
-def _innovation_rf(name: str, p: dict) -> RationalFunction:
-    spec = _model_spec(name, p)
+def _innovation_rf(entry: _Entry, p: dict) -> RationalFunction:
+    spec = _model_spec(entry, p)
     if spec.marginal is not None:
         return innovation_pgf(spec)
-    if name == "zmg":
+    if entry.name == "zmg":
         mu, k = p["mu"], p["k"]
         num = Polynomial((1.0 + k * mu, -k * mu))
         den = Polynomial((1.0 + mu, -mu))
@@ -317,23 +305,12 @@ def _innovation_rf(name: str, p: dict) -> RationalFunction:
     return RationalFunction(num, den, radius=-den.coeff(0) / den.coeff(1), pgf=True)
 
 
-def _model_spec(name: str, p: dict) -> ModelSpec:
-    if name == "ginar":
-        return ModelSpec(Geometric(p["theta"]), BinomialThinning(p["alpha"]), name)
-    if name == "nginar":
-        return ModelSpec(GeometricMean(p["mu"]), NegativeBinomialThinning(p["alpha"]), name)
-    if name == "rho-geo-bin":
-        return ModelSpec(RhoGeometric(p["mu"], p["rho"]), BinomialThinning(p["alpha"]), name)
-    if name == "hurdle-geo-bin":
-        return ModelSpec(HurdleGeometric(p["mu"], p["rho"]), BinomialThinning(p["alpha"]), name)
-    if name == "rho-geo-nb":
-        return ModelSpec(RhoGeometric(p["mu"], p["rho"]),
-                         NegativeBinomialThinning(p["alpha"]), name)
-    if name == "hurdle-geo-nb":
-        return ModelSpec(HurdleGeometric(p["mu"], p["rho"]),
-                         NegativeBinomialThinning(p["alpha"]), name)
-    # innovation-only entries behave as iid models with alpha = 0
-    return ModelSpec(None, BinomialThinning(0.0), name)
+def _model_spec(entry: _Entry, p: dict) -> ModelSpec:
+    # the marginal takes the parameters named like its fields; innovation-only
+    # entries have none and behave as iid models with alpha = 0
+    marginal = (None if entry.marginal is None else
+                entry.marginal(**{f.name: p[f.name] for f in fields(entry.marginal)}))
+    return ModelSpec(marginal, entry.thinning(p.get("alpha", 0.0)), entry.name)
 
 
 def closed_form_moments(name: str, **params: float) -> Moments:
@@ -365,9 +342,9 @@ def closed_form_moments(name: str, **params: float) -> Moments:
         mm, mv = im, iv
     else:
         mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
-        spec = _model_spec(name, p)
-        mm = marginal_mean(spec.marginal)
-        mv = marginal_variance(spec.marginal)
+        marginal = _model_spec(entry, p).marginal
+        mm = marginal.mean()
+        mv = marginal.variance()
         im = mm * (1.0 - alpha)
         iv = _mixture_variance(*_hurdle_params(name, mu, rho, alpha))
     return Moments(mm, mv, mv / mm if mm > 0 else math.nan,
@@ -395,20 +372,20 @@ def build_model(name: str, **params: float) -> INARModel:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    constraints, rf, table = _validate(name, p)
+    constraints, rf, table = _validate(entry, p)
     for c in constraints:
         if not c.satisfied:
             raise ValidityViolationError(
                 f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
-    spec = _model_spec(name, p)
+    spec = _model_spec(entry, p)
     notes: list[str] = []
 
     hurdle = None
-    if name in ("ginar", "zmg", "two-param"):
+    if entry.method == "linear":
         a, b = rf.num.coeff(0), rf.num.coeff(1)
         c_, d = rf.den.coeff(0), rf.den.coeff(1)
         innovation = linear_closed_form(a, b, c_, d)
-    elif name == "nginar":
+    elif entry.method == "residues":
         innovation = pmf_from_decomposition(partial_fractions(rf))
     else:
         hurdle = quadratic_closed_form(rf.num.coeff(2), rf.num.coeff(1), rf.num.coeff(0),
@@ -420,10 +397,7 @@ def build_model(name: str, **params: float) -> INARModel:
 
     _cross_check(table, innovation)
 
-    if spec.marginal is not None:
-        marg_rf = marginal_pgf(spec.marginal)
-    else:
-        marg_rf = rf
+    marg_rf = rf if spec.marginal is None else spec.marginal.pgf()
     moments = closed_form_moments(name, **p)
     return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), rf,
                      innovation, hurdle, moments, constraints, tuple(notes))
@@ -440,50 +414,55 @@ def _cross_check(recursive: list[float], innovation: InnovationDistribution,
 
 @dataclass(frozen=True)
 class _Entry:
+    """One catalog family. marginal is the marginal class (None for the
+    innovation-only entries), thinning the thinning class, and method the
+    derivation route: "linear" (linear_closed_form), "residues"
+    (partial_fractions) or "hurdle" (quadratic_closed_form)."""
+
     name: str
     param_names: tuple[str, ...]
+    marginal: type | None
+    thinning: type
+    method: str
     summary: str
-    constraints_doc: tuple[str, ...] = field(default=())
+    constraints_doc: tuple[str, ...]
 
 
-_ENTRIES = {
-    "ginar": _Entry(
-        "ginar", ("theta", "alpha"),
-        "geometric marginal, binomial thinning; zero-inflated geometric innovations",
-        ("theta in (0,1)", "alpha in [0,1)")),
-    "nginar": _Entry(
-        "nginar", ("mu", "alpha"),
-        "geometric marginal (mean mu), negative binomial thinning",
-        ("mu > 0", "alpha in [0, mu/(1+mu)]")),
-    "zmg": _Entry(
-        "zmg", ("mu", "k"),
-        "zero-modified geometric innovation law (iid model, alpha = 0)",
-        ("mu > 0", "-1/mu <= k < 1")),
-    "two-param": _Entry(
-        "two-param", ("r", "m"),
-        "two-parameter linear innovation law (iid model, alpha = 0)",
-        ("r > 0", "0 < m <= 1 + r")),
-    "rho-geo-bin": _Entry(
-        "rho-geo-bin", ("mu", "rho", "alpha"),
-        "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
-        ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-         "root ordering and numeric pmf nonnegativity")),
-    "hurdle-geo-bin": _Entry(
-        "hurdle-geo-bin", ("mu", "rho", "alpha"),
-        "hurdle geometric marginal, binomial thinning; hurdle innovations",
-        ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-         "mu <= rho/(1+rho)", "numeric pmf nonnegativity")),
-    "rho-geo-nb": _Entry(
-        "rho-geo-nb", ("mu", "rho", "alpha"),
-        "zero-inflated geometric marginal, negative binomial thinning",
-        ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-         "root ordering and numeric pmf nonnegativity")),
-    "hurdle-geo-nb": _Entry(
-        "hurdle-geo-nb", ("mu", "rho", "alpha"),
-        "hurdle geometric marginal, negative binomial thinning",
-        ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-         "root ordering and numeric pmf nonnegativity")),
-}
+_ENTRIES = {e.name: e for e in (
+    _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning, "linear",
+           "geometric marginal, binomial thinning; zero-inflated geometric innovations",
+           ("theta in (0,1)", "alpha in [0,1)")),
+    _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning, "residues",
+           "geometric marginal (mean mu), negative binomial thinning",
+           ("mu > 0", "alpha in [0, mu/(1+mu)]")),
+    _Entry("zmg", ("mu", "k"), None, BinomialThinning, "linear",
+           "zero-modified geometric innovation law (iid model, alpha = 0)",
+           ("mu > 0", "-1/mu <= k < 1")),
+    _Entry("two-param", ("r", "m"), None, BinomialThinning, "linear",
+           "two-parameter linear innovation law (iid model, alpha = 0)",
+           ("r > 0", "0 < m <= 1 + r")),
+    _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning, "hurdle",
+           "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
+           ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
+            "root ordering and numeric pmf nonnegativity")),
+    _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
+           "hurdle",
+           "hurdle geometric marginal, binomial thinning; hurdle innovations",
+           ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
+            "mu <= rho/(1+rho)", "numeric pmf nonnegativity")),
+    _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
+           "hurdle",
+           "zero-inflated geometric marginal, negative binomial thinning",
+           ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
+            "root ordering and numeric pmf nonnegativity")),
+    _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
+           "hurdle",
+           "hurdle geometric marginal, negative binomial thinning",
+           ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
+            "root ordering and numeric pmf nonnegativity")),
+)}
+
+MODEL_NAMES = tuple(_ENTRIES)
 
 
 def _entry(name: str) -> _Entry:
@@ -508,4 +487,4 @@ def _coerce_params(entry: _Entry, params: Mapping[str, float]) -> dict:
 
 def model_entries() -> tuple[_Entry, ...]:
     """Catalog listing for the CLI: names, parameters, constraint summaries."""
-    return tuple(_ENTRIES[n] for n in MODEL_NAMES)
+    return tuple(_ENTRIES.values())

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,8 +70,11 @@ def _resolve_model(args) -> tuple[str, dict]:
 def _emit(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         output.write_text(text)
+    except OSError as exc:
+        raise GeominarError(f"output file {output}: {exc}") from exc
 
 
 def _json(doc) -> str:
@@ -147,11 +151,8 @@ def _cmd_simulate(args) -> int:
     for rep in range(args.replicates):
         sample = simulate_series(model, args.n, RngStream(args.seed, rep), args.burn_in)
         lines = ["t,x"] + [f"{t},{x}" for t, x in enumerate(sample.values)]
-        text = "\n".join(lines) + "\n"
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            _replicate_path(args.output, rep, args.replicates).write_text(text)
+        path = None if args.output is None else _replicate_path(args.output, rep, args.replicates)
+        _emit("\n".join(lines) + "\n", path)
     return 0
 
 
@@ -241,21 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the least value of each sampling flag: a smaller one is a usage error (exit 2)
-_FLAG_MINIMUM = {"n": 1, "burn_in": 0, "seed": 0, "replicates": 1}
+# the least value of each sampling and checking flag: a smaller one is a
+# usage error (exit 2)
+_FLAG_MINIMUM = {"n": 1, "burn_in": 0, "seed": 0, "replicates": 1, "grid_points": 1}
 
 
-def _check_flag_minima(args) -> None:
+def _check_flag_values(args) -> None:
     for dest, least in _FLAG_MINIMUM.items():
         value = getattr(args, dest, least)
         if value < least:
             raise GeominarError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+    # inf would pass every deterministic check vacuously, nan or < 0 fail them all
+    tolerance = getattr(args, "tolerance", 0.0)
+    if not 0.0 <= tolerance < math.inf:
+        raise GeominarError(f"--tolerance must be >= 0 and finite, got {tolerance!r}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_flag_minima(args)
+        _check_flag_values(args)
         return args.func(args)
     except GeominarError as exc:
         print(f"geominar: error: {exc}", file=sys.stderr)

@@ -36,10 +36,6 @@ class ComplexRootsError(GeominarError, ArithmeticError):
     """A polynomial expected to have real roots has a complex pair."""
 
 
-class NotAllRealRootsError(GeominarError, ArithmeticError):
-    """Fewer real roots were found than the polynomial degree requires."""
-
-
 class RepeatedRootsError(GeominarError, ArithmeticError):
     """Denominator roots are not distinct within tolerance."""
 

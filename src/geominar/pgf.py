@@ -6,6 +6,12 @@ of the thinning counting series. Given a rational marginal pgf and an affine
 or Moebius counting pgf, the innovation pgf is the rational quotient
 phi_X(s) / phi_X(phi_N(s)); this module builds all three as RationalFunction
 values.
+
+Each marginal family is one dataclass holding its closed forms: pgf(),
+mean(), variance(), pmf(k), and geometric_form() = (atom, body, shift,
+ratio), which says that the law is an atom at zero plus, with probability
+body = 1 - atom, shift plus a geometric on {0,1,...} with failure ratio
+ratio. The sampler inverts that form.
 """
 from __future__ import annotations
 
@@ -33,6 +39,26 @@ class Geometric:
         if not 0.0 < self.theta < 1.0:
             raise InvalidParameterError(f"Geometric requires theta in (0,1), got {self.theta!r}")
 
+    def pgf(self) -> RationalFunction:
+        q = 1.0 - self.theta
+        return RationalFunction(Polynomial((self.theta,)), Polynomial((1.0, -q)),
+                                radius=1.0 / q, pgf=True)
+
+    def mean(self) -> float:
+        return (1.0 - self.theta) / self.theta
+
+    def variance(self) -> float:
+        q = 1.0 - self.theta
+        return q / (self.theta * self.theta)
+
+    def pmf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        return (1.0 - self.theta) ** k * self.theta
+
+    def geometric_form(self) -> tuple[float, float, int, float]:
+        return 0.0, 1.0, 0, 1.0 - self.theta
+
 
 @dataclass(frozen=True)
 class GeometricMean:
@@ -43,6 +69,25 @@ class GeometricMean:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise InvalidParameterError(f"GeometricMean requires mu > 0, got {self.mu!r}")
+
+    def pgf(self) -> RationalFunction:
+        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + self.mu, -self.mu)),
+                                radius=(1.0 + self.mu) / self.mu, pgf=True)
+
+    def mean(self) -> float:
+        return self.mu
+
+    def variance(self) -> float:
+        return self.mu * (1.0 + self.mu)
+
+    def pmf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        r = self.mu / (1.0 + self.mu)
+        return r ** k / (1.0 + self.mu)
+
+    def geometric_form(self) -> tuple[float, float, int, float]:
+        return 0.0, 1.0, 0, self.mu / (1.0 + self.mu)
 
 
 @dataclass(frozen=True)
@@ -62,6 +107,30 @@ class RhoGeometric:
         if not 0.0 <= self.rho < 1.0:
             raise InvalidParameterError(f"RhoGeometric requires rho in [0,1), got {self.rho!r}")
 
+    def pgf(self) -> RationalFunction:
+        num = Polynomial((1.0, -self.rho))
+        den = Polynomial((1.0 + self.mu, -(self.rho + self.mu)))
+        return RationalFunction(num, den, radius=(1.0 + self.mu) / (self.rho + self.mu),
+                                pgf=True)
+
+    def mean(self) -> float:
+        return self.mu / (1.0 - self.rho)
+
+    def variance(self) -> float:
+        return self.mu * (1.0 + self.mu + self.rho) / (1.0 - self.rho) ** 2
+
+    def pmf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        atom = self.rho / (self.mu + self.rho)
+        r = (self.mu + self.rho) / (1.0 + self.mu)
+        body = (1.0 - atom) * r ** k * (1.0 - self.rho) / (1.0 + self.mu)
+        return body + (atom if k == 0 else 0.0)
+
+    def geometric_form(self) -> tuple[float, float, int, float]:
+        atom = self.rho / (self.mu + self.rho)
+        return atom, 1.0 - atom, 0, (self.mu + self.rho) / (1.0 + self.mu)
+
 
 @dataclass(frozen=True)
 class HurdleGeometric:
@@ -78,6 +147,29 @@ class HurdleGeometric:
             raise InvalidParameterError(f"HurdleGeometric requires mu in (0,1), got {self.mu!r}")
         if not 0.0 < self.rho < 1.0:
             raise InvalidParameterError(f"HurdleGeometric requires rho in (0,1), got {self.rho!r}")
+
+    def pgf(self) -> RationalFunction:
+        k = self.mu + self.mu * self.rho - self.rho
+        num = Polynomial((1.0 - k, k))
+        den = Polynomial((1.0 + self.rho, -self.rho))
+        return RationalFunction(num, den, radius=(1.0 + self.rho) / self.rho, pgf=True)
+
+    def mean(self) -> float:
+        return self.mu * (1.0 + self.rho)
+
+    def variance(self) -> float:
+        return self.mu * (1.0 + self.rho) * (self.rho + (1.0 + self.rho) * (1.0 - self.mu))
+
+    def pmf(self, k: int) -> float:
+        if k < 0:
+            return 0.0
+        if k == 0:
+            return 1.0 - self.mu
+        r = self.rho / (1.0 + self.rho)
+        return self.mu * r ** (k - 1) / (1.0 + self.rho)
+
+    def geometric_form(self) -> tuple[float, float, int, float]:
+        return 1.0 - self.mu, self.mu, 1, self.rho / (1.0 + self.rho)
 
 
 MarginalSpec = Union[Geometric, GeometricMean, RhoGeometric, HurdleGeometric]
@@ -118,74 +210,6 @@ class ModelSpec:
     label: str = ""
 
 
-def marginal_pgf(m: MarginalSpec) -> RationalFunction:
-    """Rational pgf of the marginal, with its analytic validity radius."""
-    if isinstance(m, Geometric):
-        q = 1.0 - m.theta
-        return RationalFunction(Polynomial((m.theta,)), Polynomial((1.0, -q)),
-                                radius=1.0 / q, pgf=True)
-    if isinstance(m, GeometricMean):
-        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + m.mu, -m.mu)),
-                                radius=(1.0 + m.mu) / m.mu, pgf=True)
-    if isinstance(m, RhoGeometric):
-        num = Polynomial((1.0, -m.rho))
-        den = Polynomial((1.0 + m.mu, -(m.rho + m.mu)))
-        return RationalFunction(num, den, radius=(1.0 + m.mu) / (m.rho + m.mu), pgf=True)
-    if isinstance(m, HurdleGeometric):
-        k = m.mu + m.mu * m.rho - m.rho
-        num = Polynomial((1.0 - k, k))
-        den = Polynomial((1.0 + m.rho, -m.rho))
-        return RationalFunction(num, den, radius=(1.0 + m.rho) / m.rho, pgf=True)
-    raise InvalidParameterError(f"unknown marginal kind {type(m).__name__}")
-
-
-def marginal_mean(m: MarginalSpec) -> float:
-    if isinstance(m, Geometric):
-        return (1.0 - m.theta) / m.theta
-    if isinstance(m, GeometricMean):
-        return m.mu
-    if isinstance(m, RhoGeometric):
-        return m.mu / (1.0 - m.rho)
-    if isinstance(m, HurdleGeometric):
-        return m.mu * (1.0 + m.rho)
-    raise InvalidParameterError(f"unknown marginal kind {type(m).__name__}")
-
-
-def marginal_variance(m: MarginalSpec) -> float:
-    if isinstance(m, Geometric):
-        q = 1.0 - m.theta
-        return q / (m.theta * m.theta)
-    if isinstance(m, GeometricMean):
-        return m.mu * (1.0 + m.mu)
-    if isinstance(m, RhoGeometric):
-        return m.mu * (1.0 + m.mu + m.rho) / (1.0 - m.rho) ** 2
-    if isinstance(m, HurdleGeometric):
-        return m.mu * (1.0 + m.rho) * (m.rho + (1.0 + m.rho) * (1.0 - m.mu))
-    raise InvalidParameterError(f"unknown marginal kind {type(m).__name__}")
-
-
-def marginal_pmf(m: MarginalSpec, k: int) -> float:
-    """Closed-form marginal probability mass at k."""
-    if k < 0:
-        return 0.0
-    if isinstance(m, Geometric):
-        return (1.0 - m.theta) ** k * m.theta
-    if isinstance(m, GeometricMean):
-        r = m.mu / (1.0 + m.mu)
-        return r ** k / (1.0 + m.mu)
-    if isinstance(m, RhoGeometric):
-        atom = m.rho / (m.mu + m.rho)
-        r = (m.mu + m.rho) / (1.0 + m.mu)
-        body = (1.0 - atom) * r ** k * (1.0 - m.rho) / (1.0 + m.mu)
-        return body + (atom if k == 0 else 0.0)
-    if isinstance(m, HurdleGeometric):
-        if k == 0:
-            return 1.0 - m.mu
-        r = m.rho / (1.0 + m.rho)
-        return m.mu * r ** (k - 1) / (1.0 + m.rho)
-    raise InvalidParameterError(f"unknown marginal kind {type(m).__name__}")
-
-
 def counting_pgf(t: ThinningOperator) -> RationalFunction:
     """Pgf of one counting-series variable: affine for binomial thinning,
     Moebius 1/(1+alpha-alpha*s) for negative binomial thinning."""
@@ -211,7 +235,7 @@ def innovation_pgf(spec: ModelSpec) -> RationalFunction:
     if spec.marginal is None:
         raise InvalidParameterError("innovation_pgf needs a marginal; "
                                     "pure-innovation models supply their pgf directly")
-    phi_x = marginal_pgf(spec.marginal)
+    phi_x = spec.marginal.pgf()
     phi_n = counting_pgf(spec.thinning)
     composed = compose_mobius(phi_x, phi_n)
     quotient = RationalFunction(phi_x.num * composed.den, phi_x.den * composed.num,

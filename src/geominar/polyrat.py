@@ -1,9 +1,10 @@
 """Dense real polynomials, rational functions, and real root finding.
 
-Everything is plain double precision. The probability generating functions
-handled elsewhere never exceed degree four after composition, so dense
-ascending coefficient vectors plus closed-form or bisection root finding
-are adequate and easy to audit.
+Everything is plain double precision. Every catalog model pairs a Moebius
+(degree 1/1) marginal pgf with a counting pgf of degree at most one, so the
+polynomials whose roots are needed never exceed degree two: dense ascending
+coefficient vectors plus the linear and quadratic closed forms are adequate
+and easy to audit. Root finding above degree two raises.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from .errors import (
     ComplexRootsError,
     DomainViolationError,
     GeominarError,
-    NotAllRealRootsError,
     ZeroDivisorError,
 )
 
@@ -143,7 +143,7 @@ class RootSet:
 
 
 def _quadratic_roots(c0: float, c1: float, c2: float, tol: float):
-    """Stable quadratic formula; returns (roots, clamped_double) or raises."""
+    """Stable quadratic formula; returns the ascending roots or raises."""
     disc = c1 * c1 - 4.0 * c2 * c0
     scale = max(c1 * c1, abs(4.0 * c2 * c0), 1e-300)
     if disc < -tol * scale:
@@ -161,121 +161,34 @@ def _quadratic_roots(c0: float, c1: float, c2: float, tol: float):
     return sorted((r1, r2))
 
 
-def _cauchy_bound(p: Polynomial) -> float:
-    lead = abs(p.coeffs[-1])
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead
-
-
-def _bisect(p: Polynomial, lo: float, hi: float) -> float:
-    flo = p(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-            break
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    # two guarded Newton corrections sharpen the bisection estimate
-    dp = p.derivative()
-    for _ in range(2):
-        d = dp(root)
-        if d == 0.0:
-            break
-        step = p(root) / d
-        if abs(step) > 1e-2 * max(1.0, abs(root)):
-            break
-        root -= step
-    return root
-
-
-def _scan_real_roots(p: Polynomial) -> list[float]:
-    """All simple real roots, by bracketing between critical points.
-
-    The polynomial is strictly monotone between consecutive roots of its
-    derivative (found recursively, bottoming out at the quadratic formula),
-    so every simple real root produces a sign change over one of those
-    panels of the Cauchy interval. Even-order (tangent) roots stay
-    invisible, consistent with treating repeated roots as errors.
-    """
+def _closed_form_roots(p: Polynomial, tol: float) -> list[float]:
+    """Real roots of a degree one or two polynomial, ascending."""
+    if p.degree > 2:
+        raise GeominarError(f"root finding supports degree 1 or 2, got degree {p.degree}")
     if p.degree == 1:
         return [-p.coeffs[0] / p.coeffs[1]]
-    if p.degree == 2:
-        try:
-            return list(_quadratic_roots(*p.coeffs, tol=1e-12))
-        except ComplexRootsError:
-            return []
-    bound = _cauchy_bound(p)
-    crits = [c for c in _scan_real_roots(p.derivative()) if -bound < c < bound]
-    pts = [-bound] + sorted(crits) + [bound]
-    roots = []
-    for lo, hi in zip(pts, pts[1:]):
-        flo, fhi = p(lo), p(hi)
-        if flo == 0.0:
-            roots.append(lo)
-        elif fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
-            roots.append(_bisect(p, lo, hi))
-    if p(bound) == 0.0:
-        roots.append(bound)
-    # Newton polish, then dedupe anything that collapsed to the same point
-    dp = p.derivative()
-    polished = []
-    for r in roots:
-        for _ in range(3):
-            d = dp(r)
-            if d == 0.0:
-                break
-            step = p(r) / d
-            if abs(step) > 1e-2 * max(1.0, abs(r)):
-                break
-            r -= step
-        polished.append(r)
-    polished.sort()
-    out: list[float] = []
-    for r in polished:
-        if not out or abs(r - out[-1]) > 1e-13 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+    return _quadratic_roots(*p.coeffs, tol=tol)
 
 
 def real_roots_best_effort(p: Polynomial) -> list[float]:
-    """All real roots that closed forms or bracketing can find; never raises."""
+    """All real roots of p (degree <= 2); a complex pair gives none."""
     if p.degree <= 0:
         return []
-    if p.degree == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
-    if p.degree == 2:
-        try:
-            return list(_quadratic_roots(*p.coeffs, tol=1e-12))
-        except ComplexRootsError:
-            return []
-    return _scan_real_roots(p)
+    try:
+        return _closed_form_roots(p, 1e-12)
+    except ComplexRootsError:
+        return []
 
 
 def real_distinct_roots(p: Polynomial, tol: float = DISTINCT_TOL) -> RootSet:
-    """Find all real roots of p, requiring as many as the degree.
+    """Find the real roots of p, requiring as many as the degree.
 
     Degrees one and two are solved in closed form (stable quadratic branch);
-    higher degrees by sign-change bracketing on the Cauchy-bound interval
-    followed by bisection to 1e-13 relative width.
+    higher degrees raise.
     """
     if p.degree < 1:
         raise GeominarError("root finding needs degree >= 1")
-    if p.degree == 1:
-        roots = [-p.coeffs[0] / p.coeffs[1]]
-    elif p.degree == 2:
-        roots = _quadratic_roots(*p.coeffs, tol=tol)
-    else:
-        roots = _scan_real_roots(p)
-        if len(roots) < p.degree:
-            raise NotAllRealRootsError(
-                f"found {len(roots)} real roots for degree {p.degree}"
-            )
-        roots = roots[: p.degree]
+    roots = _closed_form_roots(p, tol)
     flag = any(
         roots[i + 1] - roots[i] <= tol * max(1.0, abs(roots[i]))
         for i in range(len(roots) - 1)
@@ -419,9 +332,5 @@ def min_denominator_root_magnitude(den: Polynomial) -> float:
     roots = real_roots_best_effort(den)
     if len(roots) == den.degree:
         return min(abs(r) for r in roots)
-    if den.degree == 2 and not roots:
-        # complex pair: |root|^2 equals the coefficient ratio c0/c2
-        return math.sqrt(abs(den.coeffs[0] / den.coeffs[2]))
-    if roots:
-        return min(abs(r) for r in roots)
-    return math.inf
+    # complex pair: |root|^2 equals the coefficient ratio c0/c2
+    return math.sqrt(abs(den.coeffs[0] / den.coeffs[2]))

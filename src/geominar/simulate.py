@@ -1,8 +1,8 @@
 """Exact trajectory sampling for the catalog models.
 
 The recursion X_t = thin(X_{t-1}) + e_t starts from an exact stationary draw
-(X_0 sampled from the marginal by analytic inversion), so every finite
-sample is stationary; burn_in only exists as a cross-check.
+(X_0 by inverting the marginal's geometric form), so every finite sample is
+stationary; burn_in only exists as a cross-check.
 
 Thinning acts on each unit independently, so a path is drawn by generations,
 not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
@@ -30,15 +30,7 @@ import numpy as np
 
 from .catalog import INARModel
 from .decompose import InnovationDistribution
-from .pgf import (
-    BinomialThinning,
-    Geometric,
-    GeometricMean,
-    HurdleGeometric,
-    NegativeBinomialThinning,
-    RhoGeometric,
-    ThinningOperator,
-)
+from .pgf import BinomialThinning, NegativeBinomialThinning, ThinningOperator
 
 
 @dataclass(frozen=True)
@@ -140,23 +132,11 @@ def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     m = model.spec.marginal
     if m is None:
         return int(_innovation_draws(model.innovation, gen, 1)[0])
-    u = gen.random(1)
-    if isinstance(m, Geometric):
-        return int(_geometric_inverse(u, 1.0 - m.theta)[0])
-    if isinstance(m, GeometricMean):
-        return int(_geometric_inverse(u, m.mu / (1.0 + m.mu))[0])
-    if isinstance(m, RhoGeometric):
-        atom = m.rho / (m.mu + m.rho)
-        if u[0] < atom:
-            return 0
-        v = np.array([(u[0] - atom) / (1.0 - atom)])
-        return int(_geometric_inverse(v, (m.mu + m.rho) / (1.0 + m.mu))[0])
-    if isinstance(m, HurdleGeometric):
-        if u[0] < 1.0 - m.mu:
-            return 0
-        v = np.array([(u[0] - (1.0 - m.mu)) / m.mu])
-        return 1 + int(_geometric_inverse(v, m.rho / (1.0 + m.rho))[0])
-    raise TypeError(f"unknown marginal kind {type(m).__name__}")
+    atom, body, shift, ratio = m.geometric_form()
+    u = gen.random()
+    if u < atom:
+        return 0
+    return shift + int(_geometric_inverse(np.array([(u - atom) / body]), ratio)[0])
 
 
 def simulate_series(model: INARModel, n: int, seed: RngStream,

@@ -211,8 +211,8 @@ GINAR = ("ginar", "--theta", "0.5", "--alpha", "0.5")
 
 
 class TestSamplingFlagUsage:
-    """A sampling flag below its least value is a usage error: exit 2 and
-    one error line naming the flag, before any model is built or drawn."""
+    """A sampling or checking flag outside its range is a usage error: exit 2
+    and one error line naming the flag, before any model is built or drawn."""
 
     @pytest.mark.parametrize("argv, flag", [
         (("simulate", *GINAR, "--n", "0"), "--n"),
@@ -223,6 +223,12 @@ class TestSamplingFlagUsage:
         (("verify", *GINAR, "--seed", "-1"), "--seed"),
         (("simulate", *GINAR, "--replicates", "0"), "--replicates"),
         (("simulate", *GINAR, "--replicates", "0", "--output", "x.csv"), "--replicates"),
+        (("verify", *GINAR, "--grid-points", "0"), "--grid-points"),
+        (("verify", *GINAR, "--grid-points", "-3"), "--grid-points"),
+        # inf used to pass every deterministic check, nan and -1 to fail them (exit 1)
+        (("verify", *GINAR, "--tolerance", "inf"), "--tolerance"),
+        (("verify", *GINAR, "--tolerance", "nan"), "--tolerance"),
+        (("verify", *GINAR, "--tolerance", "-1"), "--tolerance"),
     ])
     def test_exit_2_naming_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -236,6 +242,26 @@ class TestSamplingFlagUsage:
                                "--burn-in", "0", "--replicates", "1")
         assert code == 0
         assert out.startswith("t,x\n0,")
+
+
+class TestUnwritableOutput:
+    """An --output path that cannot be written is exit 2 naming the path,
+    not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("derive", *GINAR),
+        ("simulate", *GINAR, "--n", "10"),
+        ("simulate", *GINAR, "--n", "10", "--replicates", "2"),
+        ("verify", *GINAR, "--n", "100"),
+        ("catalog",),
+    ])
+    def test_exit_2_naming_the_path(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"geominar: error: output file {tmp_path / 'missing'}")
+        assert err.count("\n") == 1
 
 
 class TestCatalog:

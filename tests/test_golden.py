@@ -20,7 +20,7 @@ from geominar.cli import main
 from geominar.decompose import pmf_from_decomposition
 from geominar.simulate import BLOCK, RngStream, simulate_series
 
-from grids import CANONICAL
+from grids import CANONICAL, GRIDS
 
 # (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
 SERIES = {
@@ -78,6 +78,10 @@ VERIFY = {
     "hurdle-geo-nb": "c8dd222131d58ceac7c0f81f9f5507ad8767105e08f6af6fd1a953cfe6571818",
 }
 
+# sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
+# json, csv and table format: per run, the exit code and a newline, then stdout
+DERIVE = "0568d517834a570241ff6838c8d54124bf4c033973ae43bbad0a1fc5e8b9b505"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -120,3 +124,16 @@ def test_verify_stdout_digest(name, capsys):
     flags = [x for k, v in CANONICAL[name].items() for x in (f"--{k}", repr(v))]
     assert main(["verify", name, *flags, "--n", "20000", "--seed", "5"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == VERIFY[name]
+
+
+def test_derive_output_digest(capsys):
+    points = [(name, p) for name, grid in GRIDS.items() for p in grid]
+    points += list(CANONICAL.items())
+    digest = hashlib.sha256()
+    for name, params in points:
+        flags = [x for k, v in params.items() for x in (f"--{k}", repr(v))]
+        for fmt in ("json", "csv", "table"):
+            code = main(["derive", name, *flags, "--format", fmt])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(points) == 228
+    assert digest.hexdigest() == DERIVE

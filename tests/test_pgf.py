@@ -11,10 +11,6 @@ from geominar.pgf import (
     RhoGeometric,
     counting_pgf,
     innovation_pgf,
-    marginal_mean,
-    marginal_pgf,
-    marginal_pmf,
-    marginal_variance,
 )
 
 MARGINALS = [
@@ -31,44 +27,54 @@ MARGINALS = [
 
 class TestMarginalPgf:
     def test_geometric_form(self):
-        rf = marginal_pgf(Geometric(0.5))
+        rf = Geometric(0.5).pgf()
         for s in (0.0, 0.5, 1.0):
             assert rf(s) == pytest.approx(0.5 / (1.0 - 0.5 * s), rel=1e-14)
 
     def test_rho_zero_reduces_to_plain_geometric(self):
-        rf = marginal_pgf(RhoGeometric(1.5, 0.0))
-        plain = marginal_pgf(GeometricMean(1.5))
+        rf = RhoGeometric(1.5, 0.0).pgf()
+        plain = GeometricMean(1.5).pgf()
         for s in (0.0, 0.4, 0.9):
             assert rf(s) == pytest.approx(plain(s), rel=1e-14)
 
     def test_hurdle_geometric_form(self):
-        rf = marginal_pgf(HurdleGeometric(0.4, 0.5))
+        rf = HurdleGeometric(0.4, 0.5).pgf()
         # mu + mu*rho - rho = 0.1: (0.9 + 0.1 s) / (1.5 - 0.5 s)
         for s in (0.0, 0.3, 1.0):
             assert rf(s) == pytest.approx((0.9 + 0.1 * s) / (1.5 - 0.5 * s), rel=1e-14)
 
     @pytest.mark.parametrize("m", MARGINALS)
     def test_value_one_at_one(self, m):
-        assert marginal_pgf(m)(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert m.pgf()(1.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", MARGINALS)
     def test_derivative_at_one_is_mean(self, m):
-        rf = marginal_pgf(m)
+        rf = m.pgf()
         h = 1e-6
         fd = (rf(1.0 + h) - rf(1.0 - h)) / (2.0 * h)
-        assert fd == pytest.approx(marginal_mean(m), rel=1e-7)
+        assert fd == pytest.approx(m.mean(), rel=1e-7)
 
     @pytest.mark.parametrize("m", MARGINALS)
     def test_pmf_sums_match_pgf_and_moments(self, m):
-        probs = [marginal_pmf(m, k) for k in range(4000)]
+        probs = [m.pmf(k) for k in range(4000)]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         for s in (0.0, 0.5, 0.9):
             assert sum(p * s**k for k, p in enumerate(probs)) == pytest.approx(
-                marginal_pgf(m)(s), rel=1e-12)
+                m.pgf()(s), rel=1e-12)
         mean = sum(k * p for k, p in enumerate(probs))
         var = sum(k * k * p for k, p in enumerate(probs)) - mean * mean
-        assert mean == pytest.approx(marginal_mean(m), rel=1e-10)
-        assert var == pytest.approx(marginal_variance(m), rel=1e-10)
+        assert mean == pytest.approx(m.mean(), rel=1e-10)
+        assert var == pytest.approx(m.variance(), rel=1e-10)
+
+    @pytest.mark.parametrize("m", MARGINALS)
+    def test_geometric_form_gives_the_pmf(self, m):
+        # an atom at zero plus, with probability body, shift + geometric(ratio)
+        atom, body, shift, ratio = m.geometric_form()
+        assert atom + body == pytest.approx(1.0, abs=1e-15)
+        for k in range(60):
+            geo = body * (1.0 - ratio) * ratio ** (k - shift) if k >= shift else 0.0
+            assert (atom if k == 0 else 0.0) + geo == pytest.approx(m.pmf(k), rel=1e-12)
+        assert m.pmf(-1) == 0.0
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(InvalidParameterError):
@@ -124,7 +130,7 @@ class TestInnovationPgf:
     def test_no_thinning_returns_marginal(self):
         spec = ModelSpec(RhoGeometric(1.0, 0.2), BinomialThinning(0.0))
         rf = innovation_pgf(spec)
-        marg = marginal_pgf(spec.marginal)
+        marg = spec.marginal.pgf()
         for s in (0.0, 0.4, 0.9):
             assert rf(s) == pytest.approx(marg(s), rel=1e-12)
 
@@ -138,7 +144,7 @@ class TestInnovationPgf:
     @pytest.mark.parametrize("spec", SPECS)
     def test_stationarity_identity(self, spec):
         rf = innovation_pgf(spec)
-        phi_x = marginal_pgf(spec.marginal)
+        phi_x = spec.marginal.pgf()
         phi_n = counting_pgf(spec.thinning)
         for i in range(50):
             s = 0.99 * i / 49
@@ -161,7 +167,7 @@ class TestInnovationPgf:
             rf = innovation_pgf(spec)
             h = 1e-6
             fd = (rf(1.0 + h) - rf(1.0 - h)) / (2.0 * h)
-            expect = marginal_mean(spec.marginal) * (1.0 - spec.thinning.alpha)
+            expect = spec.marginal.mean() * (1.0 - spec.thinning.alpha)
             assert fd == pytest.approx(expect, rel=1e-6)
 
     def test_missing_marginal_rejected(self):

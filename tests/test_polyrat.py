@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geominar.errors import ComplexRootsError, DomainViolationError, ZeroDivisorError
+from geominar.errors import (
+    ComplexRootsError,
+    DomainViolationError,
+    GeominarError,
+    ZeroDivisorError,
+)
 from geominar.polyrat import (
     Polynomial,
     RationalFunction,
@@ -154,24 +159,20 @@ class TestRoots:
         rs = real_distinct_roots(poly(4.0, -4.0, 1.0))
         assert rs.multiplicity_flag
 
-    def test_cubic_with_complex_pair_raises(self):
-        # (s - 2)(s^2 + 1) has a single real root
-        from geominar.errors import NotAllRealRootsError
-        with pytest.raises(NotAllRealRootsError):
-            real_distinct_roots(poly(-2.0, 1.0, -2.0, 1.0))
-
-    def test_cubic_bracketing(self):
-        # (s-1.2)(s-2.5)(s+3.1)
+    def test_cubic_raises_naming_the_degree(self):
+        # (s-1.2)(s-2.5)(s+3.1): the closed forms stop at degree two
         p = poly(1.0)
         for r in (1.2, 2.5, -3.1):
             p = p * poly(-r, 1.0)
-        rs = real_distinct_roots(p)
-        assert rs.roots == pytest.approx((-3.1, 1.2, 2.5), rel=1e-11)
+        with pytest.raises(GeominarError, match="degree 3"):
+            real_distinct_roots(p)
+        with pytest.raises(GeominarError, match="degree 3"):
+            cancel(RationalFunction(p, poly(1.0, -0.5)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
-                min_size=2, max_size=4, unique=True))
+                min_size=2, max_size=2, unique=True))
 def test_roots_residual_bound(roots):
     roots = sorted(roots)
     if min(b - a for a, b in zip(roots, roots[1:])) < 1e-3:
