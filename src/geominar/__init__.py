@@ -42,7 +42,6 @@ from .errors import (
     RepeatedRootsError,
     RootInsideDiskError,
     ValidityViolationError,
-    ZeroConstantDenominatorError,
     ZeroDivisorError,
 )
 from .pgf import (
@@ -59,7 +58,6 @@ from .pgf import (
 from .polyrat import (
     Polynomial,
     RationalFunction,
-    RootSet,
     cancel,
     compose_mobius,
     poly_divmod,

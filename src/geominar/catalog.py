@@ -150,17 +150,16 @@ def _hurdle_params(name: str, mu: float, rho: float, alpha: float):
         w2 = (alpha * (1.0 + mu) * (alpha - rho)
               / ((rho - 1.0) * (alpha - mu - rho)))
         return pi, p1, p2, w1, w2
-    if name == "hurdle-geo-nb":
-        g = alpha * (1.0 + rho) * (1.0 - mu)
-        pi = (g - mu + 1.0) / (g + 1.0)
-        p1 = rho / (1.0 + rho)
-        p2 = g / (1.0 + g)
-        d = alpha * (mu - 1.0) * (rho + 1.0) + rho
-        w1 = (alpha * rho + alpha - rho) * (alpha * (mu - 1.0) * (rho + 1.0) - 1.0) / d
-        w2 = -(alpha * (rho + 1.0)
-               * (alpha * (mu - 1.0) * (rho + 1.0) - mu * (rho + 1.0) + rho)) / d
-        return pi, p1, p2, w1, w2
-    raise GeominarError(f"no hurdle parameterization for {name!r}")
+    # hurdle-geo-nb
+    g = alpha * (1.0 + rho) * (1.0 - mu)
+    pi = (g - mu + 1.0) / (g + 1.0)
+    p1 = rho / (1.0 + rho)
+    p2 = g / (1.0 + g)
+    d = alpha * (mu - 1.0) * (rho + 1.0) + rho
+    w1 = (alpha * rho + alpha - rho) * (alpha * (mu - 1.0) * (rho + 1.0) - 1.0) / d
+    w2 = -(alpha * (rho + 1.0)
+           * (alpha * (mu - 1.0) * (rho + 1.0) - mu * (rho + 1.0) + rho)) / d
+    return pi, p1, p2, w1, w2
 
 
 def _hurdle_roots(name: str, mu: float, rho: float, alpha: float) -> tuple[float, float]:
@@ -175,12 +174,10 @@ def _hurdle_roots(name: str, mu: float, rho: float, alpha: float) -> tuple[float
     elif name == "rho-geo-nb":
         s1 = (1.0 + mu) / (rho + mu)
         s2 = (1.0 - rho + alpha) / alpha if alpha > 0.0 else math.inf
-    elif name == "hurdle-geo-nb":
+    else:  # hurdle-geo-nb
         g = alpha * (1.0 + rho) * (1.0 - mu)
         s1 = (1.0 + rho) / rho
         s2 = (1.0 + g) / g if g > 0.0 else math.inf
-    else:
-        raise GeominarError(f"no root formulas for {name!r}")
     return s1, s2
 
 
@@ -310,7 +307,7 @@ def _model_spec(entry: _Entry, p: dict) -> ModelSpec:
     # entries have none and behave as iid models with alpha = 0
     marginal = (None if entry.marginal is None else
                 entry.marginal(**{f.name: p[f.name] for f in fields(entry.marginal)}))
-    return ModelSpec(marginal, entry.thinning(p.get("alpha", 0.0)), entry.name)
+    return ModelSpec(marginal, entry.thinning(p.get("alpha", 0.0)))
 
 
 def closed_form_moments(name: str, **params: float) -> Moments:
@@ -351,11 +348,12 @@ def closed_form_moments(name: str, **params: float) -> Moments:
                    im, iv, iv / im if im > 0 else math.nan)
 
 
-def dispersion_class(m: Moments, tol: float = 1e-12) -> DispersionClass:
-    """Classify marginal and innovation as under/equi/over dispersed."""
+def dispersion_class(m: Moments) -> DispersionClass:
+    """Classify marginal and innovation as under/equi/over dispersed (equi
+    within 1e-12 of index one)."""
 
     def classify(i: float) -> str:
-        if abs(i - 1.0) <= tol:
+        if abs(i - 1.0) <= 1e-12:
             return "equi"
         return "over" if i > 1.0 else "under"
 
@@ -403,10 +401,10 @@ def build_model(name: str, **params: float) -> INARModel:
                      innovation, hurdle, moments, constraints, tuple(notes))
 
 
-def _cross_check(recursive: list[float], innovation: InnovationDistribution,
-                 n: int = 32, tol: float = 1e-9) -> None:
-    for m, expected in enumerate(recursive[:n + 1]):
-        if abs(innovation.pmf(m) - expected) > tol:
+def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> None:
+    """The built law against the recursion at m = 0..32, to 1e-9."""
+    for m, expected in enumerate(recursive[:33]):
+        if abs(innovation.pmf(m) - expected) > 1e-9:
             raise GeominarError(
                 f"innovation construction mismatch at m={m}: "
                 f"{innovation.pmf(m)!r} (closed form) vs {expected!r} (recursion)")
@@ -468,7 +466,7 @@ MODEL_NAMES = tuple(_ENTRIES)
 def _entry(name: str) -> _Entry:
     try:
         return _ENTRIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, say a list
         raise ValidityViolationError(
             f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}") from None
 
@@ -482,7 +480,14 @@ def _coerce_params(entry: _Entry, params: Mapping[str, float]) -> dict:
     missing = [n for n in entry.param_names if n not in params]
     if missing:
         raise ValidityViolationError(f"{entry.name}: missing parameter(s) {missing}")
-    return {n: float(params[n]) for n in entry.param_names}
+    out = {}
+    for n in entry.param_names:
+        try:
+            out[n] = float(params[n])
+        except (TypeError, ValueError, OverflowError):
+            raise ValidityViolationError(
+                f"{entry.name}: parameter {n} must be a float, got {params[n]!r}") from None
+    return out
 
 
 def model_entries() -> tuple[_Entry, ...]:

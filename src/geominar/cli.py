@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the least value of each sampling and checking flag: a smaller one is a
-# usage error (exit 2)
-_FLAG_MINIMUM = {"n": 1, "burn_in": 0, "seed": 0, "replicates": 1, "grid_points": 1}
+# usage error (exit 2); one grid point would check the pgf identity at s = 0
+# only, where it holds trivially
+_FLAG_MINIMUM = {"n": 1, "burn_in": 0, "seed": 0, "replicates": 1, "grid_points": 2}
 
 
 def _check_flag_values(args) -> None:
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
     except GeominarError as exc:
         print(f"geominar: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means only that a check failed
+        print(f"geominar: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

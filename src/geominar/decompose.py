@@ -29,12 +29,9 @@ from .errors import (
     GeominarError,
     NegativeProbabilityError,
     NoGeometricTermsError,
-    RepeatedRootsError,
     RootInsideDiskError,
-    ZeroConstantDenominatorError,
 )
 from .polyrat import (
-    DISTINCT_TOL,
     Polynomial,
     RationalFunction,
     poly_divmod,
@@ -165,8 +162,9 @@ class HurdleForm:
     """Hurdle law: atom pi at zero, signed two-geometric mixture above.
 
     pmf(m) = pi at m=0 and (1-pi) * [w1 (1-p1) p1^(m-1) + w2 (1-p2) p2^(m-1)]
-    for m >= 1. Weights sum to one but may individually be negative; validity
-    of the combined pmf is checked, not per-component nonnegativity.
+    for m >= 1. Weights sum to one but may individually be negative; the
+    combined pmf is checked nonnegative where it is tabulated
+    (pmf_from_decomposition of hurdle_to_decomposition), not here.
     """
 
     pi: float
@@ -185,7 +183,6 @@ class HurdleForm:
         if abs(self.w1 + self.w2 - 1.0) > 1e-12 * wscale:
             raise ConstraintViolationError(
                 f"hurdle weights must sum to 1, got {self.w1 + self.w2!r}")
-        _check_hurdle_nonnegative(self)
 
 
 def hurdle_pmf(h: HurdleForm, m: int) -> float:
@@ -205,31 +202,7 @@ def _pow_conv(p: float, k: int) -> float:
     return p ** k
 
 
-def _check_hurdle_nonnegative(h: HurdleForm, m_max: int = 400) -> None:
-    if h.w1 >= 0.0 and h.w2 >= 0.0:
-        return
-    for m in range(1, m_max + 1):
-        if hurdle_pmf(h, m) < -CLAMP_TOL:
-            raise NegativeProbabilityError(
-                f"hurdle pmf negative at m={m}: {hurdle_pmf(h, m)!r}")
-    # tail certificate: the positive leading component must dominate from
-    # m_max on, i.e. w1 (1-p1) >= |w2| (1-p2) (p2/p1)^(m-1); the ratio only
-    # shrinks with m so checking the last explicit index certifies the rest
-    if h.w2 < 0.0:
-        if h.w1 <= 0.0 or h.p1 <= 0.0:
-            raise NegativeProbabilityError("hurdle tail is negative")
-        lead = h.w1 * (1.0 - h.p1)
-        other = abs(h.w2) * (1.0 - h.p2) * (h.p2 / h.p1) ** (m_max - 1)
-        if lead + CLAMP_TOL < other:
-            raise NegativeProbabilityError("hurdle tail dominance certificate failed")
-    elif h.p1 > h.p2:
-        # w1 < 0: the p1 component decays strictly slower than the p2 one,
-        # so a negative leading weight makes the far tail negative
-        raise NegativeProbabilityError("negative weight on the dominant hurdle component")
-    # p1 == p2: one effective component with weight w1 + w2 = 1, always valid
-
-
-def partial_fractions(rf: RationalFunction, tol: float = DISTINCT_TOL) -> FractionalDecomposition:
+def partial_fractions(rf: RationalFunction) -> FractionalDecomposition:
     """Residue decomposition of a rational pgf with real distinct roots > 1.
 
     The polynomial quotient becomes the atom part; each denominator root s_i
@@ -241,15 +214,13 @@ def partial_fractions(rf: RationalFunction, tol: float = DISTINCT_TOL) -> Fracti
         _check_mass(dec, rf)
         return dec
     quotient, remainder = poly_divmod(num, den)
-    roots = real_distinct_roots(den, tol)
-    if roots.multiplicity_flag:
-        raise RepeatedRootsError(f"denominator roots {roots.roots} are not distinct")
-    for s in roots.roots:
+    roots = real_distinct_roots(den)
+    for s in roots:
         if s <= 1.0:
             raise RootInsideDiskError(f"denominator root s={s!r} <= 1: pmf would diverge")
     dden = den.derivative()
     terms = []
-    for s in roots.roots:
+    for s in roots:
         rho = -remainder(s) / dden(s)
         terms.append((rho, s))
     scale = max(1.0, sum(abs(r) for r, _ in terms))
@@ -321,8 +292,7 @@ def _tail_certified(terms, m: int) -> bool:
     return True
 
 
-def linear_closed_form(a: float, b: float, c: float, d: float,
-                       target_mass: float = DEFAULT_TARGET_MASS) -> InnovationDistribution:
+def linear_closed_form(a: float, b: float, c: float, d: float) -> InnovationDistribution:
     """Closed-form pmf of the linear rational pgf (a + b s) / (c + d s).
 
     Requires a < c, a + b = c + d, d != 0 and -c/d > 1; the law is the atom
@@ -347,12 +317,11 @@ def linear_closed_form(a: float, b: float, c: float, d: float,
     rho = b * c / (d * d) - a / d
     atom = b / d
     dec = FractionalDecomposition(Polynomial((atom,)), ((rho, s1),) if rho != 0.0 else ())
-    return pmf_from_decomposition(dec, target_mass)
+    return pmf_from_decomposition(dec)
 
 
 def quadratic_closed_form(a: float, b: float, c: float,
-                          abar: float, bbar: float, cbar: float,
-                          tol: float = DISTINCT_TOL) -> HurdleForm:
+                          abar: float, bbar: float, cbar: float) -> HurdleForm:
     """Hurdle representation of (a s^2 + b s + c) / (abar s^2 + bbar s + cbar).
 
     With equal leading coefficients the ratios and weights come straight from
@@ -391,10 +360,7 @@ def quadratic_closed_form(a: float, b: float, c: float,
         w1 = rho * p1 * p1 / ((1.0 - p1) * (1.0 - pi))
         return HurdleForm(pi, p1, 0.0, w1, 1.0 - w1)
 
-    roots = real_distinct_roots(Polynomial((cbar, bbar, abar)), tol)
-    if roots.multiplicity_flag:
-        raise RepeatedRootsError(f"denominator roots {roots.roots} are not distinct")
-    s1, s2 = roots.roots
+    s1, s2 = real_distinct_roots(Polynomial((cbar, bbar, abar)))
     if not s1 > 1.0:
         raise RootInsideDiskError(f"denominator root s={s1!r} <= 1")
     if abs(a - abar) <= 1e-12 * scale:
@@ -449,9 +415,7 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
     the matrix formulation because those systems are lower-triangular
     Toeplitz in the denominator coefficients.
     """
-    b = rf.den.coeffs
-    if b[0] <= 0.0:
-        raise ZeroConstantDenominatorError(f"b_0 = {b[0]!r} <= 0 after normalization")
+    b = rf.den.coeffs  # RationalFunction scales b[0] = den(0) to 1, so never 0
     a = rf.num.coeffs
     q = len(b) - 1
     out = []

@@ -52,9 +52,5 @@ class DegenerateModelError(GeominarError, ValueError):
     """The innovation law collapsed to a point mass despite active thinning."""
 
 
-class ZeroConstantDenominatorError(GeominarError, ValueError):
-    """Denominator constant term b_0 <= 0 after normalization."""
-
-
 class NoGeometricTermsError(GeominarError, ValueError):
     """The decomposition has no geometric terms, so there is no tail to approximate."""

@@ -207,7 +207,6 @@ class ModelSpec:
 
     marginal: MarginalSpec | None
     thinning: ThinningOperator
-    label: str = ""
 
 
 def counting_pgf(t: ThinningOperator) -> RationalFunction:

@@ -15,6 +15,7 @@ from .errors import (
     ComplexRootsError,
     DomainViolationError,
     GeominarError,
+    RepeatedRootsError,
     ZeroDivisorError,
 )
 
@@ -23,8 +24,8 @@ from .errors import (
 # can leave dust terms of order machine epsilon.
 _TRIM_REL = 1e-13
 
-# Default tolerance deciding whether two roots coincide, relative to the
-# root magnitude.
+# Tolerance deciding whether two roots coincide, relative to the root
+# magnitude.
 DISTINCT_TOL = 1e-9
 
 
@@ -83,10 +84,6 @@ class Polynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
 
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
-
     def __mul__(self, other: Polynomial) -> Polynomial:
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -134,14 +131,6 @@ def deflate(p: Polynomial, root: float) -> Polynomial:
     return Polynomial(tuple(q))
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Real roots in ascending order; the flag marks a pair closer than tol."""
-
-    roots: tuple[float, ...]
-    multiplicity_flag: bool
-
-
 def _quadratic_roots(c0: float, c1: float, c2: float, tol: float):
     """Stable quadratic formula; returns the ascending roots or raises."""
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -180,20 +169,19 @@ def real_roots_best_effort(p: Polynomial) -> list[float]:
         return []
 
 
-def real_distinct_roots(p: Polynomial, tol: float = DISTINCT_TOL) -> RootSet:
-    """Find the real roots of p, requiring as many as the degree.
+def real_distinct_roots(p: Polynomial) -> tuple[float, ...]:
+    """The real roots of p in ascending order, as many as the degree.
 
     Degrees one and two are solved in closed form (stable quadratic branch);
-    higher degrees raise.
+    higher degrees raise, and so do roots closer than DISTINCT_TOL.
     """
     if p.degree < 1:
         raise GeominarError("root finding needs degree >= 1")
-    roots = _closed_form_roots(p, tol)
-    flag = any(
-        roots[i + 1] - roots[i] <= tol * max(1.0, abs(roots[i]))
-        for i in range(len(roots) - 1)
-    )
-    return RootSet(tuple(roots), flag)
+    roots = tuple(_closed_form_roots(p, DISTINCT_TOL))
+    if any(roots[i + 1] - roots[i] <= DISTINCT_TOL * max(1.0, abs(roots[i]))
+           for i in range(len(roots) - 1)):
+        raise RepeatedRootsError(f"denominator roots {roots} are not distinct")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -263,8 +251,8 @@ class RationalFunction:
         return self.num.degree == 0 and self.den.degree == 0
 
 
-def cancel(rf: RationalFunction, tol: float = DISTINCT_TOL) -> RationalFunction:
-    """Remove common real roots of numerator and denominator within tol.
+def cancel(rf: RationalFunction) -> RationalFunction:
+    """Remove common real roots of numerator and denominator within DISTINCT_TOL.
 
     The result is renormalized (den(0) == 1, and value 1 at s=1 when the
     function is tagged as a pgf). A no-op when no roots are shared.
@@ -276,7 +264,7 @@ def cancel(rf: RationalFunction, tol: float = DISTINCT_TOL) -> RationalFunction:
         matched = None
         for rd in droots:
             for rn in nroots:
-                if abs(rn - rd) <= tol * max(1.0, abs(rd)):
+                if abs(rn - rd) <= DISTINCT_TOL * max(1.0, abs(rd)):
                     matched = (rn, rd)
                     break
             if matched:
@@ -288,8 +276,7 @@ def cancel(rf: RationalFunction, tol: float = DISTINCT_TOL) -> RationalFunction:
     return RationalFunction(num, den, radius=rf.radius, pgf=rf.pgf)
 
 
-def compose_mobius(rf: RationalFunction, m: RationalFunction,
-                   tol: float = DISTINCT_TOL) -> RationalFunction:
+def compose_mobius(rf: RationalFunction, m: RationalFunction) -> RationalFunction:
     """Compose rf with a degree <= 1 rational map m, returning rf(m(s)).
 
     Clearing denominators: with rf = P/Q of degrees p, q and D = max(p, q),
@@ -322,7 +309,7 @@ def compose_mobius(rf: RationalFunction, m: RationalFunction,
     preserves_one = abs(m.num(1.0) / m.den(1.0) - 1.0) <= 1e-12
     out = RationalFunction(expand(rf.num), expand(rf.den),
                            radius=math.inf, pgf=rf.pgf and preserves_one)
-    return cancel(out, tol)
+    return cancel(out)
 
 
 def min_denominator_root_magnitude(den: Polynomial) -> float:

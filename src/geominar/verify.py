@@ -197,12 +197,11 @@ def check_tail_quality(d: InnovationDistribution, m_start: int = 5) -> Verificat
 
 
 def run_all_checks(model: INARModel, sample: SeriesSample,
-                   grid_points: int = 50, cross_n: int = 200,
-                   tol: float = 1e-10) -> VerificationReport:
+                   grid_points: int = 50, tol: float = 1e-10) -> VerificationReport:
     """The full suite behind the CLI verify subcommand."""
     report = check_pgf_identity(model, grid_points, tol)
     report = report.merged(check_pmf_validity(model.innovation, tol))
-    report = report.merged(check_cross_method(model, cross_n, tol))
+    report = report.merged(check_cross_method(model, tol=tol))
     report = report.merged(check_moments(model, sample))
     report = report.merged(check_tail_quality(model.innovation))
     return report

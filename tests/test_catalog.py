@@ -65,6 +65,8 @@ class TestBuildModel:
             build_model("ginar", theta=0.5)
         with pytest.raises(ValidityViolationError):
             build_model("ginar", theta=0.5, alpha=0.5, mu=1.0)
+        with pytest.raises(ValidityViolationError, match="parameter theta must be a float"):
+            build_model("ginar", theta="abc", alpha=0.5)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameter_named(self, value):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from geominar import cli
 from geominar.cli import build_parser, main
 
 
@@ -87,6 +88,26 @@ class TestDerive:
         assert code == 2 and out == ""
         assert err.startswith(f"geominar: error: spec file {spec}: ")
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"model": "ginar", "params": {"theta": "abc", "alpha": 0.5}}',
+         "ginar: parameter theta must be a float, got 'abc'"),
+        ('{"model": "ginar", "params": {"theta": [0.5], "alpha": 0.5}}',
+         "ginar: parameter theta must be a float, got [0.5]"),
+        ('{"model": "ginar", "params": {"theta": 0.5}, "thinning": {"alpha": "x"}}',
+         "ginar: parameter alpha must be a float, got 'x'"),
+        ('{"model": ["ginar"], "params": {"theta": 0.5, "alpha": 0.5}}',
+         "unknown model ['ginar']; choose from ginar, "),
+    ])
+    def test_malformed_spec_values_exit_2(self, capsys, tmp_path, text, message):
+        # a well-formed document with a value the catalog cannot read: the
+        # catalog's message names the parameter or the model, not the file
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+        code, out, err = run_cli(capsys, "derive", "--spec-file", str(spec))
+        assert code == 2 and out == ""
+        assert err.startswith(f"geominar: error: {message}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_spec_file_exit_2(self, capsys, tmp_path, kind):
@@ -229,6 +250,8 @@ class TestSamplingFlagUsage:
         (("verify", *GINAR, "--tolerance", "inf"), "--tolerance"),
         (("verify", *GINAR, "--tolerance", "nan"), "--tolerance"),
         (("verify", *GINAR, "--tolerance", "-1"), "--tolerance"),
+        # one grid point checks the pgf identity at s = 0 only, where it holds trivially
+        (("verify", *GINAR, "--grid-points", "1"), "--grid-points"),
     ])
     def test_exit_2_naming_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -303,3 +326,22 @@ class TestEntryPoint:
         b = subprocess.run(cmd, capture_output=True, check=True)
         assert a.stdout == b.stdout
         assert a.stdout.startswith(b"t,x\n")
+
+
+class TestUnexpectedErrors:
+    """An exception that is not a GeominarError exits 3 with one line naming
+    its type, not a traceback: exit 1 means only that a check failed."""
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("boom"),
+        # what numpy raises for `simulate ... --n 100000000000000`
+        MemoryError("Unable to allocate 745. TiB for an array"),
+    ])
+    def test_exit_3_naming_the_type(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "simulate_series", fail)
+        code, out, err = run_cli(capsys, "simulate", *GINAR, "--n", "10")
+        assert code == 3 and out == ""
+        assert err == f"geominar: internal error: {type(exc).__name__}: {exc}\n"

@@ -205,7 +205,7 @@ class TestQuadraticClosedForm:
     def test_method_paths_agree_on_equal_leading_coefficients(self):
         a, b, c, abar, bbar, cbar = ex6_quadratic()
         from geominar.polyrat import real_distinct_roots
-        s1, s2 = real_distinct_roots(Polynomial((cbar, bbar, abar))).roots
+        s1, s2 = real_distinct_roots(Polynomial((cbar, bbar, abar)))
         pi = c / cbar
         w1_m3, w2_m3 = _weights_equal_leading(1.0 / s1, 1.0 / s2)
         w1_m4, w2_m4 = _weights_from_residues(a, b, c, abar, bbar, cbar, s1, s2, pi)
@@ -242,8 +242,10 @@ class TestHurdlePmf:
         assert hurdle_pmf(h, 0) == pytest.approx(0.674419, abs=5e-7)
 
     def test_combined_nonnegativity_enforced(self):
-        with pytest.raises(NegativeProbabilityError):
-            HurdleForm(0.3, 0.5, 0.4, 7.0, -6.0)
+        # pmf(1) = 0.7 (3.5 - 3.6) < 0: refused where the law is tabulated
+        h = HurdleForm(0.3, 0.5, 0.4, 7.0, -6.0)
+        with pytest.raises(NegativeProbabilityError, match="pmf entry at m=1"):
+            pmf_from_decomposition(hurdle_to_decomposition(h))
 
     def test_round_trip_through_decomposition(self):
         h = quadratic_closed_form(*ex6_quadratic())

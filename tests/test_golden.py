@@ -11,6 +11,8 @@ moved, not this code.
 """
 import dataclasses
 import hashlib
+import math
+import random
 
 import pytest
 
@@ -82,6 +84,70 @@ VERIFY = {
 # json, csv and table format: per run, the exit code and a newline, then stdout
 DERIVE = "0568d517834a570241ff6838c8d54124bf4c033973ae43bbad0a1fc5e8b9b505"
 
+# sha256 over `geominar derive --format json` at _refusal_points() and REFUSAL_EDGES: per
+# run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
+# of these points are refused (exit 2), so this pins the error paths and their
+# messages, which DERIVE (accepted points only) never reaches.
+REFUSAL = "edca55d54a1d3cbc666fac6d5b00c437e9b2ac528690a2b44f30bc6b40c6ca17"
+
+
+def _mean(rng: random.Random) -> float:
+    """A mean in [0.01, 50], log-uniform."""
+    return math.exp(rng.uniform(math.log(0.01), math.log(50.0)))
+
+
+def _positive(rng: random.Random) -> float:
+    """A mean, or now and then a value in [-1, 0)."""
+    return _mean(rng) if rng.random() < 0.85 else rng.uniform(-1.0, 0.0)
+
+
+def _unit(rng: random.Random) -> float:
+    """Mostly [0, 1); sometimes an edge 0 or 1, or a value past either end."""
+    u = rng.random()
+    if u < 0.1:
+        return rng.choice((0.0, 1.0))
+    if u < 0.25:
+        return rng.uniform(-0.3, 1.3)
+    return rng.uniform(0.0, 1.0)
+
+
+def _refusal_points(per_family: int = 100, seed: int = 7) -> list[tuple[str, dict]]:
+    """Seeded random points across and beyond each family's validity region."""
+    rng = random.Random(seed)
+
+    def zmg():
+        mu = _positive(rng)
+        return {"mu": mu, "k": rng.uniform(-1.5 / abs(mu), 1.2)}
+
+    def two_param():
+        r = _positive(rng)
+        return {"r": r, "m": rng.uniform(-0.2, 1.3) * (1.0 + abs(r))}
+
+    draw = {
+        "ginar": lambda: {"theta": (1.0 / (1.0 + _mean(rng)) if rng.random() < 0.8
+                                    else _unit(rng)), "alpha": _unit(rng)},
+        "nginar": lambda: {"mu": _positive(rng), "alpha": _unit(rng)},
+        "zmg": zmg,
+        "two-param": two_param,
+        "rho-geo-bin": lambda: {"mu": _positive(rng), "rho": 0.95 * _unit(rng),
+                                "alpha": _unit(rng)},
+        "rho-geo-nb": lambda: {"mu": _positive(rng), "rho": 0.95 * _unit(rng),
+                               "alpha": _unit(rng)},
+        "hurdle-geo-bin": lambda: {"mu": _unit(rng), "rho": _unit(rng), "alpha": _unit(rng)},
+        "hurdle-geo-nb": lambda: {"mu": _unit(rng), "rho": _unit(rng), "alpha": _unit(rng)},
+    }
+    return [(name, f()) for name, f in draw.items() for _ in range(per_family)]
+
+
+# points on a boundary, and one past the validation whose hurdle weights then
+# fail their sum check
+REFUSAL_EDGES = [
+    ("nginar", {"mu": 1.0, "alpha": 0.5}),
+    ("zmg", {"mu": 1.0, "k": -1.0}),
+    ("two-param", {"r": 1.0, "m": 2.0}),
+    ("rho-geo-nb", {"mu": 0.17261642137592215, "rho": 0.95, "alpha": 0.9095329856692537}),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -137,3 +203,19 @@ def test_derive_output_digest(capsys):
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert len(points) == 228
     assert digest.hexdigest() == DERIVE
+
+
+def test_derive_refusal_digest(capsys):
+    points = _refusal_points() + REFUSAL_EDGES
+    digest = hashlib.sha256()
+    codes = []
+    for name, params in points:
+        # --flag=value, so that argparse reads a value like -1e-05 as a number
+        code = main(["derive", name, *(f"--{k}={v!r}" for k, v in params.items()),
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        codes.append(code)
+        digest.update(f"{code}\n{out}\0{err}\0".encode())
+    assert len(points) == 804
+    assert set(codes) == {0, 2} and codes.count(2) > len(points) // 2
+    assert digest.hexdigest() == REFUSAL

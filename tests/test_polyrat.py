@@ -9,6 +9,7 @@ from geominar.errors import (
     ComplexRootsError,
     DomainViolationError,
     GeominarError,
+    RepeatedRootsError,
     ZeroDivisorError,
 )
 from geominar.polyrat import (
@@ -143,21 +144,22 @@ def test_divmod_reconstruction(ncs, dcs, seed):
 class TestRoots:
     def test_factored_quadratic(self):
         rs = real_distinct_roots(poly(2.0, -3.0, 1.0))
-        assert rs.roots == pytest.approx((1.0, 2.0), abs=1e-13)
-        assert not rs.multiplicity_flag
+        assert isinstance(rs, tuple)
+        assert rs == pytest.approx((1.0, 2.0), abs=1e-13)
 
     def test_hurdle_denominator_roots(self):
         # composed denominator at mu=1, rho=0.2, alpha=0.3
         rs = real_distinct_roots(poly(1.72, -1.152, 0.072))
-        assert rs.roots == pytest.approx((5.0 / 3.0, 43.0 / 3.0), rel=1e-12)
+        assert rs == pytest.approx((5.0 / 3.0, 43.0 / 3.0), rel=1e-12)
 
     def test_complex_roots_raise(self):
         with pytest.raises(ComplexRootsError):
             real_distinct_roots(poly(1.0, 0.0, 1.0))
 
     def test_double_root_flagged(self):
-        rs = real_distinct_roots(poly(4.0, -4.0, 1.0))
-        assert rs.multiplicity_flag
+        # (s-2)^2: a repeated root is refused where it is found
+        with pytest.raises(RepeatedRootsError, match=r"roots \(2\.0, 2\.0\) are not distinct"):
+            real_distinct_roots(poly(4.0, -4.0, 1.0))
 
     def test_cubic_raises_naming_the_degree(self):
         # (s-1.2)(s-2.5)(s+3.1): the closed forms stop at degree two
@@ -182,9 +184,9 @@ def test_roots_residual_bound(roots):
         p = p * poly(-r, 1.0)
     rs = real_distinct_roots(p)
     big = max(abs(c) for c in p.coeffs)
-    for r in rs.roots:
+    for r in rs:
         assert abs(p(r)) <= 1e-10 * big * max(1.0, abs(r)) ** p.degree
-    assert rs.roots == pytest.approx(tuple(roots), rel=1e-9, abs=1e-9)
+    assert rs == pytest.approx(tuple(roots), rel=1e-9, abs=1e-9)
 
 
 class TestCompose:
