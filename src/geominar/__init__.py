@@ -21,8 +21,8 @@ from .decompose import (
     FractionalDecomposition,
     HurdleForm,
     InnovationDistribution,
+    decomposition_to_hurdle,
     hurdle_pmf,
-    hurdle_to_decomposition,
     linear_closed_form,
     partial_fractions,
     pmf_from_decomposition,
@@ -75,4 +75,4 @@ from .verify import (
     run_all_checks,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

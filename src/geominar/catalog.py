@@ -1,19 +1,19 @@
 """Named INAR(1) model families with validity regions and closed-form moments.
 
-Eight entries ship:
+Eight entries ship, each deriving its innovation law by partial fractions:
 
-==============  ============================  =====================  ========
-name            marginal                      thinning               method
-==============  ============================  =====================  ========
-ginar           Geometric(theta)              binomial(alpha)        linear
-nginar          GeometricMean(mu)             neg. binomial(alpha)   residues
-zmg             (innovation only)             none (alpha = 0)       linear
-two-param       (innovation only)             none (alpha = 0)       linear
-rho-geo-bin     RhoGeometric(mu, rho)         binomial(alpha)        hurdle
-hurdle-geo-bin  HurdleGeometric(mu, rho)      binomial(alpha)        hurdle
-rho-geo-nb      RhoGeometric(mu, rho)         neg. binomial(alpha)   hurdle
-hurdle-geo-nb   HurdleGeometric(mu, rho)      neg. binomial(alpha)   hurdle
-==============  ============================  =====================  ========
+==============  ============================  =====================
+name            marginal                      thinning
+==============  ============================  =====================
+ginar           Geometric(theta)              binomial(alpha)
+nginar          GeometricMean(mu)             neg. binomial(alpha)
+zmg             (innovation only)             none (alpha = 0)
+two-param       (innovation only)             none (alpha = 0)
+rho-geo-bin     RhoGeometric(mu, rho)         binomial(alpha)
+hurdle-geo-bin  HurdleGeometric(mu, rho)      binomial(alpha)
+rho-geo-nb      RhoGeometric(mu, rho)         neg. binomial(alpha)
+hurdle-geo-nb   HurdleGeometric(mu, rho)      neg. binomial(alpha)
+==============  ============================  =====================
 
 zmg is the zero-modified geometric innovation law (atom k at zero, weight
 1-k on a geometric with mean mu); two-param is the linear family with pgf
@@ -28,18 +28,17 @@ only in the test suite as rejected candidates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .decompose import (
     HurdleForm,
     InnovationDistribution,
-    hurdle_to_decomposition,
-    linear_closed_form,
+    decomposition_to_hurdle,
     partial_fractions,
     pmf_from_decomposition,
     pmf_recursive,
-    quadratic_closed_form,
 )
 from .errors import GeominarError, ValidityViolationError
 from .pgf import (
@@ -85,7 +84,7 @@ class DispersionClass:
 
 @dataclass(frozen=True)
 class INARModel:
-    """A derived model: pgfs, innovation law, optional hurdle form, moments, constraints."""
+    """A derived model: pgfs, innovation law and its hurdle view, moments, constraints."""
 
     name: str
     params: Mapping[str, float]
@@ -94,10 +93,9 @@ class INARModel:
     counting_rf: RationalFunction
     innovation_rf: RationalFunction
     innovation: InnovationDistribution
-    hurdle: HurdleForm | None
+    hurdle: HurdleForm
     moments: Moments
     constraints: tuple[Constraint, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def alpha(self) -> float:
@@ -257,7 +255,7 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...],
         bound = p["mu"] / (1.0 + p["mu"])
         out.append(_constraint("alpha <= mu/(1+mu)", p["alpha"] <= bound + 1e-12,
                                bound - p["alpha"]))
-    elif entry.method == "hurdle":
+    elif entry.marginal in (RhoGeometric, HurdleGeometric):
         mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
         if name == "hurdle-geo-bin":
             bound = rho / (1.0 + rho)
@@ -362,7 +360,7 @@ def dispersion_class(m: Moments) -> DispersionClass:
 
 
 def build_model(name: str, **params: float) -> INARModel:
-    """Validate parameters, derive the innovation law by the family's method,
+    """Validate parameters, derive the innovation law by partial fractions,
     and attach closed-form moments.
 
     Raises ValidityViolationError naming the first violated constraint and
@@ -376,29 +374,14 @@ def build_model(name: str, **params: float) -> INARModel:
             raise ValidityViolationError(
                 f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
     spec = _model_spec(entry, p)
-    notes: list[str] = []
-
-    hurdle = None
-    if entry.method == "linear":
-        a, b = rf.num.coeff(0), rf.num.coeff(1)
-        c_, d = rf.den.coeff(0), rf.den.coeff(1)
-        innovation = linear_closed_form(a, b, c_, d)
-    elif entry.method == "residues":
-        innovation = pmf_from_decomposition(partial_fractions(rf))
-    else:
-        hurdle = quadratic_closed_form(rf.num.coeff(2), rf.num.coeff(1), rf.num.coeff(0),
-                                       rf.den.coeff(2), rf.den.coeff(1), rf.den.coeff(0))
-        innovation = pmf_from_decomposition(hurdle_to_decomposition(hurdle))
-        notes.append("innovation variance from the mixture representation "
-                     "(matches the pgf derivatives; simplified polynomial "
-                     "shortcuts do not)")
-
+    innovation = pmf_from_decomposition(partial_fractions(rf))
     _cross_check(table, innovation)
 
     marg_rf = rf if spec.marginal is None else spec.marginal.pgf()
     moments = closed_form_moments(name, **p)
     return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), rf,
-                     innovation, hurdle, moments, constraints, tuple(notes))
+                     innovation, decomposition_to_hurdle(innovation.decomposition),
+                     moments, constraints)
 
 
 def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> None:
@@ -407,54 +390,48 @@ def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> 
         if abs(innovation.pmf(m) - expected) > 1e-9:
             raise GeominarError(
                 f"innovation construction mismatch at m={m}: "
-                f"{innovation.pmf(m)!r} (closed form) vs {expected!r} (recursion)")
+                f"{innovation.pmf(m)!r} (partial fractions) vs {expected!r} (recursion)")
 
 
 @dataclass(frozen=True)
 class _Entry:
     """One catalog family. marginal is the marginal class (None for the
-    innovation-only entries), thinning the thinning class, and method the
-    derivation route: "linear" (linear_closed_form), "residues"
-    (partial_fractions) or "hurdle" (quadratic_closed_form)."""
+    innovation-only entries) and thinning the thinning class."""
 
     name: str
     param_names: tuple[str, ...]
     marginal: type | None
     thinning: type
-    method: str
     summary: str
     constraints_doc: tuple[str, ...]
 
 
 _ENTRIES = {e.name: e for e in (
-    _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning, "linear",
+    _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning,
            "geometric marginal, binomial thinning; zero-inflated geometric innovations",
            ("theta in (0,1)", "alpha in [0,1)")),
-    _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning, "residues",
+    _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning,
            "geometric marginal (mean mu), negative binomial thinning",
            ("mu > 0", "alpha in [0, mu/(1+mu)]")),
-    _Entry("zmg", ("mu", "k"), None, BinomialThinning, "linear",
+    _Entry("zmg", ("mu", "k"), None, BinomialThinning,
            "zero-modified geometric innovation law (iid model, alpha = 0)",
            ("mu > 0", "-1/mu <= k < 1")),
-    _Entry("two-param", ("r", "m"), None, BinomialThinning, "linear",
+    _Entry("two-param", ("r", "m"), None, BinomialThinning,
            "two-parameter linear innovation law (iid model, alpha = 0)",
            ("r > 0", "0 < m <= 1 + r")),
-    _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning, "hurdle",
+    _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
            ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
             "root ordering and numeric pmf nonnegativity")),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
-           "hurdle",
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
            ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
             "mu <= rho/(1+rho)", "numeric pmf nonnegativity")),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
-           "hurdle",
            "zero-inflated geometric marginal, negative binomial thinning",
            ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
             "root ordering and numeric pmf nonnegativity")),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
-           "hurdle",
            "hurdle geometric marginal, negative binomial thinning",
            ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
             "root ordering and numeric pmf nonnegativity")),
@@ -482,9 +459,12 @@ def _coerce_params(entry: _Entry, params: Mapping[str, float]) -> dict:
         raise ValidityViolationError(f"{entry.name}: missing parameter(s) {missing}")
     out = {}
     for n in entry.param_names:
-        try:
-            out[n] = float(params[n])
-        except (TypeError, ValueError, OverflowError):
+        v = params[n]
+        try:  # real numbers only: float() would also read "0.5" and False
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError
+            out[n] = float(v)
+        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
             raise ValidityViolationError(
                 f"{entry.name}: parameter {n} must be a float, got {params[n]!r}") from None
     return out

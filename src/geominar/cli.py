@@ -93,10 +93,9 @@ def _cmd_derive(args) -> int:
         "constraints": [dataclasses.asdict(c) for c in model.constraints],
         "atoms": list(innovation.decomposition.atom_poly.coeffs),
         "terms": [{"rho": r, "s": s} for r, s in innovation.decomposition.terms],
-        "hurdle": dataclasses.asdict(model.hurdle) if model.hurdle else None,
+        "hurdle": dataclasses.asdict(model.hurdle),
         "moments": dataclasses.asdict(model.moments),
         "dispersion": dataclasses.asdict(dispersion_class(model.moments)),
-        "notes": list(model.notes),
         "truncation": innovation.truncation,
         "truncation_mass": args.truncation_mass,
         "pmf": [[m, p] for m, p in enumerate(innovation.pmf_table)],
@@ -124,17 +123,14 @@ def _derive_table(doc) -> str:
         for t in doc["terms"]:
             out.append(f"  rho={t['rho']:+.12g}  s={t['s']:.12g}")
     out.append("atoms: " + ", ".join(f"{a:.12g}" for a in doc["atoms"]))
-    if doc["hurdle"]:
-        h = doc["hurdle"]
-        out.append(f"hurdle: pi={h['pi']:.12g} p1={h['p1']:.12g} p2={h['p2']:.12g} "
-                   f"w1={h['w1']:.12g} w2={h['w2']:.12g}")
+    h = doc["hurdle"]
+    out.append(f"hurdle: pi={h['pi']:.12g} p1={h['p1']:.12g} p2={h['p2']:.12g} "
+               f"w1={h['w1']:.12g} w2={h['w2']:.12g}")
     mo = doc["moments"]
     out.append(f"marginal: mean={mo['marginal_mean']:.12g} var={mo['marginal_var']:.12g} "
                f"dispersion={mo['marginal_dispersion']:.12g} ({doc['dispersion']['marginal']})")
     out.append(f"innovation: mean={mo['innovation_mean']:.12g} var={mo['innovation_var']:.12g} "
                f"dispersion={mo['innovation_dispersion']:.12g} ({doc['dispersion']['innovation']})")
-    for note in doc["notes"]:
-        out.append(f"note: {note}")
     out.append(f"pmf table to m={doc['truncation']} (mass target {doc['truncation_mass']!r}):")
     for m, p in doc["pmf"][:25]:
         out.append(f"  {m:4d}  {p:.15g}")

@@ -1,16 +1,12 @@
 """Partial-fraction machinery turning a rational innovation pgf into a pmf.
 
-Four routes produce the same law and cross-check each other:
-
-* partial_fractions: residues at the real denominator roots, giving point
-  masses (from the polynomial quotient) plus signed geometric terms
-  rho_i / s_i^(m+1);
-* linear_closed_form: the (a + b s)/(c + d s) family solved in closed form;
-* quadratic_closed_form: quadratic-over-quadratic quotients reduced to a
-  hurdle representation (atom pi at zero, signed two-geometric mixture
-  above), covering both the equal-leading-coefficient case and the general
-  one;
-* pmf_recursive: direct power-series division of numerator by denominator.
+partial_fractions, the route every catalog family takes, gives residues at
+the real denominator roots: point masses (from the polynomial quotient) plus
+signed geometric terms rho_i / s_i^(m+1). pmf_from_decomposition tabulates
+them and decomposition_to_hurdle reads them as a hurdle form (atom pi at
+zero, signed two-geometric mixture above). linear_closed_form,
+quadratic_closed_form (with hurdle_pmf) and the power-series recursion
+pmf_recursive stay as independent oracles for verify and the tests.
 
 All weights may be negative individually; validity means the combined pmf is
 nonnegative, checked explicitly on the table and certified on the tail by a
@@ -164,7 +160,7 @@ class HurdleForm:
     pmf(m) = pi at m=0 and (1-pi) * [w1 (1-p1) p1^(m-1) + w2 (1-p2) p2^(m-1)]
     for m >= 1. Weights sum to one but may individually be negative; the
     combined pmf is checked nonnegative where it is tabulated
-    (pmf_from_decomposition of hurdle_to_decomposition), not here.
+    (pmf_from_decomposition), not here. pi = 1 is the point mass at zero.
     """
 
     pi: float
@@ -174,8 +170,8 @@ class HurdleForm:
     w2: float
 
     def __post_init__(self):
-        if not -CLAMP_TOL <= self.pi < 1.0:
-            raise ConstraintViolationError(f"hurdle atom pi={self.pi!r} outside [0, 1)")
+        if not -CLAMP_TOL <= self.pi <= 1.0:
+            raise ConstraintViolationError(f"hurdle atom pi={self.pi!r} outside [0, 1]")
         if not 0.0 <= self.p2 <= self.p1 < 1.0:
             raise ConstraintViolationError(
                 f"hurdle ratios need 0 <= p2 <= p1 < 1, got p1={self.p1!r} p2={self.p2!r}")
@@ -183,6 +179,21 @@ class HurdleForm:
         if abs(self.w1 + self.w2 - 1.0) > 1e-12 * wscale:
             raise ConstraintViolationError(
                 f"hurdle weights must sum to 1, got {self.w1 + self.w2!r}")
+
+
+def decomposition_to_hurdle(dec: FractionalDecomposition) -> HurdleForm:
+    """The hurdle view of an atom-at-zero law with at most two geometric terms.
+
+    p_i = 1/s_i; w_i is the mass rho_i / (s_i (s_i - 1)) that term i puts above
+    zero over the sum of those masses, and pi = 1 - that sum (p2 = w2 = 0 for
+    one term). The inverse of writing each component as rho_i / s_i^(m+1).
+    """
+    above = [(r / (s * (s - 1.0)), 1.0 / s) for r, s in dec.terms]
+    if not above:  # no geometric terms: the point mass at zero
+        return HurdleForm(1.0, 0.0, 0.0, 1.0, 0.0)
+    total = sum(c for c, _ in above)
+    (c1, p1), (c2, p2) = above if len(above) == 2 else (*above, (0.0, 0.0))
+    return HurdleForm(1.0 - total, p1, p2, c1 / total, c2 / total)
 
 
 def hurdle_pmf(h: HurdleForm, m: int) -> float:
@@ -391,20 +402,6 @@ def _weights_from_residues(a: float, b: float, c: float,
         return w1, 1.0 - w1
     w2 = rho2 * p2 * p2 / ((1.0 - p2) * (1.0 - pi))
     return w1, w2
-
-
-def hurdle_to_decomposition(h: HurdleForm) -> FractionalDecomposition:
-    """Rewrite a hurdle law in atom-plus-geometric-terms form.
-
-    Each positive-ratio component becomes rho_i = (1-pi) w_i (1-p_i) / p_i^2
-    at s_i = 1/p_i; the zero atom absorbs the difference pi - sum rho_i/s_i.
-    """
-    terms = []
-    for w, p in ((h.w1, h.p1), (h.w2, h.p2)):
-        if p > 0.0 and w != 0.0:
-            terms.append(((1.0 - h.pi) * w * (1.0 - p) / (p * p), 1.0 / p))
-    atom = h.pi - sum(r / s for r, s in terms)
-    return FractionalDecomposition(Polynomial((atom,)), tuple(terms))
 
 
 def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:

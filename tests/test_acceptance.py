@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from geominar.catalog import build_model, validate_params
-from geominar.decompose import hurdle_pmf, partial_fractions, pmf_recursive, tail_geometric_approx
+from geominar.decompose import (
+    hurdle_pmf,
+    partial_fractions,
+    pmf_recursive,
+    quadratic_closed_form,
+    tail_geometric_approx,
+)
 from geominar.simulate import RngStream, simulate_series
 from geominar.verify import (
     check_cross_method,
@@ -69,19 +75,21 @@ def test_criterion_1_stationarity_identity():
 # --------------------------------------------------------------------------
 
 def test_criterion_2_cross_method_equivalence():
-    with _report(2, "recursion / residues / hurdle forms agree to 1e-10, m <= 200"):
+    with _report(2, "recursion / residues / hurdle view / quadratic closed form agree "
+                    "to 1e-10, m <= 200"):
         t0 = time.perf_counter()
         worst = 0.0
         for name, params, model in _all_models():
-            recursive = pmf_recursive(model.innovation_rf, 200)
-            fresh = partial_fractions(model.innovation_rf)
+            rf = model.innovation_rf
+            recursive = pmf_recursive(rf, 200)
+            fresh = partial_fractions(rf)
+            # the closed form as an independent oracle; a linear rf takes its abar = 0 branch
+            closed = quadratic_closed_form(rf.num.coeff(2), rf.num.coeff(1), rf.num.coeff(0),
+                                           rf.den.coeff(2), rf.den.coeff(1), rf.den.coeff(0))
             for m in range(201):
                 a = recursive[m]
-                b = fresh.pmf(m)
-                c = model.innovation.pmf(m)
-                dev = max(abs(a - b), abs(a - c))
-                if model.hurdle is not None:
-                    dev = max(dev, abs(a - hurdle_pmf(model.hurdle, m)))
+                dev = max(abs(a - fresh.pmf(m)), abs(a - model.innovation.pmf(m)),
+                          abs(a - hurdle_pmf(model.hurdle, m)), abs(a - hurdle_pmf(closed, m)))
                 worst = max(worst, dev)
                 assert dev <= 1e-10, (name, params, m, dev)
         elapsed = time.perf_counter() - t0

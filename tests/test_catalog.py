@@ -39,7 +39,10 @@ class TestBuildModel:
     def test_zero_inflated_geometric_innovation(self):
         m = build_model("ginar", theta=0.5, alpha=0.5)
         assert m.innovation.pmf_table[:2] == pytest.approx((0.75, 0.125), abs=1e-14)
-        assert m.hurdle is None
+        # the hurdle view of the one-term law: atom 0.75, ratio 1 - theta above zero
+        h = m.hurdle
+        assert (h.pi, h.p1, h.p2, h.w1, h.w2) == pytest.approx((0.75, 0.5, 0.0, 1.0, 0.0),
+                                                               abs=1e-14)
 
     def test_invalid_nb_thinning_rate(self):
         with pytest.raises(ValidityViolationError, match="alpha <= mu/"):
@@ -67,6 +70,9 @@ class TestBuildModel:
             build_model("ginar", theta=0.5, alpha=0.5, mu=1.0)
         with pytest.raises(ValidityViolationError, match="parameter theta must be a float"):
             build_model("ginar", theta="abc", alpha=0.5)
+        # a number in a string, or a bool, is not a real number
+        with pytest.raises(ValidityViolationError, match="parameter alpha must be a float"):
+            build_model("ginar", theta=0.5, alpha=False)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameter_named(self, value):

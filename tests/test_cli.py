@@ -25,6 +25,10 @@ class TestDerive:
         assert pmf[1] == pytest.approx(0.125, abs=1e-15)
         assert pmf[2] == pytest.approx(0.0625, abs=1e-15)
         assert doc["terms"][0]["s"] == pytest.approx(2.0)
+        # every family prints the hurdle view of its decomposition
+        assert doc["hurdle"] == pytest.approx(
+            {"pi": 0.75, "p1": 0.5, "p2": 0.0, "w1": 1.0, "w2": 0.0}, abs=1e-14)
+        assert "notes" not in doc
 
     def test_validation_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "derive", "nginar", "--mu", "1",
@@ -98,6 +102,10 @@ class TestDerive:
          "ginar: parameter alpha must be a float, got 'x'"),
         ('{"model": ["ginar"], "params": {"theta": 0.5, "alpha": 0.5}}',
          "unknown model ['ginar']; choose from ginar, "),
+        ('{"model": "ginar", "params": {"theta": "0.5", "alpha": 0.5}}',
+         "ginar: parameter theta must be a float, got '0.5'"),
+        ('{"model": "ginar", "params": {"theta": 0.5}, "thinning": {"alpha": false}}',
+         "ginar: parameter alpha must be a float, got False"),
     ])
     def test_malformed_spec_values_exit_2(self, capsys, tmp_path, text, message):
         # a well-formed document with a value the catalog cannot read: the
@@ -219,6 +227,14 @@ class TestVerify:
         assert "[pass] marginal_dispersion_empirical: observed=0.0" in out
         assert "lag1_autocorrelation_empirical" not in out
         assert "overall: pass" in out
+
+    def test_marginal_sums_reach_a_slow_tail(self, capsys):
+        # tail ratio 0.951 at mean 0.374: mean + 40 sd + 60 rows left 9e-5 of the mean out
+        code, out, _ = run_cli(capsys, "verify", "rho-geo-bin", "--mu", "0.0187",
+                               "--rho", "0.95", "--alpha", "0.0", "--n", "100000",
+                               "--seed", "3")
+        assert "[pass] marginal_mean_pmf_vs_closed" in out
+        assert code == 0
 
     def test_full_scale_point_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "rho-geo-nb", "--mu", "1",

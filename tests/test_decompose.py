@@ -8,8 +8,8 @@ from geominar.decompose import (
     HurdleForm,
     _weights_equal_leading,
     _weights_from_residues,
+    decomposition_to_hurdle,
     hurdle_pmf,
-    hurdle_to_decomposition,
     linear_closed_form,
     partial_fractions,
     pmf_from_decomposition,
@@ -242,16 +242,43 @@ class TestHurdlePmf:
         assert hurdle_pmf(h, 0) == pytest.approx(0.674419, abs=5e-7)
 
     def test_combined_nonnegativity_enforced(self):
+        # HurdleForm(0.3, 0.5, 0.4, 7.0, -6.0) as atoms and terms:
+        # rho_i = (1-pi) w_i (1-p_i) / p_i^2 at s_i = 1/p_i, atom pi - sum rho_i/s_i.
         # pmf(1) = 0.7 (3.5 - 3.6) < 0: refused where the law is tabulated
-        h = HurdleForm(0.3, 0.5, 0.4, 7.0, -6.0)
+        dec = FractionalDecomposition(Polynomial((1.7,)), ((9.8, 2.0), (-15.75, 2.5)))
+        h = decomposition_to_hurdle(dec)
+        for got, want in zip((h.pi, h.p1, h.p2, h.w1, h.w2), (0.3, 0.5, 0.4, 7.0, -6.0)):
+            assert got == pytest.approx(want, rel=1e-13)
         with pytest.raises(NegativeProbabilityError, match="pmf entry at m=1"):
-            pmf_from_decomposition(hurdle_to_decomposition(h))
+            pmf_from_decomposition(dec)
 
     def test_round_trip_through_decomposition(self):
-        h = quadratic_closed_form(*ex6_quadratic())
-        dist = pmf_from_decomposition(hurdle_to_decomposition(h))
+        # the view of the residue decomposition is the closed-form hurdle law
+        a, b, c, abar, bbar, cbar = ex6_quadratic()
+        h = quadratic_closed_form(a, b, c, abar, bbar, cbar)
+        dec = partial_fractions(rf((c, b, a), (cbar, bbar, abar)))
+        view = decomposition_to_hurdle(dec)
+        for got, want in zip((view.pi, view.p1, view.p2, view.w1, view.w2),
+                             (h.pi, h.p1, h.p2, h.w1, h.w2)):
+            assert got == pytest.approx(want, rel=1e-12)
+        dist = pmf_from_decomposition(dec)
         for m in range(120):
+            assert dist.pmf(m) == pytest.approx(hurdle_pmf(view, m), abs=1e-13)
             assert dist.pmf(m) == pytest.approx(hurdle_pmf(h, m), abs=1e-13)
+
+    def test_one_term_view_has_p2_zero(self):
+        # 0.5 + 0.5 / (2 - s): pi = pmf(0) = 0.75, then ratio 1/2 above zero
+        h = decomposition_to_hurdle(partial_fractions(GINAR_RF))
+        assert (h.pi, h.p1, h.p2, h.w1, h.w2) == pytest.approx((0.75, 0.5, 0.0, 1.0, 0.0),
+                                                               abs=1e-14)
+
+    def test_view_without_terms_is_the_point_mass_at_zero(self):
+        # at mean 1e-20 the denominator (1, -1e-20) trims to a constant
+        dec = partial_fractions(nginar_rf(mu=1e-20, alpha=0.0))
+        assert dec.terms == () and dec.atom_poly.coeffs == (1.0,)
+        h = decomposition_to_hurdle(dec)
+        assert (h.pi, h.p1, h.p2, h.w1, h.w2) == (1.0, 0.0, 0.0, 1.0, 0.0)
+        assert [hurdle_pmf(h, m) for m in range(3)] == [1.0, 0.0, 0.0]
 
 
 class TestRecursion:

@@ -1,16 +1,21 @@
-"""Golden digests pinning the seeded output of version 0.2.0.
+"""Golden digests pinning the seeded and printed output of version 0.3.0.
 
 The determinism tests elsewhere compare two runs of the same code; these
-compare against sha256 digests recorded from the 0.2.0 sampler, so any change
-to the drawn values shows here. A change to the sampler algorithm that moves
-a single drawn value must update these digests and bump the version (see the
-README's numerical conventions). The digests were recorded with numpy 2.4.6;
-numpy does not promise that Generator streams stay the same across its
-releases, so a failure after a numpy upgrade alone means the dependency
-moved, not this code.
+compare against sha256 digests, so any change to the drawn values shows here.
+A change to the sampler algorithm that moves a single drawn value must update
+these digests and bump the version (see the README's numerical conventions).
+The series digests (SERIES, ACROSS_BLOCKS, WIDE_TABLE, SHORT_TABLE) were
+recorded from the 0.2.0 sampler and hold unchanged in 0.3.0. VERIFY, DERIVE
+and REFUSAL were re-recorded in 0.3.0, where every family's innovation law
+comes from partial fractions: pmf rows moved by at most 2.3e-13, every family
+prints its hurdle view and verify checks it. The digests were recorded
+with numpy 2.4.6; numpy does not promise that Generator streams stay the
+same across its releases, so a failure after a numpy upgrade alone means the
+dependency moved, not this code.
 """
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -23,6 +28,7 @@ from geominar.decompose import pmf_from_decomposition
 from geominar.simulate import BLOCK, RngStream, simulate_series
 
 from grids import CANONICAL, GRIDS
+from oracles import oracle_pmf
 
 # (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
 SERIES = {
@@ -70,25 +76,25 @@ SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
-    "ginar": "04353c8b54e0bc6034c9ddd4708398b4b64f46677c60002e532b361e4955e789",
-    "nginar": "7cd7962683b64e50497ce63426e19489b677be234b1619d28a067f15f4fd622b",
-    "zmg": "6cd8f2a912ae219e4f5d02736b6337b89bfbcec80efc698426730829a1bc6dc4",
-    "two-param": "41172dc4c2f8e089c32e9d5753ec03542622805c5c8af03cdc8f4e2b21c25455",
-    "rho-geo-bin": "f8d53d85e6088b2c79d1a2436042663611d11feeef7e9eda642918c1853d7caf",
-    "hurdle-geo-bin": "83cb7142c802af00e5fb7cb9390356d54650adbb2543bc35d6ce249e4fce52bc",
-    "rho-geo-nb": "2b23d22117afaf779f6e8dba330050a14bd95ebc3a0310efbee15ee4a2bce165",
-    "hurdle-geo-nb": "c8dd222131d58ceac7c0f81f9f5507ad8767105e08f6af6fd1a953cfe6571818",
+    "ginar": "43846628a61666c1e0b016c32b8c5e9805d8e66df9ba1bd8511974ac288730b6",
+    "nginar": "8697e97743ada7ed8dbedef22947a20d681e7e068a25b92d09ad6814a0814d59",
+    "zmg": "ff33708513915a7493a0fe7622997582c995a66526b281195cde776aca52e09e",
+    "two-param": "add3ed6bab41b9837e09af21f0dcbef774d001fdfa52a448089ed00da9156ec9",
+    "rho-geo-bin": "f5929257be5cd1b41b2f45171f64be24d42c35c5673c82d82cc2da12a3da65d6",
+    "hurdle-geo-bin": "bc07fc6b4b148637c47f8d6773c5444e1a14e495865b76bc1a8026d5a21d3d41",
+    "rho-geo-nb": "5351b93368fe12b24e1ea9de593232e000ac293d0a3a8ab0eb74798a06febe50",
+    "hurdle-geo-nb": "bfbcb6047219a54229ce161e98658992b88b9c746fe168a9dc6235407adcd5aa",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
 # json, csv and table format: per run, the exit code and a newline, then stdout
-DERIVE = "0568d517834a570241ff6838c8d54124bf4c033973ae43bbad0a1fc5e8b9b505"
+DERIVE = "38a07836e24344ed3df13678b36a6b953a097655444bc7eb3645cbca19941de9"
 
 # sha256 over `geominar derive --format json` at _refusal_points() and REFUSAL_EDGES: per
 # run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
-REFUSAL = "edca55d54a1d3cbc666fac6d5b00c437e9b2ac528690a2b44f30bc6b40c6ca17"
+REFUSAL = "61f2b9431e01734d8c3dfee1687738ca8be8f72101954e6c5e59b6eb5b1bc74e"
 
 
 def _mean(rng: random.Random) -> float:
@@ -139,8 +145,9 @@ def _refusal_points(per_family: int = 100, seed: int = 7) -> list[tuple[str, dic
     return [(name, f()) for name, f in draw.items() for _ in range(per_family)]
 
 
-# points on a boundary, and one past the validation whose hurdle weights then
-# fail their sum check
+# points on a boundary, and a valid rho-geo-nb point near rho = alpha = 1 where
+# quadratic_closed_form's weights miss the HurdleForm sum check, while partial
+# fractions derive it (test_point_beyond_the_closed_form_derives)
 REFUSAL_EDGES = [
     ("nginar", {"mu": 1.0, "alpha": 0.5}),
     ("zmg", {"mu": 1.0, "k": -1.0}),
@@ -154,7 +161,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.2.0"
+    assert __version__ == "0.3.0"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
@@ -219,3 +226,12 @@ def test_derive_refusal_digest(capsys):
     assert len(points) == 804
     assert set(codes) == {0, 2} and codes.count(2) > len(points) // 2
     assert digest.hexdigest() == REFUSAL
+
+
+def test_point_beyond_the_closed_form_derives(capsys):
+    name, params = REFUSAL_EDGES[3]
+    assert main(["derive", name, *(f"--{k}={v!r}" for k, v in params.items())]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expect = oracle_pmf(name, len(doc["pmf"]) - 1, **params)
+    assert [p for _, p in doc["pmf"]] == pytest.approx(expect, abs=1e-10)
+    assert doc["hurdle"]["w1"] + doc["hurdle"]["w2"] == pytest.approx(1.0, abs=1e-15)

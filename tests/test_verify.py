@@ -113,17 +113,19 @@ class TestCrossMethod:
             assert check_cross_method(model, n=200, tol=1e-10).overall
 
     def test_degenerate_unit_mass_passes(self):
+        # k close to 1: all but 1e-6 of the mass sits at zero
         model = build_model("zmg", mu=1.0, k=0.999999)
-        # k close to 1 keeps the linear machinery inside its constraints
         assert check_cross_method(model, n=50).overall
 
     def test_fails_on_wrong_root(self, nginar):
         rep = check_cross_method(perturb_root(nginar), n=100, tol=1e-10)
         assert not rep.overall
 
-    def test_hurdle_column_present_for_quadratic_models(self, rho_geo_bin):
-        names = {c.name for c in check_cross_method(rho_geo_bin).checks}
-        assert "recursion_vs_hurdle_form" in names
+    def test_hurdle_column_present_for_quadratic_models(self, ginar, rho_geo_bin):
+        # the linear families have the hurdle view too
+        for model in (ginar, rho_geo_bin):
+            names = {c.name for c in check_cross_method(model).checks}
+            assert "recursion_vs_hurdle_form" in names
 
 
 class TestMoments:
