@@ -6,6 +6,8 @@ by partial-fraction decomposition into point masses plus signed geometric
 terms; simulates exact stationary trajectories; and verifies every closed
 form against independent recursion and Monte Carlo oracles.
 """
+import importlib
+
 from .catalog import (
     MODEL_NAMES,
     Constraint,
@@ -63,16 +65,24 @@ from .polyrat import (
     poly_divmod,
     real_distinct_roots,
 )
-from .simulate import RngStream, SeriesSample, apply_thinning, sample_innovation, simulate_series
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    check_cross_method,
-    check_moments,
-    check_pgf_identity,
-    check_pmf_validity,
-    check_tail_quality,
-    run_all_checks,
-)
+
+# the sampler and the checks import numpy: load them on first use, so that
+# derive and catalog start without it (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("RngStream", "SeriesSample", "apply_thinning", "sample_innovation",
+                     "simulate_series"), "simulate"),
+    **dict.fromkeys(("CheckResult", "VerificationReport", "check_cross_method",
+                     "check_moments", "check_pgf_identity", "check_pmf_validity",
+                     "check_tail_quality", "run_all_checks"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.3.0"

@@ -289,15 +289,19 @@ def _innovation_rf(entry: _Entry, p: dict) -> RationalFunction:
     spec = _model_spec(entry, p)
     if spec.marginal is not None:
         return innovation_pgf(spec)
+    # the radius is the root (1 + mu)/mu or (1 + r)/r, read from the
+    # parameters: at a subnormal mu or r the slope trims to zero in den
     if entry.name == "zmg":
         mu, k = p["mu"], p["k"]
         num = Polynomial((1.0 + k * mu, -k * mu))
         den = Polynomial((1.0 + mu, -mu))
+        radius = (1.0 + mu) / mu
     else:
         r, m = p["r"], p["m"]
         num = Polynomial((1.0 + r - m, m - r))
         den = Polynomial((1.0 + r, -r))
-    return RationalFunction(num, den, radius=-den.coeff(0) / den.coeff(1), pgf=True)
+        radius = (1.0 + r) / r
+    return RationalFunction(num, den, radius=radius, pgf=True)
 
 
 def _model_spec(entry: _Entry, p: dict) -> ModelSpec:

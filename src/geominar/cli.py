@@ -4,7 +4,9 @@ Subcommands: derive (innovation decomposition and pmf table), simulate
 (seeded CSV trajectories), verify (full check suite, exit 1 on failure),
 catalog (model listing). Output is byte-identical for identical invocations:
 no timestamps, sorted JSON keys, repr floats. The argument parser is built
-once per process and holds no state between calls to main.
+once per process and holds no state between calls to main. The sampler and
+the checks (and with them numpy) are imported by the commands that use them,
+so derive and catalog start without them.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ from pathlib import Path
 from .catalog import build_model, dispersion_class, model_entries
 from .decompose import DEFAULT_TARGET_MASS, pmf_from_decomposition
 from .errors import GeominarError
-from .simulate import RngStream, simulate_series
-from .verify import run_all_checks
 
 _PARAM_FLAGS = ("theta", "mu", "rho", "alpha", "k", "m", "r")
 
@@ -140,6 +140,8 @@ def _derive_table(doc) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import RngStream, simulate_series
+
     name, params = _resolve_model(args)
     model = build_model(name, **params)
     if args.output is None and args.replicates != 1:
@@ -159,6 +161,9 @@ def _replicate_path(base: Path, rep: int, replicates: int) -> Path:
 
 
 def _cmd_verify(args) -> int:
+    from .simulate import RngStream, simulate_series
+    from .verify import run_all_checks
+
     name, params = _resolve_model(args)
     model = build_model(name, **params)
     sample = simulate_series(model, args.n, RngStream(args.seed, 0), args.burn_in)

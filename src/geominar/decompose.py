@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConstraintViolationError,
@@ -33,6 +32,9 @@ from .polyrat import (
     poly_divmod,
     real_distinct_roots,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Entries in [-CLAMP_TOL, 0) are floating-point dust and are clamped to zero;
 # anything below raises NegativeProbabilityError.
@@ -97,7 +99,7 @@ class InnovationDistribution:
     pmf_table covers m = 0..truncation; beyond that the smallest-root
     geometric term (tail_rho, tail_s) carries the residual mass and the
     decomposition formula stays exact. sampling_table is built on first use
-    and cached on the instance, so derive never builds it.
+    and cached on the instance, so derive never builds it, nor imports numpy.
     """
 
     decomposition: FractionalDecomposition
@@ -126,6 +128,8 @@ class InnovationDistribution:
         does. Scaling by a power of two is exact, so the counts below are
         exact: lo[b] = #{cdf <= b/M} and hi[b] = #{cdf < (b+1)/M}.
         """
+        import numpy as np
+
         cdf = np.cumsum(self.pmf_table)
         m = min(GUIDE_MAX, 1 << (4 * len(cdf) - 1).bit_length())
         lo = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))[:m]
@@ -187,10 +191,12 @@ def decomposition_to_hurdle(dec: FractionalDecomposition) -> HurdleForm:
     p_i = 1/s_i; w_i is the mass rho_i / (s_i (s_i - 1)) that term i puts above
     zero over the sum of those masses, and pi = 1 - that sum (p2 = w2 = 0 for
     one term). The inverse of writing each component as rho_i / s_i^(m+1).
+    Without terms the law is its atoms at zero and one (a denominator that
+    trimmed to a constant), and the mass at one is the ratio-0 geometric.
     """
     above = [(r / (s * (s - 1.0)), 1.0 / s) for r, s in dec.terms]
-    if not above:  # no geometric terms: the point mass at zero
-        return HurdleForm(1.0, 0.0, 0.0, 1.0, 0.0)
+    if not above:
+        return HurdleForm(1.0 - dec.atom_poly.coeff(1), 0.0, 0.0, 1.0, 0.0)
     total = sum(c for c, _ in above)
     (c1, p1), (c2, p2) = above if len(above) == 2 else (*above, (0.0, 0.0))
     return HurdleForm(1.0 - total, p1, p2, c1 / total, c2 / total)
@@ -407,20 +413,34 @@ def _weights_from_residues(a: float, b: float, c: float,
 def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
     """First n+1 pmf values by power-series division of num by den.
 
-    c_l = (a_l - sum_{i=max(0,l-q)}^{l-1} c_i b_{l-i}) / b_0 with a_l = 0
-    beyond the numerator degree; identical to the staged triangular solves of
-    the matrix formulation because those systems are lower-triangular
-    Toeplitz in the denominator coefficients.
+    c_l = (a_l - c_{l-2} b_2 - c_{l-1} b_1) / b_0 with a_l = 0 beyond the
+    numerator degree, where a term is present only when its index is >= 0
+    and within the denominator degree q; identical to the staged triangular
+    solves of the matrix formulation because those systems are
+    lower-triangular Toeplitz in the denominator coefficients. One loop
+    carries c_{l-1} and c_{l-2}; q > 2 raises.
     """
     b = rf.den.coeffs  # RationalFunction scales b[0] = den(0) to 1, so never 0
-    a = rf.num.coeffs
     q = len(b) - 1
+    if q > 2:
+        raise GeominarError(f"pmf recursion supports denominator degree <= 2, got degree {q}")
+    b0, b1, b2 = (*b, 0.0, 0.0)[:3]
+    # the first index at which each term enters (past the end when absent):
+    # skipping it, rather than adding 0.0 * c, keeps the sign of zero
+    from1 = 1 if q >= 1 else n + 1
+    from2 = 2 if q == 2 else n + 1
+    a = rf.num.coeffs
+    na = len(a)
     out = []
+    c1 = c2 = 0.0
     for el in range(n + 1):
-        acc = a[el] if el < len(a) else 0.0
-        for i in range(max(0, el - q), el):
-            acc -= out[i] * b[el - i]
-        out.append(acc / b[0])
+        acc = a[el] if el < na else 0.0
+        if el >= from2:
+            acc -= c2 * b2
+        if el >= from1:
+            acc -= c1 * b1
+        c2, c1 = c1, acc / b0
+        out.append(c1)
     return out
 
 

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from geominar import cli
+from geominar import simulate
 from geominar.cli import build_parser, main
 
 
@@ -29,6 +30,19 @@ class TestDerive:
         assert doc["hurdle"] == pytest.approx(
             {"pi": 0.75, "p1": 0.5, "p2": 0.0, "w1": 1.0, "w2": 0.0}, abs=1e-14)
         assert "notes" not in doc
+
+    @pytest.mark.parametrize("argv, pmf, pi", [
+        (("zmg", "--mu", "5e-324", "--k", "0"), [[0, 1.0]], 1.0),
+        (("two-param", "--r", "5e-324", "--m", "0.5"), [[0, 0.5], [1, 0.5]], 0.5),
+    ])
+    def test_subnormal_rate_derives_the_limit_law(self, capsys, argv, pmf, pi):
+        # the denominator slope trims to zero: the law is its atoms (the point
+        # mass at zero, Bernoulli(m) for two-param), never an internal error
+        code, out, err = run_cli(capsys, "derive", *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["pmf"] == pmf and doc["terms"] == []
+        assert doc["hurdle"] == {"pi": pi, "p1": 0.0, "p2": 0.0, "w1": 1.0, "w2": 0.0}
 
     def test_validation_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "derive", "nginar", "--mu", "1",
@@ -335,6 +349,26 @@ class TestEntryPoint:
                                 "--format", "json"], capture_output=True, check=True)
         assert out.encode() == fresh.stdout
 
+    def test_derive_and_catalog_start_without_numpy(self):
+        # a fresh interpreter: pytest's plugins may have imported numpy here
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from geominar.cli import main
+            point = ["ginar", "--theta", "0.3", "--alpha", "0.4"]
+            runs = [["catalog"], ["catalog", "--format", "json"]]
+            runs += [["derive", *point, "--format", f] for f in ("json", "csv", "table")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                print([main(argv) for argv in runs], file=sys.stderr)
+            print(sorted({"numpy", "geominar.simulate", "geominar.verify"} & set(sys.modules)),
+                  file=sys.stderr)
+            with contextlib.redirect_stdout(io.StringIO()):
+                print(main(["verify", *point, "--n", "2000"]), file=sys.stderr)
+            print("numpy" in sys.modules, file=sys.stderr)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["[0, 0, 0, 0, 0]", "[]", "0", "True"]
+
     def test_module_invocation_byte_identical(self, tmp_path):
         cmd = [sys.executable, "-m", "geominar", "simulate", "ginar",
                "--theta", "0.5", "--alpha", "0.5", "--n", "200", "--seed", "9"]
@@ -357,7 +391,8 @@ class TestUnexpectedErrors:
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "simulate_series", fail)
+        # cli imports the sampler when the command runs: patch it at home
+        monkeypatch.setattr(simulate, "simulate_series", fail)
         code, out, err = run_cli(capsys, "simulate", *GINAR, "--n", "10")
         assert code == 3 and out == ""
         assert err == f"geominar: internal error: {type(exc).__name__}: {exc}\n"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from geominar.catalog import build_model
 from geominar.decompose import (
     FractionalDecomposition,
     HurdleForm,
@@ -19,6 +20,7 @@ from geominar.decompose import (
 )
 from geominar.errors import (
     ConstraintViolationError,
+    GeominarError,
     NegativeProbabilityError,
     NoGeometricTermsError,
     RepeatedRootsError,
@@ -32,6 +34,7 @@ from geominar.pgf import (
 )
 from geominar.polyrat import Polynomial, RationalFunction
 
+from grids import GRIDS
 from oracles import oracle_pmf
 
 
@@ -280,6 +283,14 @@ class TestHurdlePmf:
         assert (h.pi, h.p1, h.p2, h.w1, h.w2) == (1.0, 0.0, 0.0, 1.0, 0.0)
         assert [hurdle_pmf(h, m) for m in range(3)] == [1.0, 0.0, 0.0]
 
+    def test_view_of_atoms_at_zero_and_one(self):
+        # two-param at a subnormal r: its denominator trims to a constant and
+        # the law is Bernoulli(m), whose mass at one is the ratio-0 geometric
+        dec = FractionalDecomposition(Polynomial((0.75, 0.25)), ())
+        h = decomposition_to_hurdle(dec)
+        assert (h.pi, h.p1, h.p2, h.w1, h.w2) == (0.75, 0.0, 0.0, 1.0, 0.0)
+        assert [hurdle_pmf(h, m) for m in range(3)] == [0.75, 0.25, 0.0]
+
 
 class TestRecursion:
     def test_zero_inflated_values(self):
@@ -300,6 +311,47 @@ class TestRecursion:
         rec = pmf_recursive(nginar_rf(), 100)
         expect = oracle_pmf("nginar", 100, mu=1.0, alpha=0.3)
         assert rec == pytest.approx(expect, abs=1e-13)
+
+    @pytest.mark.parametrize("num, den", [
+        ((0.5, 0.5), (1.0,)),
+        ((-0.0, 0.25, 0.75), (1.0,)),
+        ((0.75, -0.25), (1.0, -0.5)),
+        ((-0.0, 1.0), (1.0, -0.5)),
+        ((0.3, 0.2), (1.0, -0.7, 0.1)),
+        # a -0.0 start against negative b_1, b_2: 0.0 * b_i is -0.0, so adding
+        # the absent terms as zeros would flip the sign of the first entries
+        ((-0.0, -0.0, 1.0), (1.0, -0.5, -0.06)),
+    ])
+    def test_same_bits_as_the_full_convolution(self, num, den):
+        r = rf(num, den, pgf=False)
+        for n in (0, 1, 2, 3, 400):
+            assert list(map(float.hex, pmf_recursive(r, n))) == \
+                list(map(float.hex, full_convolution(r, n)))
+
+    def test_grid_models_same_bits_as_the_full_convolution(self):
+        for name, grid in GRIDS.items():
+            for params in grid:
+                r = build_model(name, **params).innovation_rf
+                assert list(map(float.hex, pmf_recursive(r, 400))) == \
+                    list(map(float.hex, full_convolution(r, 400))), (name, params)
+
+    def test_denominator_above_degree_two_raises_naming_it(self):
+        cubic = rf((1.0,), (1.0, -0.5, 0.25, -0.125), pgf=False)
+        with pytest.raises(GeominarError, match="got degree 3"):
+            pmf_recursive(cubic, 10)
+
+
+def full_convolution(r, n):
+    """c_l = (a_l - sum_{i=max(0,l-q)}^{l-1} c_i b_{l-i}) / b_0, term by term
+    in ascending i: the operation order pmf_recursive keeps."""
+    a, b, q = r.num.coeffs, r.den.coeffs, r.den.degree
+    out = []
+    for el in range(n + 1):
+        acc = a[el] if el < len(a) else 0.0
+        for i in range(max(0, el - q), el):
+            acc -= out[i] * b[el - i]
+        out.append(acc / b[0])
+    return out
 
 
 class TestTailApprox:
