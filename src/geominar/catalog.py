@@ -20,10 +20,11 @@ zmg is the zero-modified geometric innovation law (atom k at zero, weight
 1 - m(1-s)/(1+r(1-s)). Both behave as iid models (alpha = 0) whose marginal
 equals the innovation law.
 
-Innovation variances are computed from the mixture representation, which
-always agrees with the pgf derivatives; simplified polynomial shortcuts for
-the hurdle families are numerically inconsistent with the pmf and are kept
-only in the test suite as rejected candidates.
+The innovation moments of a thinned family follow from its marginal's by
+the stationarity identity phi_X(s) = phi_X(phi_N(s)) phi_e(s) at s = 1
+(Al-Osh & Alzaid 1987; Ristic, Bakouch & Nastic 2009), one formula per
+thinning; simplified variance shortcuts for the hurdle families disagree
+with the pmf and are kept only in the test suite as rejected candidates.
 """
 from __future__ import annotations
 
@@ -179,22 +180,6 @@ def _hurdle_roots(name: str, mu: float, rho: float, alpha: float) -> tuple[float
     return s1, s2
 
 
-def _mixture_variance(pi: float, p1: float, p2: float, w1: float, w2: float) -> float:
-    """Variance of the hurdle law from its shifted-geometric mixture."""
-    mu_z = w1 / (1.0 - p1) + w2 / (1.0 - p2)
-    ez2 = w1 * (1.0 + p1) / (1.0 - p1) ** 2 + w2 * (1.0 + p2) / (1.0 - p2) ** 2
-    mean = (1.0 - pi) * mu_z
-    return (1.0 - pi) * ez2 - mean * mean
-
-
-def _linear_moments(bd: float, s1: float) -> tuple[float, float]:
-    """Mean and variance of the linear law: atom bd at zero plus geometric at s1."""
-    theta = 1.0 - 1.0 / s1
-    mean = (1.0 - theta) / theta * (1.0 - bd)
-    var = mean * ((1.0 + bd) / theta - bd)
-    return mean, var
-
-
 def _domain_constraints(entry: _Entry, p: dict) -> list[Constraint]:
     name = entry.name
     if name == "ginar":
@@ -313,39 +298,32 @@ def _model_spec(entry: _Entry, p: dict) -> ModelSpec:
 
 
 def closed_form_moments(name: str, **params: float) -> Moments:
-    """All six moment fields from closed forms (no table summation)."""
+    """All six moment fields from closed forms (no table summation).
+
+    With E, V the marginal's mean and variance, X = a (.) X' + e gives
+    E[e] = (1 - a) E and Var(e) = (1 - a)((1 + a) V - a E) for binomial
+    thinning, (1 + a)((1 - a) V - a E) for negative binomial thinning, whose
+    counting variable has variance a (1 + a).
+    """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    if name == "ginar":
-        theta, alpha = p["theta"], p["alpha"]
-        mm = (1.0 - theta) / theta
-        mv = (1.0 - theta) / theta ** 2
-        im, iv = _linear_moments(alpha, 1.0 / (1.0 - theta))
-    elif name == "nginar":
-        mu, alpha = p["mu"], p["alpha"]
-        mm, mv = mu, mu * (1.0 + mu)
-        w2 = alpha * mu / (mu - alpha) if alpha > 0.0 else 0.0
-        w1 = 1.0 - w2
-        im = w1 * mu + w2 * alpha
-        ez2 = w1 * (mu + 2.0 * mu * mu) + w2 * (alpha + 2.0 * alpha * alpha)
-        iv = ez2 - im * im
+    marginal = _model_spec(entry, p).marginal
+    if marginal is not None:
+        a = p["alpha"]
+        mm, mv = marginal.mean(), marginal.variance()
+        im = (1.0 - a) * mm
+        if entry.thinning is BinomialThinning:
+            iv = (1.0 - a) * ((1.0 + a) * mv - a * mm)
+        else:
+            iv = (1.0 + a) * ((1.0 - a) * mv - a * mm)
     elif name == "zmg":
         mu, k = p["mu"], p["k"]
-        im = (1.0 - k) * mu
-        iv = (1.0 - k) * mu * (1.0 + mu + k * mu)
-        mm, mv = im, iv
-    elif name == "two-param":
+        im = mm = (1.0 - k) * mu
+        iv = mv = (1.0 - k) * mu * (1.0 + mu + k * mu)
+    else:  # two-param
         r, m = p["r"], p["m"]
-        im = m
-        iv = m * (1.0 + 2.0 * r - m)
-        mm, mv = im, iv
-    else:
-        mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
-        marginal = _model_spec(entry, p).marginal
-        mm = marginal.mean()
-        mv = marginal.variance()
-        im = mm * (1.0 - alpha)
-        iv = _mixture_variance(*_hurdle_params(name, mu, rho, alpha))
+        im = mm = m
+        iv = mv = m * (1.0 + 2.0 * r - m)
     return Moments(mm, mv, mv / mm if mm > 0 else math.nan,
                    im, iv, iv / im if im > 0 else math.nan)
 

@@ -189,16 +189,17 @@ def decomposition_to_hurdle(dec: FractionalDecomposition) -> HurdleForm:
     """The hurdle view of an atom-at-zero law with at most two geometric terms.
 
     p_i = 1/s_i; w_i is the mass rho_i / (s_i (s_i - 1)) that term i puts above
-    zero over the sum of those masses, and pi = 1 - that sum (p2 = w2 = 0 for
-    one term). The inverse of writing each component as rho_i / s_i^(m+1).
-    Without terms the law is its atoms at zero and one (a denominator that
-    trimmed to a constant), and the mass at one is the ratio-0 geometric.
+    zero over the sum of those masses, and pi = 1 - that sum. The inverse of
+    writing each component as rho_i / s_i^(m+1). An atom at one (where a
+    denominator trimmed to degree one or zero) is the ratio-0 geometric, the
+    next component after the terms; the point mass at zero has pi = 1.
     """
     above = [(r / (s * (s - 1.0)), 1.0 / s) for r, s in dec.terms]
-    if not above:
-        return HurdleForm(1.0 - dec.atom_poly.coeff(1), 0.0, 0.0, 1.0, 0.0)
+    above.append((dec.atom_poly.coeff(1), 0.0))
     total = sum(c for c, _ in above)
-    (c1, p1), (c2, p2) = above if len(above) == 2 else (*above, (0.0, 0.0))
+    if total == 0.0:
+        return HurdleForm(1.0, 0.0, 0.0, 1.0, 0.0)
+    (c1, p1), (c2, p2) = (*above, (0.0, 0.0))[:2]
     return HurdleForm(1.0 - total, p1, p2, c1 / total, c2 / total)
 
 

@@ -230,23 +230,6 @@ class RationalFunction:
             )
         return self.num(s) / self.den(s)
 
-    def derivative_value(self, s: float) -> float:
-        if abs(s) >= self.radius:
-            raise DomainViolationError(
-                f"evaluation at s={s!r} outside validity radius {self.radius!r}"
-            )
-        n, d = self.num, self.den
-        dv = d(s)
-        return (n.derivative()(s) * dv - n(s) * d.derivative()(s)) / (dv * dv)
-
-    def second_derivative_value(self, s: float) -> float:
-        n, d = self.num, self.den
-        dn, dd = n.derivative(), d.derivative()
-        ddn, ddd = dn.derivative(), dd.derivative()
-        dv = d(s)
-        first = (dn(s) * dv - n(s) * dd(s)) / (dv * dv)
-        return (ddn(s) * dv - n(s) * ddd(s)) / (dv * dv) - 2.0 * dd(s) * first / dv
-
     def is_constant(self) -> bool:
         return self.num.degree == 0 and self.den.degree == 0
 

@@ -149,12 +149,16 @@ def check_moments(model: INARModel, sample: SeriesSample,
         ss += float(c[:MOMENT_BLOCK] @ c[:MOMENT_BLOCK])
         lag += float(c[1:] @ c[:-1])
     emp_var = ss / n
-    se_mean = math.sqrt(mom.marginal_var * ess / n)
-    se_var = math.sqrt(max(mg_m4 - mg_m2**2, 0.0) * ess / n)
+    # separate roots: a subnormal variance times ess / n would underflow to 0
+    root_ess_n = math.sqrt(ess / n)
+    se_mean = math.sqrt(mom.marginal_var) * root_ess_n
+    se_var = math.sqrt(max(mg_m4 - mg_m2**2, 0.0)) * root_ess_n
     checks.append(_check("marginal_mean_empirical", emp_mean, mom.marginal_mean,
                          n_se * se_mean))
+    # emp_var is centred on the sample mean, so it also errs by (xbar - mu)^2,
+    # which the mean gate above bounds by (n_se se_mean)^2
     checks.append(_check("marginal_var_empirical", emp_var, mom.marginal_var,
-                         n_se * se_var))
+                         n_se * se_var + (n_se * se_mean) ** 2))
     # an all-zero sample (expected at a tiny mean) has no empirical dispersion or
     # autocorrelation: omit both, as lag-1 is for n <= 2; the mean check still runs
     if emp_mean == 0.0:

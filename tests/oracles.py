@@ -58,8 +58,12 @@ def series_pmf(num, den, n: int) -> list[float]:
 
 
 def exact_model_quotient(name: str, **p):
-    """Exact innovation quotient for a catalog model, built from Fractions."""
-    fr = {k: F(v).limit_denominator(10**12) for k, v in p.items()}
+    """Exact innovation quotient for a catalog model, built from Fractions
+    near the parameters (denominators up to 1e12)."""
+    return _quotient(name, {k: F(v).limit_denominator(10**12) for k, v in p.items()})
+
+
+def _quotient(name: str, fr: dict):
     if name == "ginar":
         th, al = fr["theta"], fr["alpha"]
         return innovation_quotient([th], [F(1), -(1 - th)], [1 - al, al], [F(1)])
@@ -86,6 +90,26 @@ def exact_model_quotient(name: str, **p):
         k = mu + mu * rho - rho
         return innovation_quotient([1 - k, k], [1 + rho, -rho], [F(1)], [1 + al, -al])
     raise ValueError(name)
+
+
+def _derivative(poly: list) -> list:
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def exact_moments(name: str, **p) -> tuple[float, float]:
+    """Innovation mean phi'(1) and variance phi''(1) + phi'(1) - phi'(1)^2 of
+    the exact quotient of the float parameters (Fraction(v), no rounding),
+    each rounded to the nearest float once at the end."""
+    num, den = _quotient(name, {k: F(v) for k, v in p.items()})
+    dn, dd = _derivative(num), _derivative(den)
+    # a polynomial's value at s = 1 is the sum of its coefficients
+    n0, n1, n2 = sum(num), sum(dn), sum(_derivative(dn))
+    d0, d1, d2 = sum(den), sum(dd), sum(_derivative(dd))
+    # phi = n/d: phi' = (n' d - n d')/d^2, phi'' = (n'' - 2 phi' d' - phi d'')/d
+    phi = n0 / d0
+    first = (n1 * d0 - n0 * d1) / (d0 * d0)
+    second = (n2 - 2 * first * d1 - phi * d2) / d0
+    return float(first), float(second + first - first * first)
 
 
 def oracle_pmf(name: str, n: int, **p) -> list[float]:

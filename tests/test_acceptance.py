@@ -29,6 +29,7 @@ from geominar.verify import (
 )
 
 from grids import CANONICAL, GRIDS
+from oracles import exact_moments
 
 
 def _report(num: int, name: str):
@@ -229,15 +230,15 @@ def test_criterion_4_moment_consistency():
                 mo = model.moments
                 assert _close(pm_mean, mo.innovation_mean, 1e-7), (name, params)
                 assert _close(pm_var, mo.innovation_var, 1e-7), (name, params)
-                # the pgf derivative is the arbiter and must agree with the sum
-                rf = model.innovation_rf
-                pg_mean = rf.derivative_value(1.0)
-                pg_var = rf.second_derivative_value(1.0) + pg_mean - pg_mean**2
+                # exact Fraction pgf derivatives at s = 1 are the arbiter and
+                # must agree with the sum
+                pg_mean, pg_var = exact_moments(name, **params)
                 assert _close(pm_mean, pg_mean, 1e-7), (name, params)
                 assert _close(pm_var, pg_var, 1e-7), (name, params)
 
         # the simplified variance candidates disagree with the pmf sum at the
-        # canonical points; the mixture closed form is the one that holds
+        # canonical points; the stationarity-identity closed form checked
+        # above is the one that holds
         for name in hurdle_names:
             params = CANONICAL[name]
             model = build_model(name, **params)

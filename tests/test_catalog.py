@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -15,7 +16,7 @@ from geominar.decompose import linear_closed_form
 from geominar.errors import ValidityViolationError
 
 from grids import CANONICAL, GRIDS
-from oracles import oracle_moments, oracle_pmf
+from oracles import exact_moments, oracle_moments, oracle_pmf
 
 
 def count_calls(monkeypatch, home, func):
@@ -139,6 +140,47 @@ class TestValidateParams:
         assert numeric.margin < -1e-6
 
 
+def _extreme_points(per_family: int = 60, seed: int = 11) -> list[tuple[str, dict]]:
+    """Seeded valid points of the six thinned families, many near the edges:
+    alpha to 1 - 1e-4, means from 1e-3 to 1e4 and rho to 1 - 1e-3."""
+    rng = random.Random(seed)
+
+    def alpha():
+        return 1.0 - 10.0 ** rng.uniform(-4.0, 0.0) if rng.random() < 0.5 else rng.random()
+
+    def mean():
+        return 10.0 ** rng.uniform(-3.0, 4.0)
+
+    def rho():
+        return 1.0 - 10.0 ** rng.uniform(-3.0, 0.0)
+
+    def nginar():
+        mu = mean()
+        return {"mu": mu, "alpha": rng.random() * mu / (1.0 + mu)}
+
+    def hurdle_geo_bin():
+        r = rho()
+        return {"mu": rng.random() * r / (1.0 + r), "rho": r, "alpha": alpha()}
+
+    draw = {
+        "ginar": lambda: {"theta": 1.0 / (1.0 + mean()), "alpha": alpha()},
+        "nginar": nginar,
+        "rho-geo-bin": lambda: {"mu": mean(), "rho": rho(), "alpha": alpha()},
+        "hurdle-geo-bin": hurdle_geo_bin,
+        "rho-geo-nb": lambda: {"mu": mean(), "rho": rho(), "alpha": alpha()},
+        "hurdle-geo-nb": lambda: {"mu": rng.random(), "rho": rho(), "alpha": alpha()},
+    }
+    out = []
+    for name, f in draw.items():
+        valid = []
+        while len(valid) < per_family:
+            p = f()
+            if all(c.satisfied for c in validate_params(name, **p)):
+                valid.append((name, p))
+        out += valid
+    return out
+
+
 class TestMoments:
     def test_reference_point_closed_forms(self):
         mo = closed_form_moments("rho-geo-bin", mu=1.0, rho=0.2, alpha=0.3)
@@ -165,6 +207,18 @@ class TestMoments:
         mean, var = oracle_moments(name, **params)
         assert mo.innovation_mean == pytest.approx(mean, rel=1e-10)
         assert mo.innovation_var == pytest.approx(var, rel=1e-10)
+
+    def test_closed_forms_match_exact_derivatives_at_extreme_points(self):
+        # the stationarity identity carries the marginal's float moments to
+        # the innovation with a few roundings, so 1e-13 holds however close
+        # to the edge of the validity region the point lies
+        points = _extreme_points()
+        assert len(points) == 360
+        for name, params in points:
+            mo = closed_form_moments(name, **params)
+            mean, var = exact_moments(name, **params)
+            assert mo.innovation_mean == pytest.approx(mean, rel=1e-13, abs=0), (name, params)
+            assert mo.innovation_var == pytest.approx(var, rel=1e-13, abs=0), (name, params)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_marginal_moments_match_model_pmf(self, name):

@@ -291,6 +291,21 @@ class TestHurdlePmf:
         assert (h.pi, h.p1, h.p2, h.w1, h.w2) == (0.75, 0.0, 0.0, 1.0, 0.0)
         assert [hurdle_pmf(h, m) for m in range(3)] == [0.75, 0.25, 0.0]
 
+    def test_view_of_an_atom_at_one_beside_a_term(self):
+        # at alpha = 1e-13 the denominator trims to degree one: one term plus
+        # the atoms (5.0e-4, -1e-13), whose mass at one the view must keep.
+        # pi = 1 - (mass above zero) also takes up the decomposition's own
+        # mass defect, so m = 0 is exact only to that
+        dec = build_model("rho-geo-bin", mu=1000.0, rho=0.5, alpha=1e-13) \
+            .innovation.decomposition
+        assert len(dec.terms) == 1 and dec.atom_poly.coeff(1) == pytest.approx(-1e-13)
+        h = decomposition_to_hurdle(dec)
+        defect = abs(dec.total_mass() - 1.0)
+        assert defect < 1e-13
+        assert hurdle_pmf(h, 0) == pytest.approx(dec.pmf(0), rel=0, abs=defect + 1e-15)
+        for m in range(1, 201):
+            assert hurdle_pmf(h, m) == pytest.approx(dec.pmf(m), rel=0, abs=1e-15), m
+
 
 class TestRecursion:
     def test_zero_inflated_values(self):

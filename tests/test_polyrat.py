@@ -271,15 +271,3 @@ class TestRationalFunction:
         rf = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
         with pytest.raises(DomainViolationError):
             rf(2.5)
-
-    def test_derivative_value(self):
-        rf = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
-        h = 1e-6
-        fd = (rf(1.0 + h) - rf(1.0 - h)) / (2.0 * h)
-        assert rf.derivative_value(1.0) == pytest.approx(fd, rel=1e-8)
-
-    def test_second_derivative_value(self):
-        rf = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
-        h = 1e-4
-        fd2 = (rf(1.0 + h) - 2.0 * rf(1.0) + rf(1.0 - h)) / h**2
-        assert rf.second_derivative_value(1.0) == pytest.approx(fd2, rel=1e-6)

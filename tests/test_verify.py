@@ -6,6 +6,7 @@ import pytest
 
 from geominar import verify
 from geominar.catalog import build_model
+from geominar.cli import main
 from geominar.simulate import RngStream, SeriesSample, simulate_series
 from geominar.verify import (
     check_cross_method,
@@ -199,6 +200,19 @@ class TestMoments:
         rep = check_moments(ginar, sample)
         failed = {c.name for c in rep.checks if not c.passed}
         assert "marginal_mean_empirical" in failed
+
+    @pytest.mark.parametrize("argv", [
+        # a subnormal variance: V * ess / n underflowed to a zero tolerance
+        ["nginar", "--mu", "5e-324", "--alpha", "0", "--n", "100000"],
+        # Bernoulli(0.5): (X - mu)^2 is constant, so the fourth-moment error
+        # of the variance is 0 and only the sample mean's error is left
+        ["two-param", "--r", "5e-324", "--m", "0.5", "--n", "1000"],
+    ])
+    def test_gates_hold_at_degenerate_valid_points(self, argv, capsys):
+        assert main(["verify", *argv]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if "marginal_var_empirical" in x)
+        assert float(line.split("tol=")[1]) > 0.0
 
 
 class TestTailQuality:
