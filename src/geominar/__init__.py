@@ -2,8 +2,8 @@
 
 Builds the innovation distribution of a first-order integer-valued
 autoregression from the rational quotient of its marginal and thinned pgfs,
-by partial-fraction decomposition into point masses plus signed geometric
-terms; simulates exact stationary trajectories; and verifies every closed
+whose roots it carries as offsets from s = 1, as point masses plus signed
+geometric terms; simulates exact stationary trajectories; and verifies every closed
 form against independent recursion and Monte Carlo oracles.
 """
 import importlib
@@ -35,7 +35,6 @@ from .decompose import (
 from .errors import (
     ComplexRootsError,
     ConstraintViolationError,
-    DegenerateModelError,
     DomainViolationError,
     GeominarError,
     InvalidParameterError,
@@ -51,10 +50,12 @@ from .pgf import (
     Geometric,
     GeometricMean,
     HurdleGeometric,
+    InnovationLaw,
     ModelSpec,
     NegativeBinomialThinning,
     RhoGeometric,
     counting_pgf,
+    innovation_law,
     innovation_pgf,
 )
 from .polyrat import (
@@ -85,4 +86,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"

@@ -1,6 +1,6 @@
 """Named INAR(1) model families with validity regions and closed-form moments.
 
-Eight entries ship, each deriving its innovation law by partial fractions:
+Eight entries ship, each deriving its innovation law from root offsets:
 
 ==============  ============================  =====================
 name            marginal                      thinning
@@ -20,6 +20,9 @@ zmg is the zero-modified geometric innovation law (atom k at zero, weight
 1 - m(1-s)/(1+r(1-s)). Both behave as iid models (alpha = 0) whose marginal
 equals the innovation law.
 
+The thinned families build their pgf.InnovationLaw from the marginal and
+the thinning; the iid entries give the root offsets of their pgf directly.
+
 The innovation moments of a thinned family follow from its marginal's by
 the stationarity identity phi_X(s) = phi_X(phi_N(s)) phi_e(s) at s = 1
 (Al-Osh & Alzaid 1987; Ristic, Bakouch & Nastic 2009), one formula per
@@ -37,7 +40,6 @@ from .decompose import (
     HurdleForm,
     InnovationDistribution,
     decomposition_to_hurdle,
-    partial_fractions,
     pmf_from_decomposition,
     pmf_recursive,
 )
@@ -47,13 +49,15 @@ from .pgf import (
     Geometric,
     GeometricMean,
     HurdleGeometric,
+    InnovationLaw,
     ModelSpec,
     NegativeBinomialThinning,
     RhoGeometric,
+    offset_div,
     counting_pgf,
-    innovation_pgf,
+    innovation_law,
 )
-from .polyrat import Polynomial, RationalFunction
+from .polyrat import RationalFunction
 
 _MARGIN_CAP = 1e18
 
@@ -124,62 +128,6 @@ def _alpha_dom(a: float) -> Constraint:
     return _constraint("alpha in [0,1)", 0.0 <= a < 1.0, min(a, 1.0 - a) if a > 0 else 1.0 - a)
 
 
-def _hurdle_params(name: str, mu: float, rho: float, alpha: float):
-    """Closed-form (pi, p1, p2, w1, w2) of the hurdle innovation families."""
-    if name == "rho-geo-bin":
-        denom = 1.0 - rho * (1.0 - alpha)
-        pi = (1.0 - rho + alpha * (mu + rho)) / ((1.0 + mu) * denom)
-        p1 = (rho + mu) / (1.0 + mu)
-        p2 = alpha * rho / denom
-        d = (rho + mu) * denom - alpha * rho * (1.0 + mu)
-        return pi, p1, p2, (rho + mu) * denom / d, -alpha * rho * (1.0 + mu) / d
-    if name == "hurdle-geo-bin":
-        k = rho - mu * (1.0 + rho)
-        pi = 1.0 - (1.0 - alpha) * mu / (1.0 + alpha * k)
-        p1 = rho / (1.0 + rho)
-        p2 = alpha * k / (1.0 + alpha * k)
-        d = rho - alpha * k
-        return pi, p1, p2, rho * (1.0 + alpha * k) / d, -alpha * (1.0 + rho) * k / d
-    if name == "rho-geo-nb":
-        pi = 1.0 - mu * (1.0 - rho) / ((1.0 + mu) * (1.0 - rho + alpha))
-        p1 = (rho + mu) / (1.0 + mu)
-        p2 = alpha / (1.0 - rho + alpha)
-        w1 = ((alpha - rho + 1.0) * (alpha * mu + alpha - mu - rho)
-              / ((rho - 1.0) * (mu + rho - alpha)))
-        w2 = (alpha * (1.0 + mu) * (alpha - rho)
-              / ((rho - 1.0) * (alpha - mu - rho)))
-        return pi, p1, p2, w1, w2
-    # hurdle-geo-nb
-    g = alpha * (1.0 + rho) * (1.0 - mu)
-    pi = (g - mu + 1.0) / (g + 1.0)
-    p1 = rho / (1.0 + rho)
-    p2 = g / (1.0 + g)
-    d = alpha * (mu - 1.0) * (rho + 1.0) + rho
-    w1 = (alpha * rho + alpha - rho) * (alpha * (mu - 1.0) * (rho + 1.0) - 1.0) / d
-    w2 = -(alpha * (rho + 1.0)
-           * (alpha * (mu - 1.0) * (rho + 1.0) - mu * (rho + 1.0) + rho)) / d
-    return pi, p1, p2, w1, w2
-
-
-def _hurdle_roots(name: str, mu: float, rho: float, alpha: float) -> tuple[float, float]:
-    """Closed-form denominator roots (s1, s2) with s2 = inf at degenerate points."""
-    if name == "rho-geo-bin":
-        s1 = (1.0 + mu) / (rho + mu)
-        s2 = (1.0 - rho * (1.0 - alpha)) / (rho * alpha) if rho * alpha > 0.0 else math.inf
-    elif name == "hurdle-geo-bin":
-        k = rho - mu * (1.0 + rho)
-        s1 = (1.0 + rho) / rho
-        s2 = (1.0 + alpha * k) / (alpha * k) if alpha * k > 0.0 else math.inf
-    elif name == "rho-geo-nb":
-        s1 = (1.0 + mu) / (rho + mu)
-        s2 = (1.0 - rho + alpha) / alpha if alpha > 0.0 else math.inf
-    else:  # hurdle-geo-nb
-        g = alpha * (1.0 + rho) * (1.0 - mu)
-        s1 = (1.0 + rho) / rho
-        s2 = (1.0 + g) / g if g > 0.0 else math.inf
-    return s1, s2
-
-
 def _domain_constraints(entry: _Entry, p: dict) -> list[Constraint]:
     name = entry.name
     if name == "ginar":
@@ -225,68 +173,64 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     return _validate(entry, _coerce_params(entry, params))[0]
 
 
-def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...],
-                                               RationalFunction | None, list[float] | None]:
-    """The constraint report of validate_params, with the innovation pgf and
-    its 400-term recursion table when the domain admits them (else None)."""
+def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec | None,
+                                               InnovationLaw | None, list[float] | None]:
+    """The constraint report of validate_params, with the model spec, its
+    innovation law and the law's 400-term recursion table when the domain
+    admits them (else None)."""
     # inf passes mu > 0 and nan fails later checks with a nan margin: name them first
     out = [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
            if not math.isfinite(v)] or _domain_constraints(entry, p)
     if not all(c.satisfied for c in out):
-        return tuple(out), None, None
+        return tuple(out), None, None, None
 
+    spec = _model_spec(entry, p)
+    law = _innovation_law(entry, spec, p)
     name = entry.name
     if name == "nginar":
         bound = p["mu"] / (1.0 + p["mu"])
         out.append(_constraint("alpha <= mu/(1+mu)", p["alpha"] <= bound + 1e-12,
                                bound - p["alpha"]))
     elif entry.marginal in (RhoGeometric, HurdleGeometric):
-        mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
+        mu, rho = p["mu"], p["rho"]
         if name == "hurdle-geo-bin":
             bound = rho / (1.0 + rho)
             out.append(_constraint("mu <= rho/(1+rho)", mu <= bound + 1e-12, bound - mu))
-        s1, s2 = _hurdle_roots(name, mu, rho, alpha)
+        # t1: the marginal's pole (s1 = 1 + t1 > 1 as a float); t2: its zero's preimage
+        z, t1 = spec.marginal.offsets()
+        t2 = spec.thinning.preimage(z)[0]
         out.append(_constraint("roots ordered s2 >= s1 > 1",
-                               s1 > 1.0 and s2 >= s1 - 1e-12,
-                               min(s1 - 1.0, s2 - s1)))
-        try:
-            _, _, _, w1, _ = _hurdle_params(name, mu, rho, alpha)
-            out.append(_constraint("dominant tail weight w1 >= 0", w1 >= -1e-12, w1))
-        except ZeroDivisionError:
-            out.append(_constraint("dominant tail weight w1 >= 0", False, -math.inf))
+                               1.0 + t1 > 1.0 and t2 >= t1 - 1e-12, min(t1, t2 - t1)))
+        try:  # the term of the smallest pole dominates the tail; no pole, no tail
+            rho1 = law.residues[0] if law.poles else 0.0
+        except GeominarError:
+            rho1 = -math.inf
+        out.append(_constraint("dominant tail weight w1 >= 0", rho1 >= -1e-12, rho1))
 
-    # the numeric check runs whenever the domain admits an innovation pgf,
+    # the numeric check runs whenever the domain admits an innovation law,
     # even if a closed-form condition above already failed: the recursion
     # needs no root geometry, so the report stays informative
-    rf = table = None
+    table = None
     try:
-        rf = _innovation_rf(entry, p)
-        table = pmf_recursive(rf, 400)
+        table = pmf_recursive(law.rf, 400)
         worst = min(table)
         out.append(_constraint("innovation pmf nonnegative (numeric)", worst >= -1e-12, worst))
     except GeominarError as exc:
         out.append(_constraint(f"innovation pmf nonnegative (numeric: {exc})", False,
                                -math.inf))
-    return tuple(out), rf, table
+    return tuple(out), spec, law, table
 
 
-def _innovation_rf(entry: _Entry, p: dict) -> RationalFunction:
-    spec = _model_spec(entry, p)
+def _innovation_law(entry: _Entry, spec: ModelSpec, p: dict) -> InnovationLaw:
     if spec.marginal is not None:
-        return innovation_pgf(spec)
-    # the radius is the root (1 + mu)/mu or (1 + r)/r, read from the
-    # parameters: at a subnormal mu or r the slope trims to zero in den
+        return innovation_law(spec)
+    # the iid entries give their Moebius law (1 - c t) / (1 - b t) as is, with c - b
     if entry.name == "zmg":
-        mu, k = p["mu"], p["k"]
-        num = Polynomial((1.0 + k * mu, -k * mu))
-        den = Polynomial((1.0 + mu, -mu))
-        radius = (1.0 + mu) / mu
-    else:
-        r, m = p["r"], p["m"]
-        num = Polynomial((1.0 + r - m, m - r))
-        den = Polynomial((1.0 + r, -r))
-        radius = (1.0 + r) / r
-    return RationalFunction(num, den, radius=radius, pgf=True)
+        c, b, diff = p["k"] * p["mu"], p["mu"], p["mu"] * (p["k"] - 1.0)
+    else:  # two-param
+        c, b, diff = p["r"] - p["m"], p["r"], -p["m"]
+    gap = offset_div(offset_div(diff, b), c)
+    return InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b), gap),))
 
 
 def _model_spec(entry: _Entry, p: dict) -> ModelSpec:
@@ -307,16 +251,20 @@ def closed_form_moments(name: str, **params: float) -> Moments:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    marginal = _model_spec(entry, p).marginal
+    return _moments(entry, _model_spec(entry, p), p)
+
+
+def _moments(entry: _Entry, spec: ModelSpec, p: dict) -> Moments:
+    marginal = spec.marginal
     if marginal is not None:
-        a = p["alpha"]
+        a = spec.thinning.alpha
         mm, mv = marginal.mean(), marginal.variance()
         im = (1.0 - a) * mm
-        if entry.thinning is BinomialThinning:
+        if isinstance(spec.thinning, BinomialThinning):
             iv = (1.0 - a) * ((1.0 + a) * mv - a * mm)
         else:
             iv = (1.0 + a) * ((1.0 - a) * mv - a * mm)
-    elif name == "zmg":
+    elif entry.name == "zmg":
         mu, k = p["mu"], p["k"]
         im = mm = (1.0 - k) * mu
         iv = mv = (1.0 - k) * mu * (1.0 + mu + k * mu)
@@ -342,7 +290,7 @@ def dispersion_class(m: Moments) -> DispersionClass:
 
 
 def build_model(name: str, **params: float) -> INARModel:
-    """Validate parameters, derive the innovation law by partial fractions,
+    """Validate parameters, derive the innovation law from its root offsets,
     and attach closed-form moments.
 
     Raises ValidityViolationError naming the first violated constraint and
@@ -350,20 +298,18 @@ def build_model(name: str, **params: float) -> INARModel:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    constraints, rf, table = _validate(entry, p)
+    constraints, spec, law, table = _validate(entry, p)
     for c in constraints:
         if not c.satisfied:
             raise ValidityViolationError(
                 f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
-    spec = _model_spec(entry, p)
-    innovation = pmf_from_decomposition(partial_fractions(rf))
+    innovation = pmf_from_decomposition(law.decomposition())
     _cross_check(table, innovation)
 
-    marg_rf = rf if spec.marginal is None else spec.marginal.pgf()
-    moments = closed_form_moments(name, **p)
-    return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), rf,
+    marg_rf = law.rf if spec.marginal is None else spec.marginal.pgf()
+    return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), law.rf,
                      innovation, decomposition_to_hurdle(innovation.decomposition),
-                     moments, constraints)
+                     _moments(entry, spec, p), constraints)
 
 
 def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> None:
@@ -372,7 +318,7 @@ def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> 
         if abs(innovation.pmf(m) - expected) > 1e-9:
             raise GeominarError(
                 f"innovation construction mismatch at m={m}: "
-                f"{innovation.pmf(m)!r} (partial fractions) vs {expected!r} (recursion)")
+                f"{innovation.pmf(m)!r} (root offsets) vs {expected!r} (recursion)")
 
 
 @dataclass(frozen=True)

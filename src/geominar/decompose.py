@@ -1,12 +1,12 @@
 """Partial-fraction machinery turning a rational innovation pgf into a pmf.
 
-partial_fractions, the route every catalog family takes, gives residues at
-the real denominator roots: point masses (from the polynomial quotient) plus
-signed geometric terms rho_i / s_i^(m+1). pmf_from_decomposition tabulates
-them and decomposition_to_hurdle reads them as a hurdle form (atom pi at
-zero, signed two-geometric mixture above). linear_closed_form,
-quadratic_closed_form (with hurdle_pmf) and the power-series recursion
-pmf_recursive stay as independent oracles for verify and the tests.
+A FractionalDecomposition is point masses plus signed geometric terms
+rho_i / s_i^(m+1), which every catalog family gets from pgf.InnovationLaw.
+pmf_from_decomposition tabulates them and decomposition_to_hurdle reads them
+as a hurdle form (atom pi at zero, signed two-geometric mixture above).
+partial_fractions (the terms from a RationalFunction's coefficients),
+linear_closed_form, quadratic_closed_form (with hurdle_pmf) and the series
+recursion pmf_recursive stay as independent oracles for verify and the tests.
 
 All weights may be negative individually; validity means the combined pmf is
 nonnegative, checked explicitly on the table and certified on the tail by a
@@ -145,14 +145,16 @@ class InnovationDistribution:
         return self.table_mass() + self.decomposition.remaining_mass(self.truncation)
 
     def mean(self) -> float:
-        """Exact series mean: atoms plus sum_i rho_i / (s_i - 1)^2."""
+        """Exact series mean: atoms plus sum_i rho_i / (s_i - 1)^2; dividing one
+        factor at a time, a far root underflows instead of overflowing."""
         atoms = sum(m * c for m, c in enumerate(self.decomposition.atom_poly.coeffs))
-        return atoms + sum(r / (s - 1.0) ** 2 for r, s in self.decomposition.terms)
+        return atoms + sum(r / (s - 1.0) / (s - 1.0) for r, s in self.decomposition.terms)
 
     def variance(self) -> float:
         """Exact series variance via E[X^2] = atoms + sum rho_i (s_i+1)/(s_i-1)^3."""
         atoms = sum(m * m * c for m, c in enumerate(self.decomposition.atom_poly.coeffs))
-        m2 = atoms + sum(r * (s + 1.0) / (s - 1.0) ** 3 for r, s in self.decomposition.terms)
+        m2 = atoms + sum(r / (s - 1.0) * (s + 1.0) / (s - 1.0) / (s - 1.0)
+                         for r, s in self.decomposition.terms)
         mu = self.mean()
         return m2 - mu * mu
 
@@ -261,18 +263,18 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
 
     Entries below -1e-12 raise NegativeProbabilityError (invalid model
     parameters); dust in [-1e-12, 0) is clamped to zero. The truncation index
-    is the smallest m with cumulative mass >= target_mass, never less than
-    the atom support, and the tail is certified nonnegative by dominance of
-    the smallest-root term.
+    is the smallest m at which the table's mass reaches target_mass or the
+    exact mass beyond m is at most 1 - target_mass, never less than the atom
+    support, and the tail is certified nonnegative by dominance of the
+    smallest-root term.
     """
     if not 0.0 < target_mass < 1.0:
         raise ConstraintViolationError(f"target_mass must be in (0,1), got {target_mass!r}")
     terms = dec.terms
-    if terms:
-        rho_min, s_min = terms[0]
-        if rho_min < -CLAMP_TOL:
-            raise NegativeProbabilityError(
-                f"smallest-root residue rho={rho_min!r} < 0: tail is eventually negative")
+    tail_rho, tail_s = terms[0] if terms else (0.0, math.inf)
+    if tail_rho < -CLAMP_TOL:
+        raise NegativeProbabilityError(
+            f"smallest-root residue rho={tail_rho!r} < 0: tail is eventually negative")
     table = []
     cum = 0.0
     m = 0
@@ -285,17 +287,15 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
         table.append(v)
         cum += v
         if m >= dec.atom_poly.degree:
+            # cum stops growing once the entries fall below half its ulp,
+            # so the exact remaining mass stands in for it from there on
             remaining = dec.remaining_mass(m)
-            if cum >= target_mass or abs(remaining) < 1e-15:
+            if cum >= target_mass or abs(remaining) <= 1.0 - target_mass:
                 if _tail_certified(terms, m):
                     break
         m += 1
         if m > cap:
             raise GeominarError("pmf truncation did not converge within 1e6 entries")
-    if terms:
-        tail_rho, tail_s = terms[0]
-    else:
-        tail_rho, tail_s = 0.0, math.inf
     return InnovationDistribution(dec, m, tuple(table), tail_rho, tail_s)
 
 

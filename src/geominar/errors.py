@@ -48,9 +48,5 @@ class NegativeProbabilityError(GeominarError, ValueError):
     """A derived probability mass is negative beyond tolerance."""
 
 
-class DegenerateModelError(GeominarError, ValueError):
-    """The innovation law collapsed to a point mass despite active thinning."""
-
-
 class NoGeometricTermsError(GeominarError, ValueError):
     """The decomposition has no geometric terms, so there is no tail to approximate."""

@@ -2,35 +2,49 @@
 
 The stationary law of an INAR(1) process X_t = a (.) X_{t-1} + e_t ties three
 pgfs together: phi_X(s) = phi_X(phi_N(s)) * phi_e(s), where phi_N is the pgf
-of the thinning counting series. Given a rational marginal pgf and an affine
-or Moebius counting pgf, the innovation pgf is the rational quotient
-phi_X(s) / phi_X(phi_N(s)); this module builds all three as RationalFunction
-values.
+of the thinning counting series. The marginals are Moebius maps, so the
+innovation pgf phi_X / phi_X(phi_N) is fixed by a few roots: InnovationLaw
+carries them as offsets t = s - 1 computed from the parameters.
 
-Each marginal family is one dataclass holding its closed forms: pgf(),
-mean(), variance(), pmf(k), and geometric_form() = (atom, body, shift,
-ratio), which says that the law is an atom at zero plus, with probability
-body = 1 - atom, shift plus a geometric on {0,1,...} with failure ratio
-ratio. The sampler inverts that form.
+Each marginal family is one dataclass holding its closed forms: mobius()
+(the coefficients a, b, c, d of (a s + b) / (c s + d)), mean(), variance(),
+pmf(k), and geometric_form() = (atom, body, shift, ratio), which says that
+the law is an atom at zero plus, with probability body = 1 - atom, shift
+plus a geometric on {0,1,...} with failure ratio ratio. The sampler inverts
+that form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import DegenerateModelError, DomainViolationError, InvalidParameterError
-from .polyrat import (
-    Polynomial,
-    RationalFunction,
-    cancel,
-    compose_mobius,
-    min_denominator_root_magnitude,
-)
+from .decompose import FractionalDecomposition
+from .errors import GeominarError, InvalidParameterError, RepeatedRootsError
+from .polyrat import DISTINCT_TOL, Polynomial, RationalFunction
+
+
+def offset_div(x: float, y: float) -> float:
+    """x / y, with an infinite offset for y == 0 (a root at infinity)."""
+    return x / y if y != 0.0 else math.inf
+
+
+class _Moebius:
+    """A marginal pgf (a s + b) / (c s + d) with a + b = c + d, read from mobius()."""
+
+    def pgf(self) -> RationalFunction:
+        a, b, c, d = self.mobius()
+        return RationalFunction(Polynomial((b, a)), Polynomial((d, c)), radius=-d / c, pgf=True)
+
+    def offsets(self) -> tuple[float, float]:
+        """The zero and the pole as offsets t = s - 1: -S/a and -S/c with S = a + b."""
+        a, b, c, _ = self.mobius()
+        return offset_div(-(a + b), a), offset_div(-(a + b), c)
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Moebius):
     """Geometric marginal on {0,1,...}: Pr[X=m] = (1-theta)^m * theta."""
 
     theta: float
@@ -39,10 +53,8 @@ class Geometric:
         if not 0.0 < self.theta < 1.0:
             raise InvalidParameterError(f"Geometric requires theta in (0,1), got {self.theta!r}")
 
-    def pgf(self) -> RationalFunction:
-        q = 1.0 - self.theta
-        return RationalFunction(Polynomial((self.theta,)), Polynomial((1.0, -q)),
-                                radius=1.0 / q, pgf=True)
+    def mobius(self) -> tuple[float, float, float, float]:
+        return 0.0, self.theta, -(1.0 - self.theta), 1.0
 
     def mean(self) -> float:
         return (1.0 - self.theta) / self.theta
@@ -61,7 +73,7 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class GeometricMean:
+class GeometricMean(_Moebius):
     """Geometric marginal parameterized by its mean mu: Pr[X=m] = (mu/(1+mu))^m / (1+mu)."""
 
     mu: float
@@ -70,9 +82,8 @@ class GeometricMean:
         if not self.mu > 0.0:
             raise InvalidParameterError(f"GeometricMean requires mu > 0, got {self.mu!r}")
 
-    def pgf(self) -> RationalFunction:
-        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + self.mu, -self.mu)),
-                                radius=(1.0 + self.mu) / self.mu, pgf=True)
+    def mobius(self) -> tuple[float, float, float, float]:
+        return 0.0, 1.0, -self.mu, 1.0 + self.mu
 
     def mean(self) -> float:
         return self.mu
@@ -91,7 +102,7 @@ class GeometricMean:
 
 
 @dataclass(frozen=True)
-class RhoGeometric:
+class RhoGeometric(_Moebius):
     """Zero-inflated (rho-)geometric marginal with mean mu/(1-rho).
 
     Pr[X=m] = rho/(mu+rho) at 0 plus the complementary geometric component
@@ -107,11 +118,8 @@ class RhoGeometric:
         if not 0.0 <= self.rho < 1.0:
             raise InvalidParameterError(f"RhoGeometric requires rho in [0,1), got {self.rho!r}")
 
-    def pgf(self) -> RationalFunction:
-        num = Polynomial((1.0, -self.rho))
-        den = Polynomial((1.0 + self.mu, -(self.rho + self.mu)))
-        return RationalFunction(num, den, radius=(1.0 + self.mu) / (self.rho + self.mu),
-                                pgf=True)
+    def mobius(self) -> tuple[float, float, float, float]:
+        return -self.rho, 1.0, -(self.rho + self.mu), 1.0 + self.mu
 
     def mean(self) -> float:
         return self.mu / (1.0 - self.rho)
@@ -133,7 +141,7 @@ class RhoGeometric:
 
 
 @dataclass(frozen=True)
-class HurdleGeometric:
+class HurdleGeometric(_Moebius):
     """Hurdle geometric marginal: 1-mu at zero, shifted geometric above.
 
     Pr[X=0] = 1-mu and Pr[X=m] = mu * (rho/(1+rho))^(m-1) / (1+rho) for m >= 1.
@@ -148,11 +156,9 @@ class HurdleGeometric:
         if not 0.0 < self.rho < 1.0:
             raise InvalidParameterError(f"HurdleGeometric requires rho in (0,1), got {self.rho!r}")
 
-    def pgf(self) -> RationalFunction:
+    def mobius(self) -> tuple[float, float, float, float]:
         k = self.mu + self.mu * self.rho - self.rho
-        num = Polynomial((1.0 - k, k))
-        den = Polynomial((1.0 + self.rho, -self.rho))
-        return RationalFunction(num, den, radius=(1.0 + self.rho) / self.rho, pgf=True)
+        return k, 1.0 - k, -self.rho, 1.0 + self.rho
 
     def mean(self) -> float:
         return self.mu * (1.0 + self.rho)
@@ -176,9 +182,7 @@ MarginalSpec = Union[Geometric, GeometricMean, RhoGeometric, HurdleGeometric]
 
 
 @dataclass(frozen=True)
-class BinomialThinning:
-    """Binomial thinning: counting series of iid Bernoulli(alpha) variables."""
-
+class _Thinning:
     alpha: float
 
     def __post_init__(self):
@@ -187,14 +191,35 @@ class BinomialThinning:
 
 
 @dataclass(frozen=True)
-class NegativeBinomialThinning:
-    """Negative binomial thinning: counting series of iid geometrics with mean alpha."""
+class BinomialThinning(_Thinning):
+    """Binomial thinning: counting series of iid Bernoulli(alpha) variables.
 
-    alpha: float
+    phi_N(s) = 1 - alpha + alpha s moves an offset t to alpha t.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidParameterError(f"thinning requires alpha in [0,1), got {self.alpha!r}")
+    def preimage(self, u: float) -> tuple[float, float]:
+        """The offset t with phi_N(1 + t) = 1 + u, u / alpha, and t - u formed
+        as u (1 - alpha) / alpha."""
+        return offset_div(u, self.alpha), offset_div(u * (1.0 - self.alpha), self.alpha)
+
+
+@dataclass(frozen=True)
+class NegativeBinomialThinning(_Thinning):
+    """Negative binomial thinning: counting series of iid geometrics with mean alpha.
+
+    phi_N(s) = 1 / (1 + alpha - alpha s) moves an offset t to alpha t / (1 - alpha t).
+    """
+
+    def preimage(self, u: float) -> tuple[float, float]:
+        """The offset t with phi_N(1 + t) = 1 + u, u / (alpha (1 + u)) (1 / alpha for u = inf),
+        and t - u as u d / (alpha (1 + u)), d = (1 - alpha) - alpha u, set to 0 where it
+        cancels to within DISTINCT_TOL of its terms: there u is its own preimage."""
+        a = self.alpha
+        if math.isinf(u):
+            return offset_div(1.0, a), math.inf
+        w, d = offset_div(u, 1.0 + u), (1.0 - a) - a * u
+        d = 0.0 if abs(d) <= DISTINCT_TOL * max(1.0 - a, abs(a * u)) else d
+        return offset_div(w, a), offset_div(w * d, a)
 
 
 ThinningOperator = Union[BinomialThinning, NegativeBinomialThinning]
@@ -217,38 +242,106 @@ def counting_pgf(t: ThinningOperator) -> RationalFunction:
         return RationalFunction(Polynomial((1.0 - a, a)), Polynomial((1.0,)),
                                 radius=math.inf, pgf=True)
     if isinstance(t, NegativeBinomialThinning):
-        if a == 0.0:
-            return RationalFunction(Polynomial((1.0,)), Polynomial((1.0,)),
-                                    radius=math.inf, pgf=True)
         return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + a, -a)),
-                                radius=(1.0 + a) / a, pgf=True)
+                                radius=offset_div(1.0 + a, a), pgf=True)
     raise InvalidParameterError(f"unknown thinning kind {type(t).__name__}")
 
 
-def innovation_pgf(spec: ModelSpec) -> RationalFunction:
-    """Innovation pgf phi_e = phi_X / phi_X(phi_N) as a cancelled rational.
+def _gain(factors) -> float:
+    """prod(-poles) / prod(-zeros) over the finite offsets: phi_e's leading ratio."""
+    return math.prod(-p if math.isinf(z) else -1.0 / z if math.isinf(p) else p / z
+                     for z, p, _ in factors)
 
-    The validity radius of the result is the smallest denominator root
-    magnitude; evaluation beyond it raises rather than extrapolates.
+
+@dataclass(frozen=True)
+class InnovationLaw:
+    """An innovation pgf held as root offsets t = s - 1 from the unit root.
+
+    phi_e = prod (1 - t/zero) / (1 - t/pole) over (zero, pole, gap) triples,
+    gap = pole - zero formed from the parameters (a pole next to its own zero
+    keeps its relative accuracy). Left out as 1: a factor with both offsets
+    infinite, or with gap 0, which the thinning's preimage gives where the
+    pair agrees. The farthest pole is dropped when ulp(gain) * pole >
+    max(1, 1/zero): pmf(0) would lose more to the atoms' rounding than that
+    pole changes the pmf by.
+    """
+
+    factors: tuple[tuple[float, float, float], ...]
+
+    def __post_init__(self):
+        def live(factors):  # the factors that are not 1
+            return tuple((z, p, g) for z, p, g in factors
+                         if not (math.isinf(z) and math.isinf(p) or g == 0.0))
+
+        kept = live(self.factors)
+        zeros = [abs(z) for z, _, _ in kept if math.isfinite(z)]
+        poles = [abs(p) for _, p, _ in kept if math.isfinite(p)]
+        gain = abs(_gain(kept))
+        if (0 < len(poles) == len(zeros) and gain > 1.0
+                and math.ulp(gain) * max(poles) > max(1.0, 1.0 / min(zeros))):
+            kept = live((z, math.inf if abs(p) == max(poles) else p, g) for z, p, g in kept)
+        object.__setattr__(self, "factors", kept)
+
+    @functools.cached_property
+    def poles(self) -> tuple[float, ...]:
+        """The finite pole offsets, ascending."""
+        return tuple(sorted(p for _, p, _ in self.factors if math.isfinite(p)))
+
+    @functools.cached_property
+    def residues(self) -> tuple[float, ...]:
+        """rho_j of each pole's term rho_j / (s_j - s): -gain prod_i (pole_j - zero_i) /
+        prod_{k != j} (pole_j - pole_k), as its own factor's residue times the others there."""
+        for a, b in zip(self.poles, self.poles[1:]):
+            if b - a <= DISTINCT_TOL * max(1.0, abs(1.0 + a)):
+                raise RepeatedRootsError(
+                    f"innovation poles s = {1.0 + a!r} and {1.0 + b!r} are not distinct")
+        rho = {}
+        for j, (zj, pj, gj) in enumerate(self.factors):
+            if math.isfinite(pj):  # the others' values first: the own residue can overflow
+                r = math.prod((1.0 - pj / z) / (1.0 - pj / p)
+                              for k, (z, p, _) in enumerate(self.factors) if k != j)
+                rho[pj] = r * gj * (-pj / zj) if math.isfinite(zj) else r * pj
+        return tuple(rho[p] for p in self.poles)
+
+    def decomposition(self) -> FractionalDecomposition:
+        """A term (rho_j, s_j = 1 + pole_j) per pole; atoms 0, the gain, or, with one
+        zero more than poles, gain s plus the constant that makes the mass one."""
+        terms = tuple((r, 1.0 + p) for r, p in zip(self.residues, self.poles))
+        excess = sum(math.isfinite(z) for z, _, _ in self.factors) - len(self.poles)
+        if excess > 1:
+            raise GeominarError(f"innovation pgf has {excess} more zeros than poles")
+        if excess < 0:
+            return FractionalDecomposition(Polynomial((0.0,)), terms)
+        gain = _gain(self.factors)
+        const = 1.0 - sum(r / p for r, p in zip(self.residues, self.poles)) - gain
+        return FractionalDecomposition(Polynomial((const, gain) if excess else (gain,)), terms)
+
+    @functools.cached_property
+    def rf(self) -> RationalFunction:
+        """The factors multiplied out, for the series recursion, which reads
+        coefficients, not roots; an infinite offset gives the factor 1."""
+        num = den = Polynomial((1.0,))
+        for z, p, _ in self.factors:
+            num *= Polynomial((1.0 + 1.0 / z, -1.0 / z))
+            den *= Polynomial((1.0 + 1.0 / p, -1.0 / p))
+        return RationalFunction(num, den, radius=min((abs(1.0 + p) for p in self.poles),
+                                                     default=math.inf))
+
+
+def innovation_law(spec: ModelSpec) -> InnovationLaw:
+    """phi_e = phi_X / phi_X(phi_N) from the marginal's zero z and pole p.
+
+    phi_e = (s - z)(phi_N(s) - p) / ((s - p)(phi_N(s) - z)): one factor with
+    zero z and pole preimage(z), one with zero preimage(p) and pole p.
     """
     if spec.marginal is None:
-        raise InvalidParameterError("innovation_pgf needs a marginal; "
-                                    "pure-innovation models supply their pgf directly")
-    phi_x = spec.marginal.pgf()
-    phi_n = counting_pgf(spec.thinning)
-    composed = compose_mobius(phi_x, phi_n)
-    quotient = RationalFunction(phi_x.num * composed.den, phi_x.den * composed.num,
-                                radius=math.inf, pgf=True)
-    rf = cancel(quotient)
-    radius = min_denominator_root_magnitude(rf.den)
-    rf = RationalFunction(rf.num, rf.den, radius=radius, pgf=True)
-    for i in range(33):
-        if rf.den(i / 32.0) <= 0.0:
-            raise DomainViolationError("innovation denominator vanishes on [0, 1]")
-    if rf.is_constant():
-        if spec.thinning.alpha > 0.0:
-            raise DegenerateModelError("innovation collapsed to a point mass at zero "
-                                       "while alpha > 0")
-    if rf.num(0.0) >= 1.0 and rf.num.degree + rf.den.degree > 0:
-        raise DegenerateModelError(f"innovation pgf at 0 is {rf.num(0.0)!r} >= 1")
-    return rf
+        raise InvalidParameterError("innovation_law needs a marginal; "
+                                    "pure-innovation models supply their offsets directly")
+    z, p = spec.marginal.offsets()
+    (tz, gz), (tp, gp) = spec.thinning.preimage(z), spec.thinning.preimage(p)
+    return InnovationLaw(((z, tz, gz), (tp, p, -gp)))
+
+
+def innovation_pgf(spec: ModelSpec) -> RationalFunction:
+    """phi_e = phi_X / phi_X(phi_N) multiplied out from its root offsets (the law's rf)."""
+    return innovation_law(spec).rf

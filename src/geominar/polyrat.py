@@ -4,7 +4,9 @@ Everything is plain double precision. Every catalog model pairs a Moebius
 (degree 1/1) marginal pgf with a counting pgf of degree at most one, so the
 polynomials whose roots are needed never exceed degree two: dense ascending
 coefficient vectors plus the linear and quadratic closed forms are adequate
-and easy to audit. Root finding above degree two raises.
+and easy to audit. Root finding above degree two raises. The catalog reads
+its roots off the parameters (pgf.InnovationLaw), so compose_mobius, cancel
+and the root finding serve only as test references.
 """
 from __future__ import annotations
 
@@ -118,19 +120,6 @@ def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomia
     return Polynomial(tuple(q)), rem
 
 
-def deflate(p: Polynomial, root: float) -> Polynomial:
-    """Synthetic division of p by (s - root), discarding the remainder."""
-    cs = p.coeffs
-    if len(cs) == 1:
-        return p
-    q = [0.0] * (len(cs) - 1)
-    acc = cs[-1]
-    for k in range(len(cs) - 2, -1, -1):
-        q[k] = acc
-        acc = cs[k] + acc * root
-    return Polynomial(tuple(q))
-
-
 def _quadratic_roots(c0: float, c1: float, c2: float, tol: float):
     """Stable quadratic formula; returns the ascending roots or raises."""
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -157,16 +146,6 @@ def _closed_form_roots(p: Polynomial, tol: float) -> list[float]:
     if p.degree == 1:
         return [-p.coeffs[0] / p.coeffs[1]]
     return _quadratic_roots(*p.coeffs, tol=tol)
-
-
-def real_roots_best_effort(p: Polynomial) -> list[float]:
-    """All real roots of p (degree <= 2); a complex pair gives none."""
-    if p.degree <= 0:
-        return []
-    try:
-        return _closed_form_roots(p, 1e-12)
-    except ComplexRootsError:
-        return []
 
 
 def real_distinct_roots(p: Polynomial) -> tuple[float, ...]:
@@ -230,9 +209,6 @@ class RationalFunction:
             )
         return self.num(s) / self.den(s)
 
-    def is_constant(self) -> bool:
-        return self.num.degree == 0 and self.den.degree == 0
-
 
 def cancel(rf: RationalFunction) -> RationalFunction:
     """Remove common real roots of numerator and denominator within DISTINCT_TOL.
@@ -242,20 +218,17 @@ def cancel(rf: RationalFunction) -> RationalFunction:
     """
     num, den = rf.num, rf.den
     while num.degree > 0 and den.degree > 0:
-        nroots = real_roots_best_effort(num)
-        droots = real_roots_best_effort(den)
-        matched = None
-        for rd in droots:
-            for rn in nroots:
-                if abs(rn - rd) <= DISTINCT_TOL * max(1.0, abs(rd)):
-                    matched = (rn, rd)
-                    break
-            if matched:
-                break
-        if matched is None:
+        try:
+            shared = [(rn, rd) for rd in _closed_form_roots(den, 1e-12)
+                      for rn in _closed_form_roots(num, 1e-12)
+                      if abs(rn - rd) <= DISTINCT_TOL * max(1.0, abs(rd))]
+        except ComplexRootsError:  # a complex pair shares no real root
             break
-        num = deflate(num, matched[0])
-        den = deflate(den, matched[1])
+        if not shared:
+            break
+        rn, rd = shared[0]
+        num = poly_divmod(num, Polynomial((-rn, 1.0)))[0]
+        den = poly_divmod(den, Polynomial((-rd, 1.0)))[0]
     return RationalFunction(num, den, radius=rf.radius, pgf=rf.pgf)
 
 
@@ -294,13 +267,3 @@ def compose_mobius(rf: RationalFunction, m: RationalFunction) -> RationalFunctio
                            radius=math.inf, pgf=rf.pgf and preserves_one)
     return cancel(out)
 
-
-def min_denominator_root_magnitude(den: Polynomial) -> float:
-    """Smallest root magnitude of den, used as a pgf validity radius."""
-    if den.degree == 0:
-        return math.inf
-    roots = real_roots_best_effort(den)
-    if len(roots) == den.degree:
-        return min(abs(r) for r in roots)
-    # complex pair: |root|^2 equals the coefficient ratio c0/c2
-    return math.sqrt(abs(den.coeffs[0] / den.coeffs[2]))

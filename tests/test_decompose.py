@@ -292,13 +292,29 @@ class TestHurdlePmf:
         assert [hurdle_pmf(h, m) for m in range(3)] == [0.75, 0.25, 0.0]
 
     def test_view_of_an_atom_at_one_beside_a_term(self):
-        # at alpha = 1e-13 the denominator trims to degree one: one term plus
-        # the atoms (5.0e-4, -1e-13), whose mass at one the view must keep.
-        # pi = 1 - (mass above zero) also takes up the decomposition's own
-        # mass defect, so m = 0 is exact only to that
+        # rho-geo-bin mu=1000 rho=0.5 alpha=1e-13 multiplied out: the
+        # denominator trims to degree one, so partial fractions give one term
+        # plus the atoms (5.0e-4, -1e-13), whose mass at one the view must
+        # keep. pi = 1 - (mass above zero) also takes up the decomposition's
+        # own mass defect, so m = 0 is exact only to that
+        dec = partial_fractions(rf((0.0009990009992009764, -0.0004995004998003883,
+                                    9.995004995003376e-14), (1.0, -0.9995004995004995)))
+        assert len(dec.terms) == 1 and dec.atom_poly.coeff(1) == pytest.approx(-1e-13)
+        h = decomposition_to_hurdle(dec)
+        defect = abs(dec.total_mass() - 1.0)
+        assert defect < 1e-13
+        assert hurdle_pmf(h, 0) == pytest.approx(dec.pmf(0), rel=0, abs=defect + 1e-15)
+        for m in range(1, 201):
+            assert hurdle_pmf(h, m) == pytest.approx(dec.pmf(m), rel=0, abs=1e-15), m
+
+    def test_far_root_is_carried_as_a_term(self):
+        # from root offsets the same point keeps its root at s = 1 + 1e13 as a
+        # second term, so no atom at one is left, and the view still equals
+        # the decomposition, at m = 0 up to its mass defect
         dec = build_model("rho-geo-bin", mu=1000.0, rho=0.5, alpha=1e-13) \
             .innovation.decomposition
-        assert len(dec.terms) == 1 and dec.atom_poly.coeff(1) == pytest.approx(-1e-13)
+        assert len(dec.terms) == 2 and dec.terms[1][1] == pytest.approx(1e13)
+        assert dec.atom_poly.degree == 0
         h = decomposition_to_hurdle(dec)
         defect = abs(dec.total_mass() - 1.0)
         assert defect < 1e-13

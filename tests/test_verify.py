@@ -207,6 +207,20 @@ class TestMoments:
         # Bernoulli(0.5): (X - mu)^2 is constant, so the fourth-moment error
         # of the variance is 0 and only the sample mean's error is left
         ["two-param", "--r", "5e-324", "--m", "0.5", "--n", "1000"],
+        # rho and alpha near 1: the smallest root is s = 1 + 2.3e-5 (and
+        # 1 + 2.0e-4), whose residue was off by up to 3e-6 relative when
+        # read from float coefficients, which moved the series moments
+        ["rho-geo-nb", "--mu", "685.5224468570946", "--rho", "0.9843326817031911",
+         "--alpha", "0.9996767119104794", "--n", "100000", "--seed", "1"],
+        ["rho-geo-nb", "--mu", "615.1743779895594", "--rho", "0.8760228030573478",
+         "--alpha", "0.9996953528469408", "--n", "100000", "--seed", "1"],
+        # the pole at s = 1 + 1e20 is a term, not trimmed: pmf(1) = 5e-21, so
+        # the table's law is the closed form's and its variance is not 0
+        ["zmg", "--mu", "1e-20", "--k", "0.5", "--n", "1000"],
+        # alpha 1e-12 below 1: the zero p/alpha lies 1e-15 from the pole p =
+        # 1e-3, yet the pair is the whole innovation law (variance 2e-6), so
+        # only a zero gap from the thinning's preimage may cancel a pair
+        ["ginar", "--theta", "1e-3", "--alpha", "0.999999999999", "--n", "20000"],
     ])
     def test_gates_hold_at_degenerate_valid_points(self, argv, capsys):
         assert main(["verify", *argv]) == 0
