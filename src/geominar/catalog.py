@@ -20,8 +20,9 @@ zmg is the zero-modified geometric innovation law (atom k at zero, weight
 1 - m(1-s)/(1+r(1-s)). Both behave as iid models (alpha = 0) whose marginal
 equals the innovation law.
 
-The thinned families build their pgf.InnovationLaw from the marginal and
-the thinning; the iid entries give the root offsets of their pgf directly.
+Families are rows of _ENTRIES, not name tests: a thinned row names its
+marginal and thinning (which declare their bounds and give the InnovationLaw)
+and its closed-form checks; an iid row declares bounds, factor and moments.
 
 The innovation moments of a thinned family follow from its marginal's by
 the stationarity identity phi_X(s) = phi_X(phi_N(s)) phi_e(s) at s = 1
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .decompose import (
     HurdleForm,
@@ -53,9 +54,9 @@ from .pgf import (
     ModelSpec,
     NegativeBinomialThinning,
     RhoGeometric,
-    offset_div,
-    counting_pgf,
     innovation_law,
+    interval,
+    offset_div,
 )
 from .polyrat import RationalFunction
 
@@ -112,53 +113,16 @@ class INARModel:
         return self.spec.marginal.pmf(k)
 
 
-def _cap(x: float) -> float:
-    return max(min(x, _MARGIN_CAP), -_MARGIN_CAP)
-
-
 def _constraint(name: str, satisfied: bool, margin: float) -> Constraint:
-    return Constraint(name, bool(satisfied), _cap(margin))
+    return Constraint(name, bool(satisfied), max(min(margin, _MARGIN_CAP), -_MARGIN_CAP))
 
 
-def _open01(label: str, v: float) -> Constraint:
-    return _constraint(f"{label} in (0,1)", 0.0 < v < 1.0, min(v, 1.0 - v))
-
-
-def _alpha_dom(a: float) -> Constraint:
-    return _constraint("alpha in [0,1)", 0.0 <= a < 1.0, min(a, 1.0 - a) if a > 0 else 1.0 - a)
-
-
-def _domain_constraints(entry: _Entry, p: dict) -> list[Constraint]:
-    name = entry.name
-    if name == "ginar":
-        return [_open01("theta", p["theta"]), _alpha_dom(p["alpha"])]
-    if name == "nginar":
-        return [_constraint("mu > 0", p["mu"] > 0.0, p["mu"]), _alpha_dom(p["alpha"])]
-    if name == "zmg":
-        mu, k = p["mu"], p["k"]
-        out = [_constraint("mu > 0", mu > 0.0, mu)]
-        if mu > 0.0:
-            out.append(_constraint("k >= -1/mu", k + 1.0 / mu >= -1e-12, k + 1.0 / mu))
-        out.append(_constraint("k < 1", k < 1.0, 1.0 - k))
-        return out
-    if name == "two-param":
-        r, m = p["r"], p["m"]
-        return [
-            _constraint("r > 0", r > 0.0, r),
-            _constraint("m > 0", m > 0.0, m),
-            _constraint("m <= 1 + r", m <= 1.0 + r + 1e-12, 1.0 + r - m),
-        ]
-    mu, rho, alpha = p["mu"], p["rho"], p["alpha"]
-    out = []
-    if entry.marginal is RhoGeometric:
-        out.append(_constraint("mu > 0", mu > 0.0, mu))
-        out.append(_constraint("rho in [0,1)", 0.0 <= rho < 1.0,
-                               min(rho, 1.0 - rho) if rho > 0 else 1.0 - rho))
-    else:
-        out.append(_open01("mu", mu))
-        out.append(_open01("rho", rho))
-    out.append(_alpha_dom(alpha))
-    return out
+def _refuse(name: str, constraints) -> None:
+    """Raise ValidityViolationError naming the first violated constraint and its margin."""
+    for c in constraints:
+        if not c.satisfied:
+            raise ValidityViolationError(
+                f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
 
 
 def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
@@ -178,34 +142,18 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
     """The constraint report of validate_params, with the model spec, its
     innovation law and the law's 400-term recursion table when the domain
     admits them (else None)."""
-    # inf passes mu > 0 and nan fails later checks with a nan margin: name them first
-    out = [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
-           if not math.isfinite(v)] or _domain_constraints(entry, p)
+    out = entry.domain(p)
     if not all(c.satisfied for c in out):
         return tuple(out), None, None, None
 
-    spec = _model_spec(entry, p)
-    law = _innovation_law(entry, spec, p)
-    name = entry.name
-    if name == "nginar":
-        bound = p["mu"] / (1.0 + p["mu"])
-        out.append(_constraint("alpha <= mu/(1+mu)", p["alpha"] <= bound + 1e-12,
-                               bound - p["alpha"]))
-    elif entry.marginal in (RhoGeometric, HurdleGeometric):
-        mu, rho = p["mu"], p["rho"]
-        if name == "hurdle-geo-bin":
-            bound = rho / (1.0 + rho)
-            out.append(_constraint("mu <= rho/(1+rho)", mu <= bound + 1e-12, bound - mu))
-        # t1: the marginal's pole (s1 = 1 + t1 > 1 as a float); t2: its zero's preimage
-        z, t1 = spec.marginal.offsets()
-        t2 = spec.thinning.preimage(z)[0]
-        out.append(_constraint("roots ordered s2 >= s1 > 1",
-                               1.0 + t1 > 1.0 and t2 >= t1 - 1e-12, min(t1, t2 - t1)))
-        try:  # the term of the smallest pole dominates the tail; no pole, no tail
-            rho1 = law.residues[0] if law.poles else 0.0
-        except GeominarError:
-            rho1 = -math.inf
-        out.append(_constraint("dominant tail weight w1 >= 0", rho1 >= -1e-12, rho1))
+    spec = entry.spec(p)
+    if spec.marginal is not None:
+        law = innovation_law(spec)
+    else:  # the iid entries give their Moebius law (1 - c t) / (1 - b t) as is, with c - b
+        c, b, diff = entry.factor(**p)
+        law = InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b),
+                              offset_div(offset_div(diff, b), c)),))
+    out += [_constraint(*c) for check in entry.checks for c in check(p, spec, law)]
 
     # the numeric check runs whenever the domain admits an innovation law,
     # even if a closed-form condition above already failed: the recursion
@@ -221,57 +169,25 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
     return tuple(out), spec, law, table
 
 
-def _innovation_law(entry: _Entry, spec: ModelSpec, p: dict) -> InnovationLaw:
-    if spec.marginal is not None:
-        return innovation_law(spec)
-    # the iid entries give their Moebius law (1 - c t) / (1 - b t) as is, with c - b
-    if entry.name == "zmg":
-        c, b, diff = p["k"] * p["mu"], p["mu"], p["mu"] * (p["k"] - 1.0)
-    else:  # two-param
-        c, b, diff = p["r"] - p["m"], p["r"], -p["m"]
-    gap = offset_div(offset_div(diff, b), c)
-    return InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b), gap),))
-
-
-def _model_spec(entry: _Entry, p: dict) -> ModelSpec:
-    # the marginal takes the parameters named like its fields; innovation-only
-    # entries have none and behave as iid models with alpha = 0
-    marginal = (None if entry.marginal is None else
-                entry.marginal(**{f.name: p[f.name] for f in fields(entry.marginal)}))
-    return ModelSpec(marginal, entry.thinning(p.get("alpha", 0.0)))
-
-
 def closed_form_moments(name: str, **params: float) -> Moments:
     """All six moment fields from closed forms (no table summation).
 
-    With E, V the marginal's mean and variance, X = a (.) X' + e gives
-    E[e] = (1 - a) E and Var(e) = (1 - a)((1 + a) V - a E) for binomial
-    thinning, (1 + a)((1 - a) V - a E) for negative binomial thinning, whose
-    counting variable has variance a (1 + a).
+    With E the marginal's mean, X = a (.) X' + e gives E[e] = (1 - a) E; the
+    thinning's innovation_variance gives Var(e). Parameters outside the
+    declared domain raise ValidityViolationError naming the bound.
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    return _moments(entry, _model_spec(entry, p), p)
+    _refuse(name, entry.domain(p))
+    return _moments(entry, entry.spec(p), p)
 
 
 def _moments(entry: _Entry, spec: ModelSpec, p: dict) -> Moments:
-    marginal = spec.marginal
-    if marginal is not None:
-        a = spec.thinning.alpha
-        mm, mv = marginal.mean(), marginal.variance()
-        im = (1.0 - a) * mm
-        if isinstance(spec.thinning, BinomialThinning):
-            iv = (1.0 - a) * ((1.0 + a) * mv - a * mm)
-        else:
-            iv = (1.0 + a) * ((1.0 - a) * mv - a * mm)
-    elif entry.name == "zmg":
-        mu, k = p["mu"], p["k"]
-        im = mm = (1.0 - k) * mu
-        iv = mv = (1.0 - k) * mu * (1.0 + mu + k * mu)
-    else:  # two-param
-        r, m = p["r"], p["m"]
-        im = mm = m
-        iv = mv = m * (1.0 + 2.0 * r - m)
+    if spec.marginal is None:  # the marginal is the innovation law
+        im, iv = mm, mv = entry.moments(**p)
+    else:
+        mm, mv = spec.marginal.mean(), spec.marginal.variance()
+        im, iv = (1.0 - spec.thinning.alpha) * mm, spec.thinning.innovation_variance(mm, mv)
     return Moments(mm, mv, mv / mm if mm > 0 else math.nan,
                    im, iv, iv / im if im > 0 else math.nan)
 
@@ -299,15 +215,12 @@ def build_model(name: str, **params: float) -> INARModel:
     entry = _entry(name)
     p = _coerce_params(entry, params)
     constraints, spec, law, table = _validate(entry, p)
-    for c in constraints:
-        if not c.satisfied:
-            raise ValidityViolationError(
-                f"{name}: constraint '{c.name}' violated (margin {c.margin:.6g})")
+    _refuse(name, constraints)
     innovation = pmf_from_decomposition(law.decomposition())
     _cross_check(table, innovation)
 
     marg_rf = law.rf if spec.marginal is None else spec.marginal.pgf()
-    return INARModel(name, dict(p), spec, marg_rf, counting_pgf(spec.thinning), law.rf,
+    return INARModel(name, dict(p), spec, marg_rf, spec.thinning.pgf(), law.rf,
                      innovation, decomposition_to_hurdle(innovation.decomposition),
                      _moments(entry, spec, p), constraints)
 
@@ -323,8 +236,9 @@ def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> 
 
 @dataclass(frozen=True)
 class _Entry:
-    """One catalog family. marginal is the marginal class (None for the
-    innovation-only entries) and thinning the thinning class."""
+    """One catalog family (see the module docstring). checks map (params, spec, law)
+    to (label, inside, margin) triples; an iid entry's iid_domain, factor (c, b, c - b)
+    of phi_e = (1 - c t) / (1 - b t) and moments take its parameters."""
 
     name: str
     param_names: tuple[str, ...]
@@ -332,6 +246,45 @@ class _Entry:
     thinning: type
     summary: str
     constraints_doc: tuple[str, ...]
+    checks: tuple[Callable, ...] = ()
+    iid_domain: Callable | None = None
+    factor: Callable | None = None
+    moments: Callable | None = None
+
+    def marginal_params(self, p: dict) -> dict:
+        return {f.name: p[f.name] for f in fields(self.marginal)}
+
+    def spec(self, p: dict) -> ModelSpec:
+        marginal = None if self.marginal is None else self.marginal(**self.marginal_params(p))
+        return ModelSpec(marginal, self.thinning(p.get("alpha", 0.0)))
+
+    def domain(self, p: dict) -> list[Constraint]:
+        """The declared parameter bounds, or alone the parameters that are not finite."""
+        if not all(map(math.isfinite, p.values())):
+            return [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
+                    if not math.isfinite(v)]
+        return [_constraint(*b) for b in (
+            self.iid_domain(**p) if self.marginal is None else
+            self.marginal.domain(**self.marginal_params(p)) + self.thinning.domain(p["alpha"]))]
+
+
+def _at_most_ratio(x: str, y: str):
+    return lambda p, spec, law: (interval(f"{x} <= {y}/(1+{y})", p[x], hi=p[y] / (1.0 + p[y]),
+                                          hi_closed=True, slack=1e-12),)
+
+
+def _roots_and_tail(p, spec, law):
+    # t1: the marginal's pole (s1 = 1 + t1 > 1 as a float); t2: its zero's preimage
+    z, t1 = spec.marginal.offsets()
+    t2 = spec.thinning.preimage(z)[0]
+    s1_margin = t1 if 1.0 + t1 > 1.0 else min(t1, 0.0)  # s1 rounded onto 1 is 0 away
+    try:  # the term of the smallest pole dominates the tail; no pole, no tail
+        rho1 = law.residues[0] if law.poles else 0.0
+    except GeominarError:
+        rho1 = -math.inf
+    return (("roots ordered s2 >= s1 > 1", 1.0 + t1 > 1.0 and t2 >= t1 - 1e-12,
+             min(s1_margin, t2 - t1)),
+            ("dominant tail weight w1 >= 0", rho1 >= -1e-12, rho1))
 
 
 _ENTRIES = {e.name: e for e in (
@@ -340,29 +293,40 @@ _ENTRIES = {e.name: e for e in (
            ("theta in (0,1)", "alpha in [0,1)")),
     _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning,
            "geometric marginal (mean mu), negative binomial thinning",
-           ("mu > 0", "alpha in [0, mu/(1+mu)]")),
+           ("mu > 0", "alpha in [0, mu/(1+mu)]"), checks=(_at_most_ratio("alpha", "mu"),)),
     _Entry("zmg", ("mu", "k"), None, BinomialThinning,
            "zero-modified geometric innovation law (iid model, alpha = 0)",
-           ("mu > 0", "-1/mu <= k < 1")),
+           ("mu > 0", "-1/mu <= k < 1"),
+           iid_domain=lambda mu, k: (interval("mu > 0", mu, 0.0),) + (
+               (interval("k >= -1/mu", k, -1.0 / mu, lo_closed=True, slack=1e-12),) if mu > 0.0
+               else ()) + (interval("k < 1", k, hi=1.0),),
+           factor=lambda mu, k: (k * mu, mu, mu * (k - 1.0)),
+           moments=lambda mu, k: ((1.0 - k) * mu, (1.0 - k) * mu * (1.0 + mu + k * mu))),
     _Entry("two-param", ("r", "m"), None, BinomialThinning,
            "two-parameter linear innovation law (iid model, alpha = 0)",
-           ("r > 0", "0 < m <= 1 + r")),
+           ("r > 0", "0 < m <= 1 + r"),
+           iid_domain=lambda r, m: (
+               interval("r > 0", r, 0.0), interval("m > 0", m, 0.0),
+               interval("m <= 1 + r", m, hi=1.0 + r, hi_closed=True, slack=1e-12)),
+           factor=lambda r, m: (r - m, r, -m),
+           moments=lambda r, m: (m, m * (1.0 + 2.0 * r - m))),
     _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
            ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity")),
+            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
            ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-            "mu <= rho/(1+rho)", "numeric pmf nonnegativity")),
+            "mu <= rho/(1+rho)", "numeric pmf nonnegativity"),
+           checks=(_at_most_ratio("mu", "rho"), _roots_and_tail)),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
            "zero-inflated geometric marginal, negative binomial thinning",
            ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity")),
+            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
            "hurdle geometric marginal, negative binomial thinning",
            ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity")),
+            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
 )}
 
 MODEL_NAMES = tuple(_ENTRIES)

@@ -11,7 +11,8 @@ Each marginal family is one dataclass holding its closed forms: mobius()
 pmf(k), and geometric_form() = (atom, body, shift, ratio), which says that
 the law is an atom at zero plus, with probability body = 1 - atom, shift
 plus a geometric on {0,1,...} with failure ratio ratio. The sampler inverts
-that form.
+that form. Each thinning holds its counting pgf, variance identity and draw;
+both declare their parameter bounds once, in domain(**params).
 """
 from __future__ import annotations
 
@@ -30,7 +31,28 @@ def offset_div(x: float, y: float) -> float:
     return x / y if y != 0.0 else math.inf
 
 
-class _Moebius:
+def interval(label: str, v: float, lo: float = -math.inf, hi: float = math.inf, *,
+             lo_closed=False, hi_closed=False, slack=0.0) -> tuple[str, bool, float]:
+    """(label, inside, margin) for lo < v < hi, an end closed where asked, with slack.
+    The margin is the signed distance to the nearer bound, <= 0 outside; on the
+    closed lower end of a bounded interval, the distance to the upper bound."""
+    d_lo, d_hi = v - lo, hi - v
+    inside = ((d_lo >= -slack if lo_closed else d_lo > 0.0)
+              and (d_hi >= -slack if hi_closed else d_hi > 0.0))
+    on_closed_lo = lo_closed and d_lo == 0.0 and math.isfinite(hi)
+    return label, inside, d_hi if on_closed_lo else min(d_lo, d_hi)
+
+
+class _Declared:
+    """A dataclass whose fields must lie inside its domain(**fields)."""
+
+    def __post_init__(self):
+        for label, inside, _ in self.domain(**vars(self)):
+            if not inside:
+                raise InvalidParameterError(f"{type(self).__name__} requires {label}, got {self!r}")
+
+
+class _Moebius(_Declared):
     """A marginal pgf (a s + b) / (c s + d) with a + b = c + d, read from mobius()."""
 
     def pgf(self) -> RationalFunction:
@@ -49,9 +71,9 @@ class Geometric(_Moebius):
 
     theta: float
 
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise InvalidParameterError(f"Geometric requires theta in (0,1), got {self.theta!r}")
+    @staticmethod
+    def domain(theta):
+        return (interval("theta in (0,1)", theta, 0.0, 1.0),)
 
     def mobius(self) -> tuple[float, float, float, float]:
         return 0.0, self.theta, -(1.0 - self.theta), 1.0
@@ -78,9 +100,9 @@ class GeometricMean(_Moebius):
 
     mu: float
 
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise InvalidParameterError(f"GeometricMean requires mu > 0, got {self.mu!r}")
+    @staticmethod
+    def domain(mu):
+        return (interval("mu > 0", mu, 0.0),)
 
     def mobius(self) -> tuple[float, float, float, float]:
         return 0.0, 1.0, -self.mu, 1.0 + self.mu
@@ -112,11 +134,9 @@ class RhoGeometric(_Moebius):
     mu: float
     rho: float
 
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise InvalidParameterError(f"RhoGeometric requires mu > 0, got {self.mu!r}")
-        if not 0.0 <= self.rho < 1.0:
-            raise InvalidParameterError(f"RhoGeometric requires rho in [0,1), got {self.rho!r}")
+    @staticmethod
+    def domain(mu, rho):
+        return interval("mu > 0", mu, 0.0), interval("rho in [0,1)", rho, 0.0, 1.0, lo_closed=True)
 
     def mobius(self) -> tuple[float, float, float, float]:
         return -self.rho, 1.0, -(self.rho + self.mu), 1.0 + self.mu
@@ -150,11 +170,9 @@ class HurdleGeometric(_Moebius):
     mu: float
     rho: float
 
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise InvalidParameterError(f"HurdleGeometric requires mu in (0,1), got {self.mu!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise InvalidParameterError(f"HurdleGeometric requires rho in (0,1), got {self.rho!r}")
+    @staticmethod
+    def domain(mu, rho):
+        return interval("mu in (0,1)", mu, 0.0, 1.0), interval("rho in (0,1)", rho, 0.0, 1.0)
 
     def mobius(self) -> tuple[float, float, float, float]:
         k = self.mu + self.mu * self.rho - self.rho
@@ -182,12 +200,12 @@ MarginalSpec = Union[Geometric, GeometricMean, RhoGeometric, HurdleGeometric]
 
 
 @dataclass(frozen=True)
-class _Thinning:
+class _Thinning(_Declared):
     alpha: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidParameterError(f"thinning requires alpha in [0,1), got {self.alpha!r}")
+    @staticmethod
+    def domain(alpha):
+        return (interval("alpha in [0,1)", alpha, 0.0, 1.0, lo_closed=True),)
 
 
 @dataclass(frozen=True)
@@ -196,6 +214,20 @@ class BinomialThinning(_Thinning):
 
     phi_N(s) = 1 - alpha + alpha s moves an offset t to alpha t.
     """
+
+    def pgf(self) -> RationalFunction:
+        a = self.alpha
+        return RationalFunction(Polynomial((1.0 - a, a)), Polynomial((1.0,)),
+                                radius=math.inf, pgf=True)
+
+    def innovation_variance(self, mean: float, var: float) -> float:
+        """Var(e) from the marginal's mean E and variance V: (1 - a)((1 + a) V - a E)."""
+        a = self.alpha
+        return (1.0 - a) * ((1.0 + a) * var - a * mean)
+
+    def draw(self, gen, x):
+        """Thin the counts x with the numpy Generator gen: binomial(x, alpha)."""
+        return gen.binomial(x, self.alpha)
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / alpha, and t - u formed
@@ -209,6 +241,21 @@ class NegativeBinomialThinning(_Thinning):
 
     phi_N(s) = 1 / (1 + alpha - alpha s) moves an offset t to alpha t / (1 - alpha t).
     """
+
+    def pgf(self) -> RationalFunction:
+        a = self.alpha
+        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + a, -a)),
+                                radius=offset_div(1.0 + a, a), pgf=True)
+
+    def innovation_variance(self, mean: float, var: float) -> float:
+        """Var(e) from the marginal's mean E and variance V: (1 + a)((1 - a) V - a E)."""
+        a = self.alpha
+        return (1.0 + a) * ((1.0 - a) * var - a * mean)
+
+    def draw(self, gen, x):
+        """Thin the counts x with the numpy Generator gen: NB(x, 1/(1+alpha)), drawn
+        as Poisson(Gamma(x, scale alpha)), which is zero at x = 0."""
+        return gen.poisson(gen.gamma(x, self.alpha))
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / (alpha (1 + u)) (1 / alpha for u = inf),
@@ -235,16 +282,8 @@ class ModelSpec:
 
 
 def counting_pgf(t: ThinningOperator) -> RationalFunction:
-    """Pgf of one counting-series variable: affine for binomial thinning,
-    Moebius 1/(1+alpha-alpha*s) for negative binomial thinning."""
-    a = t.alpha
-    if isinstance(t, BinomialThinning):
-        return RationalFunction(Polynomial((1.0 - a, a)), Polynomial((1.0,)),
-                                radius=math.inf, pgf=True)
-    if isinstance(t, NegativeBinomialThinning):
-        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + a, -a)),
-                                radius=offset_div(1.0 + a, a), pgf=True)
-    raise InvalidParameterError(f"unknown thinning kind {type(t).__name__}")
+    """Pgf of one counting-series variable (the thinning's own pgf())."""
+    return t.pgf()
 
 
 def _gain(factors) -> float:

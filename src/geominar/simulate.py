@@ -30,7 +30,7 @@ import numpy as np
 
 from .catalog import INARModel
 from .decompose import InnovationDistribution
-from .pgf import BinomialThinning, NegativeBinomialThinning, ThinningOperator
+from .pgf import ThinningOperator
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,8 @@ def sample_innovation(d: InnovationDistribution, rng: RngStream | np.random.Gene
 
 
 def apply_thinning(t: ThinningOperator, x, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Thin a count or array of counts x: binomial(x, alpha), or NB with mean alpha*x."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if isinstance(t, BinomialThinning):
-        return gen.binomial(x, t.alpha)
-    if isinstance(t, NegativeBinomialThinning):
-        # sum of x geometrics on {0,1,...} with mean alpha: NB(x, 1/(1+alpha)),
-        # drawn as Poisson(Gamma(x, scale alpha)), which is zero at x = 0
-        return gen.poisson(gen.gamma(x, t.alpha))
-    raise TypeError(f"unknown thinning operator {type(t).__name__}")
+    """Thin a count or array of counts x with t's own draw."""
+    return t.draw(rng.generator() if isinstance(rng, RngStream) else rng, x)
 
 
 def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:

@@ -77,10 +77,10 @@ def check_pmf_validity(d: InnovationDistribution, tol: float = 1e-10) -> Verific
     return VerificationReport(tuple(checks))
 
 
-def check_cross_method(model: INARModel, n: int = 200,
-                       tol: float = 1e-10) -> VerificationReport:
+def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationReport:
     """Entrywise agreement of the recursion with the residue decomposition
-    and with its hurdle view, for m <= n."""
+    and with its hurdle view, for m <= CROSS_METHOD_TERMS."""
+    n = CROSS_METHOD_TERMS
     recursive = pmf_recursive(model.innovation_rf, n)
     dec = model.innovation.decomposition
     worst_rd = max(abs(dec.pmf(m) - recursive[m]) for m in range(n + 1))
@@ -90,6 +90,10 @@ def check_cross_method(model: INARModel, n: int = 200,
 
 
 MOMENT_BLOCK = 1 << 16  # samples per block of check_moments' centered sums
+MOMENT_REL_TOL = 1e-7  # check_moments: closed forms vs pmf sums, relative
+MOMENT_N_SE = 4.0  # check_moments: empirical vs closed forms, in standard errors
+TAIL_MS = (5, 10, 20)  # the m at which check_tail_quality compares the tail
+CROSS_METHOD_TERMS = 200  # check_cross_method compares pmf values m = 0..this
 
 
 def _ess_factor(alpha: float) -> float:
@@ -114,12 +118,11 @@ def _marginal_central_moments(model: INARModel) -> tuple[float, float, float, fl
     return mu, m2, m3, m4
 
 
-def check_moments(model: INARModel, sample: SeriesSample,
-                  rel_tol: float = 1e-7, n_se: float = 4.0) -> VerificationReport:
+def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     """Three-way moment comparison.
 
-    Closed forms vs pmf sums at rel_tol; empirical values from the sample vs
-    closed forms within n_se standard errors, inflated by the effective
+    Closed forms vs pmf sums at MOMENT_REL_TOL; empirical values from the sample
+    vs closed forms within MOMENT_N_SE standard errors, inflated by the effective
     sample size factor (1+alpha)/(1-alpha) for the autocorrelated series.
     """
     checks = []
@@ -128,14 +131,14 @@ def check_moments(model: INARModel, sample: SeriesSample,
     pm_mean = model.innovation.mean()
     pm_var = model.innovation.variance()
     checks.append(_check("innovation_mean_pmf_vs_closed", pm_mean, mom.innovation_mean,
-                         rel_tol * max(1.0, abs(mom.innovation_mean))))
+                         MOMENT_REL_TOL * max(1.0, abs(mom.innovation_mean))))
     checks.append(_check("innovation_var_pmf_vs_closed", pm_var, mom.innovation_var,
-                         rel_tol * max(1.0, abs(mom.innovation_var))))
+                         MOMENT_REL_TOL * max(1.0, abs(mom.innovation_var))))
     mg_mean, mg_m2, mg_m3, mg_m4 = _marginal_central_moments(model)
     checks.append(_check("marginal_mean_pmf_vs_closed", mg_mean, mom.marginal_mean,
-                         rel_tol * max(1.0, abs(mom.marginal_mean))))
+                         MOMENT_REL_TOL * max(1.0, abs(mom.marginal_mean))))
     checks.append(_check("marginal_var_pmf_vs_closed", mg_m2, mom.marginal_var,
-                         rel_tol * max(1.0, abs(mom.marginal_var))))
+                         MOMENT_REL_TOL * max(1.0, abs(mom.marginal_var))))
 
     xs = sample.values
     n = len(xs)
@@ -154,11 +157,11 @@ def check_moments(model: INARModel, sample: SeriesSample,
     se_mean = math.sqrt(mom.marginal_var) * root_ess_n
     se_var = math.sqrt(max(mg_m4 - mg_m2**2, 0.0)) * root_ess_n
     checks.append(_check("marginal_mean_empirical", emp_mean, mom.marginal_mean,
-                         n_se * se_mean))
+                         MOMENT_N_SE * se_mean))
     # emp_var is centred on the sample mean, so it also errs by (xbar - mu)^2,
-    # which the mean gate above bounds by (n_se se_mean)^2
+    # which the mean gate above bounds by (MOMENT_N_SE se_mean)^2
     checks.append(_check("marginal_var_empirical", emp_var, mom.marginal_var,
-                         n_se * se_var + (n_se * se_mean) ** 2))
+                         MOMENT_N_SE * se_var + (MOMENT_N_SE * se_mean) ** 2))
     # an all-zero sample (expected at a tiny mean) has no empirical dispersion or
     # autocorrelation: omit both, as lag-1 is for n <= 2; the mean check still runs
     if emp_mean == 0.0:
@@ -170,16 +173,16 @@ def check_moments(model: INARModel, sample: SeriesSample,
         - 2.0 * var / mean**3 * mg_m3 * ess / n
     se_disp = math.sqrt(max(g_var, 1e-30))
     checks.append(_check("marginal_dispersion_empirical", emp_var / emp_mean, disp,
-                         n_se * se_disp))
+                         MOMENT_N_SE * se_disp))
     # a constant sample has ss = 0 and no autocorrelation: omit it there too
     if n > 2 and ss > 0.0:
         checks.append(_check("lag1_autocorrelation_empirical", lag / ss, alpha,
-                             n_se * (1.0 + 2.0 * alpha) / math.sqrt(n)))
+                             MOMENT_N_SE * (1.0 + 2.0 * alpha) / math.sqrt(n)))
     return VerificationReport(tuple(checks))
 
 
-def check_tail_quality(d: InnovationDistribution, m_start: int = 5) -> VerificationReport:
-    """Relative error of the smallest-root geometric tail at m, 2m, 4m.
+def check_tail_quality(d: InnovationDistribution) -> VerificationReport:
+    """Relative error of the smallest-root geometric tail at each m of TAIL_MS.
 
     Passes iff each error is below the one before it or 0 (exact once the other
     terms fall below rounding); vacuously for one term, where it is exact.
@@ -188,14 +191,14 @@ def check_tail_quality(d: InnovationDistribution, m_start: int = 5) -> Verificat
         return VerificationReport(
             (CheckResult("tail_error_strictly_decreasing", True, 0.0, 0.0, 0.0),))
     errs = []
-    for m in (m_start, 2 * m_start, 4 * m_start):
+    for m in TAIL_MS:
         exact = d.pmf(m)
         approx = tail_geometric_approx(d.decomposition, m)
         errs.append(abs(approx - exact) / abs(exact) if exact else 0.0 if not approx else math.inf)
     decreasing = all(b < a or b == 0.0 for a, b in zip(errs, errs[1:]))
     checks = [CheckResult("tail_error_strictly_decreasing", bool(decreasing),
                           errs[2], 0.0, errs[0])]
-    for m, e in zip((m_start, 2 * m_start, 4 * m_start), errs):
+    for m, e in zip(TAIL_MS, errs):
         checks.append(CheckResult(f"tail_rel_error_m{m}", bool(decreasing), e, 0.0,
                                   math.inf))
     return VerificationReport(tuple(checks))

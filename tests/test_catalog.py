@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -13,10 +14,11 @@ from geominar.catalog import (
     validate_params,
 )
 from geominar.decompose import linear_closed_form
-from geominar.errors import GeominarError, ValidityViolationError
+from geominar.errors import GeominarError, InvalidParameterError, ValidityViolationError
 
 from grids import CANONICAL, GRIDS
 from oracles import exact_moments, oracle_moments, oracle_pmf
+from test_golden import REFUSAL_EDGES, _refusal_points
 
 
 def count_calls(monkeypatch, home, func):
@@ -160,6 +162,19 @@ class TestValidateParams:
                              ("hurdle-geo-nb", dict(mu=0.3, rho=0.5, alpha=0.0))):
             assert all(c.satisfied for c in validate_params(name, **params))
 
+    def test_violated_constraints_have_nonpositive_margins(self):
+        # a negative alpha or rho once printed its distance to 1, and a pole
+        # rounding onto s = 1 its tiny positive offset (the last point)
+        points = _refusal_points() + REFUSAL_EDGES + [
+            ("rho-geo-bin", {"mu": 1e6, "rho": 0.9999999999999999, "alpha": 0.5})]
+        for name, params in points:
+            violated = [c for c in validate_params(name, **params) if not c.satisfied]
+            assert all(c.margin <= 0.0 for c in violated), (name, params, violated)
+            if violated:
+                first = re.escape(f"constraint '{violated[0].name}'")
+                with pytest.raises(ValidityViolationError, match=first):
+                    build_model(name, **params)
+
     def test_negative_pmf_detected_numerically(self):
         # inside the root-ordering region but with a negative early pmf value
         cs = validate_params("rho-geo-bin", mu=0.5, rho=0.5, alpha=0.6)
@@ -215,6 +230,15 @@ class TestMoments:
         assert mo.marginal_mean == pytest.approx(1.25, rel=1e-14)
         assert mo.innovation_mean == pytest.approx(0.875, rel=1e-14)
         assert mo.marginal_var == pytest.approx(1.0 * 2.2 / 0.64, rel=1e-13)
+
+    @pytest.mark.parametrize("name, params", [
+        ("ginar", {"theta": 2.0, "alpha": 0.5}),
+        ("zmg", {"mu": -1.0, "k": 0.5}),
+        ("two-param", {"r": -2.0, "m": 5.0}),
+    ])
+    def test_closed_forms_refuse_out_of_domain_parameters(self, name, params):
+        with pytest.raises(InvalidParameterError):
+            closed_form_moments(name, **params)
 
     def test_zero_modified_equidispersion_at_k_minus_one(self):
         mo = closed_form_moments("zmg", mu=1.0, k=-1.0)

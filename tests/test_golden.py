@@ -15,7 +15,10 @@ moved) and verify's variance gate adds the sample mean's error to its
 tolerance, and again in 0.3.2, where every innovation law comes from root
 offsets computed from the parameters (at the grid and canonical points
 printed pmf rows moved by at most 6.6e-14 relative; six of the eight
-VERIFY digests moved, and no pass/fail flag). tests/golden_points.py
+VERIFY digests moved, and no pass/fail flag). REFUSAL was re-recorded
+once more within 0.3.2, where every parameter bound reports its signed
+distance: 23 runs refused for a negative alpha or rho now print that value
+as the margin, and nothing else moved. tests/golden_points.py
 lists the runs behind each of these three digests one by one. The digests
 were recorded with numpy 2.4.6; numpy does not promise that Generator streams stay the
 same across its releases, so a failure after a numpy upgrade alone means the
@@ -102,7 +105,7 @@ DERIVE = "74f8a1e0316c52591cb691fee325b5d7b85f161c1ebce054cbcaa2b70627c100"
 # run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
-REFUSAL = "547329616fabfec529404d084cca1ea12e9f1dbc8e8341fe946412a997aa68b5"
+REFUSAL = "7d107902a887e33a9714081c7cdf302e4cec950b1e9cb4cacd4dfc5f410be1c5"
 
 
 def _mean(rng: random.Random) -> float:

@@ -109,6 +109,14 @@ class TestCountingPgf:
         with pytest.raises(InvalidParameterError):
             NegativeBinomialThinning(-0.1)
 
+    def test_domain_margin_is_the_signed_distance(self):
+        # to the nearer bound, <= 0 outside; on the closed lower end, to the upper one
+        label = "alpha in [0,1)"
+        assert BinomialThinning.domain(0.25) == ((label, True, 0.25),)
+        assert BinomialThinning.domain(0.0) == ((label, True, 1.0),)
+        assert NegativeBinomialThinning.domain(-0.5) == ((label, False, -0.5),)
+        assert NegativeBinomialThinning.domain(1.5) == ((label, False, -0.5),)
+
 
 SPECS = [
     ModelSpec(Geometric(0.5), BinomialThinning(0.5)),

@@ -111,15 +111,15 @@ class TestPmfValidity:
 class TestCrossMethod:
     def test_valid_models_pass(self, ginar, nginar, rho_geo_bin):
         for model in (ginar, nginar, rho_geo_bin):
-            assert check_cross_method(model, n=200, tol=1e-10).overall
+            assert check_cross_method(model, tol=1e-10).overall
 
     def test_degenerate_unit_mass_passes(self):
         # k close to 1: all but 1e-6 of the mass sits at zero
         model = build_model("zmg", mu=1.0, k=0.999999)
-        assert check_cross_method(model, n=50).overall
+        assert check_cross_method(model).overall
 
     def test_fails_on_wrong_root(self, nginar):
-        rep = check_cross_method(perturb_root(nginar), n=100, tol=1e-10)
+        rep = check_cross_method(perturb_root(nginar), tol=1e-10)
         assert not rep.overall
 
     def test_hurdle_column_present_for_quadratic_models(self, ginar, rho_geo_bin):
@@ -231,7 +231,7 @@ class TestMoments:
 
 class TestTailQuality:
     def test_two_term_errors_decrease(self, nginar):
-        rep = check_tail_quality(nginar.innovation, m_start=5)
+        rep = check_tail_quality(nginar.innovation)
         assert rep.overall
 
     def test_single_term_vacuous_pass(self, ginar):
@@ -243,7 +243,7 @@ class TestTailQuality:
         # perturbing the decomposition root while keeping the frozen table
         # makes the approximation diverge from the tabulated truth
         bad = perturb_root(nginar, factor=1.3)
-        rep = check_tail_quality(bad.innovation, m_start=5)
+        rep = check_tail_quality(bad.innovation)
         assert not rep.overall
 
 
