@@ -54,7 +54,6 @@ from .pgf import (
     ModelSpec,
     NegativeBinomialThinning,
     RhoGeometric,
-    counting_pgf,
     innovation_law,
     innovation_pgf,
 )
@@ -70,8 +69,8 @@ from .polyrat import (
 # the sampler and the checks import numpy: load them on first use, so that
 # derive and catalog start without it (PEP 562)
 _LAZY = {
-    **dict.fromkeys(("RngStream", "SeriesSample", "apply_thinning", "sample_innovation",
-                     "simulate_series"), "simulate"),
+    **dict.fromkeys(("RngStream", "SeriesSample", "sample_innovation", "simulate_series"),
+                    "simulate"),
     **dict.fromkeys(("CheckResult", "VerificationReport", "check_cross_method",
                      "check_moments", "check_pgf_identity", "check_pmf_validity",
                      "check_tail_quality", "run_all_checks"), "verify"),

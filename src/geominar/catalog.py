@@ -23,6 +23,8 @@ equals the innovation law.
 Families are rows of _ENTRIES, not name tests: a thinned row names its
 marginal and thinning (which declare their bounds and give the InnovationLaw)
 and its closed-form checks; an iid row declares bounds, factor and moments.
+Each bound and check is a (label, test) pair; validate_params reports its
+label with the test's result, and `geominar catalog` lists the same labels.
 
 The innovation moments of a thinned family follow from its marginal's by
 the stationarity identity phi_X(s) = phi_X(phi_N(s)) phi_e(s) at s = 1
@@ -61,6 +63,7 @@ from .pgf import (
 from .polyrat import RationalFunction
 
 _MARGIN_CAP = 1e18
+NUMERIC = "innovation pmf nonnegative (numeric)"  # the label of the check run last
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
         c, b, diff = entry.factor(**p)
         law = InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b),
                               offset_div(offset_div(diff, b), c)),))
-    out += [_constraint(*c) for check in entry.checks for c in check(p, spec, law)]
+    out += [_constraint(label, *test(p, spec, law)) for label, test in entry.checks]
 
     # the numeric check runs whenever the domain admits an innovation law,
     # even if a closed-form condition above already failed: the recursion
@@ -162,10 +165,9 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
     try:
         table = pmf_recursive(law.rf, 400)
         worst = min(table)
-        out.append(_constraint("innovation pmf nonnegative (numeric)", worst >= -1e-12, worst))
+        out.append(_constraint(NUMERIC, worst >= -1e-12, worst))
     except GeominarError as exc:
-        out.append(_constraint(f"innovation pmf nonnegative (numeric: {exc})", False,
-                               -math.inf))
+        out.append(_constraint(f"{NUMERIC[:-1]}: {exc})", False, -math.inf))
     return tuple(out), spec, law, table
 
 
@@ -194,12 +196,12 @@ def _moments(entry: _Entry, spec: ModelSpec, p: dict) -> Moments:
 
 def dispersion_class(m: Moments) -> DispersionClass:
     """Classify marginal and innovation as under/equi/over dispersed (equi
-    within 1e-12 of index one)."""
+    within 1e-12 of index one), or undefined where the index is NaN (mean 0)."""
 
     def classify(i: float) -> str:
         if abs(i - 1.0) <= 1e-12:
             return "equi"
-        return "over" if i > 1.0 else "under"
+        return "over" if i > 1.0 else "under" if i < 1.0 else "undefined"  # NaN: neither
 
     return DispersionClass(classify(m.marginal_dispersion),
                            classify(m.innovation_dispersion))
@@ -236,20 +238,29 @@ def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> 
 
 @dataclass(frozen=True)
 class _Entry:
-    """One catalog family (see the module docstring). checks map (params, spec, law)
-    to (label, inside, margin) triples; an iid entry's iid_domain, factor (c, b, c - b)
-    of phi_e = (1 - c t) / (1 - b t) and moments take its parameters."""
+    """One catalog family (see the module docstring). Bounds and checks are (label, test)
+    pairs; a test gives (inside, margin) from the parameters, a check's from (params, spec,
+    law). An iid entry's factor (c, b, c - b) of phi_e = (1 - c t) / (1 - b t) and moments
+    take its parameters."""
 
     name: str
     param_names: tuple[str, ...]
     marginal: type | None
     thinning: type
     summary: str
-    constraints_doc: tuple[str, ...]
-    checks: tuple[Callable, ...] = ()
-    iid_domain: Callable | None = None
+    checks: tuple[tuple[str, Callable], ...] = ()
+    iid_bounds: tuple[tuple[str, Callable], ...] = ()
     factor: Callable | None = None
     moments: Callable | None = None
+
+    @property
+    def bounds(self) -> tuple[tuple[str, Callable], ...]:
+        return self.marginal.DOMAIN + self.thinning.DOMAIN if self.marginal else self.iid_bounds
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every constraint name validate_params reports, in its order; nothing is evaluated."""
+        return tuple(label for label, _ in self.bounds + self.checks) + (NUMERIC,)
 
     def marginal_params(self, p: dict) -> dict:
         return {f.name: p[f.name] for f in fields(self.marginal)}
@@ -263,70 +274,66 @@ class _Entry:
         if not all(map(math.isfinite, p.values())):
             return [_constraint(f"{k} finite", False, -math.inf) for k, v in p.items()
                     if not math.isfinite(v)]
-        return [_constraint(*b) for b in (
-            self.iid_domain(**p) if self.marginal is None else
-            self.marginal.domain(**self.marginal_params(p)) + self.thinning.domain(p["alpha"]))]
+        return [_constraint(label, *test(p)) for label, test in self.bounds]
 
 
-def _at_most_ratio(x: str, y: str):
-    return lambda p, spec, law: (interval(f"{x} <= {y}/(1+{y})", p[x], hi=p[y] / (1.0 + p[y]),
-                                          hi_closed=True, slack=1e-12),)
+def _at_most_ratio(x: str, y: str) -> tuple[str, Callable]:
+    return (f"{x} <= {y}/(1+{y})", lambda p, spec, law: interval(
+        p[x], hi=p[y] / (1.0 + p[y]), hi_closed=True, slack=1e-12))
 
 
-def _roots_and_tail(p, spec, law):
+def _roots_ordered(p, spec, law):
     # t1: the marginal's pole (s1 = 1 + t1 > 1 as a float); t2: its zero's preimage
     z, t1 = spec.marginal.offsets()
     t2 = spec.thinning.preimage(z)[0]
     s1_margin = t1 if 1.0 + t1 > 1.0 else min(t1, 0.0)  # s1 rounded onto 1 is 0 away
+    return 1.0 + t1 > 1.0 and t2 >= t1 - 1e-12, min(s1_margin, t2 - t1)
+
+
+def _tail_weight(p, spec, law):
     try:  # the term of the smallest pole dominates the tail; no pole, no tail
         rho1 = law.residues[0] if law.poles else 0.0
     except GeominarError:
         rho1 = -math.inf
-    return (("roots ordered s2 >= s1 > 1", 1.0 + t1 > 1.0 and t2 >= t1 - 1e-12,
-             min(s1_margin, t2 - t1)),
-            ("dominant tail weight w1 >= 0", rho1 >= -1e-12, rho1))
+    return rho1 >= -1e-12, rho1
 
+
+_ROOTS_AND_TAIL = (("roots ordered s2 >= s1 > 1", _roots_ordered),
+                   ("dominant tail weight w1 >= 0", _tail_weight))
 
 _ENTRIES = {e.name: e for e in (
     _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning,
-           "geometric marginal, binomial thinning; zero-inflated geometric innovations",
-           ("theta in (0,1)", "alpha in [0,1)")),
+           "geometric marginal, binomial thinning; zero-inflated geometric innovations"),
     _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning,
            "geometric marginal (mean mu), negative binomial thinning",
-           ("mu > 0", "alpha in [0, mu/(1+mu)]"), checks=(_at_most_ratio("alpha", "mu"),)),
+           checks=(_at_most_ratio("alpha", "mu"),)),
     _Entry("zmg", ("mu", "k"), None, BinomialThinning,
            "zero-modified geometric innovation law (iid model, alpha = 0)",
-           ("mu > 0", "-1/mu <= k < 1"),
-           iid_domain=lambda mu, k: (interval("mu > 0", mu, 0.0),) + (
-               (interval("k >= -1/mu", k, -1.0 / mu, lo_closed=True, slack=1e-12),) if mu > 0.0
-               else ()) + (interval("k < 1", k, hi=1.0),),
+           iid_bounds=(("mu > 0", lambda p: interval(p["mu"], 0.0)),
+                       ("k >= -1/mu", lambda p: interval(p["k"], offset_div(-1.0, p["mu"]),
+                                                         lo_closed=True, slack=1e-12)),
+                       ("k < 1", lambda p: interval(p["k"], hi=1.0))),
            factor=lambda mu, k: (k * mu, mu, mu * (k - 1.0)),
            moments=lambda mu, k: ((1.0 - k) * mu, (1.0 - k) * mu * (1.0 + mu + k * mu))),
     _Entry("two-param", ("r", "m"), None, BinomialThinning,
            "two-parameter linear innovation law (iid model, alpha = 0)",
-           ("r > 0", "0 < m <= 1 + r"),
-           iid_domain=lambda r, m: (
-               interval("r > 0", r, 0.0), interval("m > 0", m, 0.0),
-               interval("m <= 1 + r", m, hi=1.0 + r, hi_closed=True, slack=1e-12)),
+           iid_bounds=(("r > 0", lambda p: interval(p["r"], 0.0)),
+                       ("m > 0", lambda p: interval(p["m"], 0.0)),
+                       ("m <= 1 + r", lambda p: interval(p["m"], hi=1.0 + p["r"],
+                                                         hi_closed=True, slack=1e-12))),
            factor=lambda r, m: (r - m, r, -m),
            moments=lambda r, m: (m, m * (1.0 + 2.0 * r - m))),
     _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
-           ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
+           checks=_ROOTS_AND_TAIL),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
-           ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-            "mu <= rho/(1+rho)", "numeric pmf nonnegativity"),
-           checks=(_at_most_ratio("mu", "rho"), _roots_and_tail)),
+           checks=(_at_most_ratio("mu", "rho"),) + _ROOTS_AND_TAIL),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
            "zero-inflated geometric marginal, negative binomial thinning",
-           ("mu > 0", "rho in [0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
+           checks=_ROOTS_AND_TAIL),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
-           "hurdle geometric marginal, negative binomial thinning",
-           ("mu in (0,1)", "rho in (0,1)", "alpha in [0,1)",
-            "root ordering and numeric pmf nonnegativity"), checks=(_roots_and_tail,)),
+           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_AND_TAIL),
 )}
 
 MODEL_NAMES = tuple(_ENTRIES)
@@ -363,5 +370,5 @@ def _coerce_params(entry: _Entry, params: Mapping[str, float]) -> dict:
 
 
 def model_entries() -> tuple[_Entry, ...]:
-    """Catalog listing for the CLI: names, parameters, constraint summaries."""
+    """Catalog listing for the CLI: names, parameters, summaries, constraint labels."""
     return tuple(_ENTRIES.values())

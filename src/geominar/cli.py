@@ -78,7 +78,14 @@ def _emit(text: str, output: Path | None) -> None:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Strict JSON (RFC 8259): a non-finite float that no caller mapped to None raises."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite(fields: dict) -> dict:
+    """fields with each non-finite float written as None (JSON null)."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in fields.items()}
 
 
 def _cmd_derive(args) -> int:
@@ -101,7 +108,7 @@ def _cmd_derive(args) -> int:
         "pmf": [[m, p] for m, p in enumerate(innovation.pmf_table)],
     }
     if args.format == "json":
-        _emit(_json(doc), args.output)
+        _emit(_json({**doc, "moments": _finite(doc["moments"])}), args.output)
     elif args.format == "csv":
         lines = ["m,probability"]
         lines += [f"{m},{p!r}" for m, p in enumerate(innovation.pmf_table)]
@@ -170,7 +177,8 @@ def _cmd_verify(args) -> int:
     report = run_all_checks(model, sample, grid_points=args.grid_points,
                             tol=args.tolerance)
     if args.format == "json":
-        _emit(_json(report.to_dict()), args.output)
+        doc = report.to_dict()
+        _emit(_json({**doc, "checks": [_finite(c) for c in doc["checks"]]}), args.output)
     else:
         lines = []
         for c in report.checks:
@@ -186,7 +194,7 @@ def _cmd_catalog(args) -> int:
     entries = model_entries()
     if args.format == "json":
         doc = [{"model": e.name, "params": list(e.param_names),
-                "summary": e.summary, "constraints": list(e.constraints_doc)}
+                "summary": e.summary, "constraints": list(e.labels)}
                for e in entries]
         _emit(_json(doc), args.output)
     else:
@@ -194,7 +202,7 @@ def _cmd_catalog(args) -> int:
         for e in entries:
             lines.append(f"{e.name:15s} params: {', '.join(e.param_names)}")
             lines.append(f"{'':15s} {e.summary}")
-            lines.append(f"{'':15s} valid when: {'; '.join(e.constraints_doc)}")
+            lines.append(f"{'':15s} valid when: {'; '.join(e.labels)}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -15,7 +15,6 @@ dominance argument.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -97,16 +96,17 @@ class InnovationDistribution:
     """Tabulated innovation pmf with its decomposition and geometric tail.
 
     pmf_table covers m = 0..truncation; beyond that the smallest-root
-    geometric term (tail_rho, tail_s) carries the residual mass and the
+    geometric term (decomposition.terms[0]) carries the residual mass and the
     decomposition formula stays exact. sampling_table is built on first use
     and cached on the instance, so derive never builds it, nor imports numpy.
     """
 
     decomposition: FractionalDecomposition
-    truncation: int
     pmf_table: tuple[float, ...]
-    tail_rho: float
-    tail_s: float
+
+    @property
+    def truncation(self) -> int:
+        return len(self.pmf_table) - 1
 
     def pmf(self, m: int) -> float:
         if m < 0:
@@ -271,10 +271,9 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
     if not 0.0 < target_mass < 1.0:
         raise ConstraintViolationError(f"target_mass must be in (0,1), got {target_mass!r}")
     terms = dec.terms
-    tail_rho, tail_s = terms[0] if terms else (0.0, math.inf)
-    if tail_rho < -CLAMP_TOL:
+    if terms and terms[0][0] < -CLAMP_TOL:
         raise NegativeProbabilityError(
-            f"smallest-root residue rho={tail_rho!r} < 0: tail is eventually negative")
+            f"smallest-root residue rho={terms[0][0]!r} < 0: tail is eventually negative")
     table = []
     cum = 0.0
     m = 0
@@ -296,7 +295,7 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
         m += 1
         if m > cap:
             raise GeominarError("pmf truncation did not converge within 1e6 entries")
-    return InnovationDistribution(dec, m, tuple(table), tail_rho, tail_s)
+    return InnovationDistribution(dec, tuple(table))
 
 
 def _tail_certified(terms, m: int) -> bool:

@@ -11,8 +11,10 @@ Each marginal family is one dataclass holding its closed forms: mobius()
 pmf(k), and geometric_form() = (atom, body, shift, ratio), which says that
 the law is an atom at zero plus, with probability body = 1 - atom, shift
 plus a geometric on {0,1,...} with failure ratio ratio. The sampler inverts
-that form. Each thinning holds its counting pgf, variance identity and draw;
-both declare their parameter bounds once, in domain(**params).
+that form. Each thinning holds its counting pgf, variance identity and draw.
+Both declare their parameter bounds once, as DOMAIN: (label, test) pairs,
+where test(params) gives (inside, margin) and the label names the bound
+wherever it is checked, refused or listed.
 """
 from __future__ import annotations
 
@@ -31,24 +33,25 @@ def offset_div(x: float, y: float) -> float:
     return x / y if y != 0.0 else math.inf
 
 
-def interval(label: str, v: float, lo: float = -math.inf, hi: float = math.inf, *,
-             lo_closed=False, hi_closed=False, slack=0.0) -> tuple[str, bool, float]:
-    """(label, inside, margin) for lo < v < hi, an end closed where asked, with slack.
+def interval(v: float, lo: float = -math.inf, hi: float = math.inf, *,
+             lo_closed=False, hi_closed=False, slack=0.0) -> tuple[bool, float]:
+    """(inside, margin) for lo < v < hi, an end closed where asked, with slack.
     The margin is the signed distance to the nearer bound, <= 0 outside; on the
     closed lower end of a bounded interval, the distance to the upper bound."""
     d_lo, d_hi = v - lo, hi - v
     inside = ((d_lo >= -slack if lo_closed else d_lo > 0.0)
               and (d_hi >= -slack if hi_closed else d_hi > 0.0))
     on_closed_lo = lo_closed and d_lo == 0.0 and math.isfinite(hi)
-    return label, inside, d_hi if on_closed_lo else min(d_lo, d_hi)
+    return inside, d_hi if on_closed_lo else min(d_lo, d_hi)
 
 
 class _Declared:
-    """A dataclass whose fields must lie inside its domain(**fields)."""
+    """A dataclass whose fields must pass every test of its DOMAIN, a tuple of
+    (label, test) pairs; test(params) gives (inside, margin)."""
 
     def __post_init__(self):
-        for label, inside, _ in self.domain(**vars(self)):
-            if not inside:
+        for label, test in self.DOMAIN:
+            if not test(vars(self))[0]:
                 raise InvalidParameterError(f"{type(self).__name__} requires {label}, got {self!r}")
 
 
@@ -71,9 +74,7 @@ class Geometric(_Moebius):
 
     theta: float
 
-    @staticmethod
-    def domain(theta):
-        return (interval("theta in (0,1)", theta, 0.0, 1.0),)
+    DOMAIN = (("theta in (0,1)", lambda p: interval(p["theta"], 0.0, 1.0)),)
 
     def mobius(self) -> tuple[float, float, float, float]:
         return 0.0, self.theta, -(1.0 - self.theta), 1.0
@@ -100,9 +101,7 @@ class GeometricMean(_Moebius):
 
     mu: float
 
-    @staticmethod
-    def domain(mu):
-        return (interval("mu > 0", mu, 0.0),)
+    DOMAIN = (("mu > 0", lambda p: interval(p["mu"], 0.0)),)
 
     def mobius(self) -> tuple[float, float, float, float]:
         return 0.0, 1.0, -self.mu, 1.0 + self.mu
@@ -134,9 +133,8 @@ class RhoGeometric(_Moebius):
     mu: float
     rho: float
 
-    @staticmethod
-    def domain(mu, rho):
-        return interval("mu > 0", mu, 0.0), interval("rho in [0,1)", rho, 0.0, 1.0, lo_closed=True)
+    DOMAIN = (("mu > 0", lambda p: interval(p["mu"], 0.0)),
+              ("rho in [0,1)", lambda p: interval(p["rho"], 0.0, 1.0, lo_closed=True)))
 
     def mobius(self) -> tuple[float, float, float, float]:
         return -self.rho, 1.0, -(self.rho + self.mu), 1.0 + self.mu
@@ -170,9 +168,8 @@ class HurdleGeometric(_Moebius):
     mu: float
     rho: float
 
-    @staticmethod
-    def domain(mu, rho):
-        return interval("mu in (0,1)", mu, 0.0, 1.0), interval("rho in (0,1)", rho, 0.0, 1.0)
+    DOMAIN = (("mu in (0,1)", lambda p: interval(p["mu"], 0.0, 1.0)),
+              ("rho in (0,1)", lambda p: interval(p["rho"], 0.0, 1.0)))
 
     def mobius(self) -> tuple[float, float, float, float]:
         k = self.mu + self.mu * self.rho - self.rho
@@ -203,9 +200,7 @@ MarginalSpec = Union[Geometric, GeometricMean, RhoGeometric, HurdleGeometric]
 class _Thinning(_Declared):
     alpha: float
 
-    @staticmethod
-    def domain(alpha):
-        return (interval("alpha in [0,1)", alpha, 0.0, 1.0, lo_closed=True),)
+    DOMAIN = (("alpha in [0,1)", lambda p: interval(p["alpha"], 0.0, 1.0, lo_closed=True)),)
 
 
 @dataclass(frozen=True)
@@ -279,11 +274,6 @@ class ModelSpec:
 
     marginal: MarginalSpec | None
     thinning: ThinningOperator
-
-
-def counting_pgf(t: ThinningOperator) -> RationalFunction:
-    """Pgf of one counting-series variable (the thinning's own pgf())."""
-    return t.pgf()
 
 
 def _gain(factors) -> float:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .catalog import INARModel
 from .decompose import InnovationDistribution
-from .pgf import ThinningOperator
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,14 @@ def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size:
         _table_index(d, u, k, bucket[:m])
         if k.max() > d.truncation:
             beyond = k > d.truncation
-            if d.tail_rho <= 0.0 or not np.isfinite(d.tail_s):
+            terms = d.decomposition.terms  # sorted by root: the tail term (rho, s) first
+            if not terms or terms[0][0] <= 0.0 or not np.isfinite(terms[0][1]):
                 k[beyond] = d.truncation
             else:
-                # residual mass beyond the table is geometric with ratio 1/tail_s
+                # residual mass beyond the table is geometric with ratio 1/s
                 v = (u[beyond] - total) / max(1.0 - total, 1e-300)
                 v = np.clip(v, 0.0, 1.0 - 1e-16)
-                k[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / d.tail_s)
+                k[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / terms[0][1])
     return out
 
 
@@ -114,11 +114,6 @@ def sample_innovation(d: InnovationDistribution, rng: RngStream | np.random.Gene
     """One inverse-CDF draw from the innovation law."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     return int(_innovation_draws(d, gen, 1)[0])
-
-
-def apply_thinning(t: ThinningOperator, x, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Thin a count or array of counts x with t's own draw."""
-    return t.draw(rng.generator() if isinstance(rng, RngStream) else rng, x)
 
 
 def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
@@ -154,7 +149,7 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
     cnt = out[idx]
     while idx.size:
         idx += 1
-        cnt = apply_thinning(model.spec.thinning, cnt, gen)
+        cnt = model.spec.thinning.draw(gen, cnt)
         # positions once, then one gather each: faster than a boolean mask at
         # every size; rebinding idx before cnt[kept] frees the old idx first
         kept = (cnt > 0).nonzero()[0]

@@ -1,4 +1,4 @@
-"""Per-run sha256 digests of the DERIVE, REFUSAL and VERIFY golden sets.
+"""Per-run sha256 digests of the DERIVE, REFUSAL, VERIFY and CATALOG golden sets.
 
 test_golden.py pins each of these sets with one digest over all of its runs.
 This script runs the same points, hashes the same bytes per run and prints
@@ -13,7 +13,14 @@ import io
 
 from geominar.cli import main
 
-from test_golden import CANONICAL, GRIDS, REFUSAL_EDGES, VERIFY, _refusal_points
+from test_golden import (
+    CANONICAL,
+    CATALOG_FORMATS,
+    GRIDS,
+    REFUSAL_EDGES,
+    VERIFY,
+    _refusal_points,
+)
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -44,6 +51,10 @@ def runs():
         argv = ["verify", name, *_flags(CANONICAL[name]), "--n", "20000", "--seed", "5"]
         code, out, _ = _run(argv)
         yield "VERIFY", code, argv, out
+    for fmt in CATALOG_FORMATS:
+        argv = ["catalog", "--format", fmt]
+        code, out, _ = _run(argv)
+        yield "CATALOG", code, argv, f"{code}\n{out}"
 
 
 if __name__ == "__main__":

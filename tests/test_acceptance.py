@@ -327,8 +327,7 @@ def test_criterion_7_falsifiability():
 
         # truncated table -> mass check broken
         short = dataclasses.replace(model.innovation,
-                                    pmf_table=model.innovation.pmf_table[:5],
-                                    truncation=4)
+                                    pmf_table=model.innovation.pmf_table[:5])
         assert not check_pmf_validity(short).overall
 
         # wrong root -> cross-method mismatch

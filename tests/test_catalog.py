@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -13,6 +14,7 @@ from geominar.catalog import (
     dispersion_class,
     validate_params,
 )
+from geominar.cli import main
 from geominar.decompose import linear_closed_form
 from geominar.errors import GeominarError, InvalidParameterError, ValidityViolationError
 
@@ -222,6 +224,21 @@ def _extreme_points(per_family: int = 60, seed: int = 11) -> list[tuple[str, dic
                 valid.append((name, p))
         out += valid
     return out
+
+
+class TestCatalogListing:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_lists_every_constraint_validate_params_reports(self, name, capsys):
+        # in validate_params order, at every accepted DERIVE and REFUSAL point
+        assert main(["catalog", "--format", "json"]) == 0
+        listed = {e["model"]: e["constraints"] for e in json.loads(capsys.readouterr().out)}
+        points = list(GRIDS[name]) + [CANONICAL[name]] + [
+            p for n, p in _refusal_points() + REFUSAL_EDGES if n == name]
+        reports = [validate_params(name, **p) for p in points]
+        accepted = [r for r in reports if all(c.satisfied for c in r)]
+        assert len(accepted) > len(GRIDS[name])
+        for report in accepted:
+            assert listed[name] == [c.name for c in report]
 
 
 class TestMoments:

@@ -332,6 +332,27 @@ class TestCatalog:
         assert doc[0]["model"] == "ginar"
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("argv, where", [
+        (("derive", "zmg", "--mu", "5e-324", "--k", "0.5"), "moments"),
+        (("verify", "nginar", "--mu", "1", "--alpha", "0.3", "--format", "json"), "checks"),
+    ])
+    def test_non_finite_values_are_null(self, capsys, argv, where):
+        # RFC 8259 has no NaN or Infinity tokens; parse_constant meets only those
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        if where == "moments":  # mean 0: the dispersion index is undefined
+            assert doc["moments"]["marginal_dispersion"] is None
+            assert doc["dispersion"] == {"marginal": "undefined", "innovation": "undefined"}
+        else:  # a law with two terms has no finite tail tolerance
+            tol = {c["name"]: c["tolerance"] for c in doc["checks"]}
+            assert tol["tail_rel_error_m5"] is None
+
+
 class TestEntryPoint:
     def test_cached_parser_keeps_no_state_between_calls(self, capsys):
         assert build_parser() is build_parser()

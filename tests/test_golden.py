@@ -18,11 +18,12 @@ printed pmf rows moved by at most 6.6e-14 relative; six of the eight
 VERIFY digests moved, and no pass/fail flag). REFUSAL was re-recorded
 once more within 0.3.2, where every parameter bound reports its signed
 distance: 23 runs refused for a negative alpha or rho now print that value
-as the margin, and nothing else moved. tests/golden_points.py
-lists the runs behind each of these three digests one by one. The digests
-were recorded with numpy 2.4.6; numpy does not promise that Generator streams stay the
-same across its releases, so a failure after a numpy upgrade alone means the
-dependency moved, not this code.
+as the margin, and nothing else moved. CATALOG pins the `geominar catalog`
+listing. tests/golden_points.py lists the runs behind each of these four
+digests one by one. The digests were recorded with numpy 2.4.6; numpy does
+not promise that Generator streams stay the same across its releases, so a
+failure after a numpy upgrade alone means the dependency moved, not this
+code.
 """
 import dataclasses
 import hashlib
@@ -106,6 +107,13 @@ DERIVE = "74f8a1e0316c52591cb691fee325b5d7b85f161c1ebce054cbcaa2b70627c100"
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
 REFUSAL = "7d107902a887e33a9714081c7cdf302e4cec950b1e9cb4cacd4dfc5f410be1c5"
+
+# sha256 over `geominar catalog` in table and json format (CATALOG_FORMATS): per
+# run, the exit code and a newline, then stdout. Recorded where the listing
+# reads each constraint's label from its declaration; a changed label or
+# summary moves it.
+CATALOG = "3860d7d341d08ff0c71235b44eb562ef61db6c2d5d3c7cbc8ff804677dcf314e"
+CATALOG_FORMATS = ("table", "json")
 
 
 def _mean(rng: random.Random) -> float:
@@ -237,6 +245,14 @@ def test_derive_refusal_digest(capsys):
     assert len(points) == 804
     assert set(codes) == {0, 2} and codes.count(2) > len(points) // 2
     assert digest.hexdigest() == REFUSAL
+
+
+def test_catalog_listing_digest(capsys):
+    digest = hashlib.sha256()
+    for fmt in CATALOG_FORMATS:
+        code = main(["catalog", "--format", fmt])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == CATALOG
 
 
 def test_point_beyond_the_closed_form_derives(capsys):

@@ -5,8 +5,7 @@ import pytest
 import geominar
 
 LAZY_EXPORTS = {
-    "simulate": ("RngStream", "SeriesSample", "apply_thinning", "sample_innovation",
-                 "simulate_series"),
+    "simulate": ("RngStream", "SeriesSample", "sample_innovation", "simulate_series"),
     "verify": ("CheckResult", "VerificationReport", "check_cross_method", "check_moments",
                "check_pgf_identity", "check_pmf_validity", "check_tail_quality",
                "run_all_checks"),

@@ -9,7 +9,6 @@ from geominar.pgf import (
     ModelSpec,
     NegativeBinomialThinning,
     RhoGeometric,
-    counting_pgf,
     innovation_pgf,
 )
 
@@ -89,17 +88,17 @@ class TestMarginalPgf:
 
 class TestCountingPgf:
     def test_binomial_zero_is_constant_one(self):
-        rf = counting_pgf(BinomialThinning(0.0))
+        rf = BinomialThinning(0.0).pgf()
         assert rf.num.degree == 0
         assert rf(0.3) == pytest.approx(1.0)
 
     def test_binomial_affine(self):
-        rf = counting_pgf(BinomialThinning(0.5))
+        rf = BinomialThinning(0.5).pgf()
         assert rf.num.coeffs == (0.5, 0.5)
         assert rf.den.coeffs == (1.0,)
 
     def test_negative_binomial_moebius(self):
-        rf = counting_pgf(NegativeBinomialThinning(0.3))
+        rf = NegativeBinomialThinning(0.3).pgf()
         for s in (0.0, 0.5, 1.0):
             assert rf(s) == pytest.approx(1.0 / (1.3 - 0.3 * s), rel=1e-14)
 
@@ -111,11 +110,14 @@ class TestCountingPgf:
 
     def test_domain_margin_is_the_signed_distance(self):
         # to the nearer bound, <= 0 outside; on the closed lower end, to the upper one
+        def domain(t, alpha):
+            return tuple((label, *test({"alpha": alpha})) for label, test in t.DOMAIN)
+
         label = "alpha in [0,1)"
-        assert BinomialThinning.domain(0.25) == ((label, True, 0.25),)
-        assert BinomialThinning.domain(0.0) == ((label, True, 1.0),)
-        assert NegativeBinomialThinning.domain(-0.5) == ((label, False, -0.5),)
-        assert NegativeBinomialThinning.domain(1.5) == ((label, False, -0.5),)
+        assert domain(BinomialThinning, 0.25) == ((label, True, 0.25),)
+        assert domain(BinomialThinning, 0.0) == ((label, True, 1.0),)
+        assert domain(NegativeBinomialThinning, -0.5) == ((label, False, -0.5),)
+        assert domain(NegativeBinomialThinning, 1.5) == ((label, False, -0.5),)
 
 
 SPECS = [
@@ -153,7 +155,7 @@ class TestInnovationPgf:
     def test_stationarity_identity(self, spec):
         rf = innovation_pgf(spec)
         phi_x = spec.marginal.pgf()
-        phi_n = counting_pgf(spec.thinning)
+        phi_n = spec.thinning.pgf()
         for i in range(50):
             s = 0.99 * i / 49
             assert abs(phi_x(s) - phi_x(phi_n(s)) * rf(s)) <= 1e-10

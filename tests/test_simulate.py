@@ -16,7 +16,6 @@ from geominar.pgf import BinomialThinning, NegativeBinomialThinning
 from geominar.polyrat import Polynomial
 from geominar.simulate import (
     RngStream,
-    apply_thinning,
     sample_innovation,
     simulate_series,
 )
@@ -158,20 +157,20 @@ class TestGuideTable:
 class TestApplyThinning:
     def test_zero_count_is_zero(self):
         gen = RngStream(0).generator()
-        assert apply_thinning(BinomialThinning(0.7), 0, gen) == 0
-        assert apply_thinning(NegativeBinomialThinning(0.7), 0, gen) == 0
+        assert BinomialThinning(0.7).draw(gen, 0) == 0
+        assert NegativeBinomialThinning(0.7).draw(gen, 0) == 0
 
     def test_binomial_mean(self):
         gen = RngStream(5).generator()
         n, x, alpha = 100_000, 10, 0.35
-        total = sum(apply_thinning(BinomialThinning(alpha), x, gen) for _ in range(n))
+        total = sum(BinomialThinning(alpha).draw(gen, x) for _ in range(n))
         se = math.sqrt(x * alpha * (1 - alpha) / n)
         assert abs(total / n - x * alpha) < 4.0 * se
 
     def test_negative_binomial_mean_and_variance_scale(self):
         gen = RngStream(6).generator()
         n, x, alpha = 200_000, 10, 0.3
-        draws = np.array([apply_thinning(NegativeBinomialThinning(alpha), x, gen)
+        draws = np.array([NegativeBinomialThinning(alpha).draw(gen, x)
                           for _ in range(n)])
         se = math.sqrt(x * alpha * (1 + alpha) / n)
         assert abs(draws.mean() - x * alpha) < 4.0 * se
@@ -180,7 +179,7 @@ class TestApplyThinning:
         gen = RngStream(8).generator()
         x = np.array([0, 3, 0, 10] * 50_000)
         for t in (BinomialThinning(0.4), NegativeBinomialThinning(0.4)):
-            y = apply_thinning(t, x, gen)
+            y = t.draw(gen, x)
             assert y.shape == x.shape
             assert (y[x == 0] == 0).all()
             tens = y[x == 10]
@@ -295,7 +294,7 @@ class TestSimulateSeries:
         def no_thinning(*args):
             raise AssertionError("thinning pass at alpha = 0")
 
-        monkeypatch.setattr(simulate, "apply_thinning", no_thinning)
+        monkeypatch.setattr(BinomialThinning, "draw", no_thinning)
         for name in ("zmg", "two-param"):
             simulate_series(build_model(name, **CANONICAL[name]), 1000, RngStream(1))
 

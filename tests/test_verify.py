@@ -85,8 +85,7 @@ class TestPmfValidity:
     def test_truncated_mass_fails(self, nginar):
         # chop the table: total mass check must notice the missing mass
         short = dataclasses.replace(nginar.innovation,
-                                    pmf_table=nginar.innovation.pmf_table[:5],
-                                    truncation=4)
+                                    pmf_table=nginar.innovation.pmf_table[:5])
         rep = check_pmf_validity(short)
         assert not rep.overall
         failed = {c.name for c in rep.checks if not c.passed}
@@ -101,7 +100,7 @@ class TestPmfValidity:
         dec = partial_fractions(rf)
         table = tuple(max(dec.pmf(m), 0.0) for m in range(40))
         from geominar.decompose import InnovationDistribution
-        dist = InnovationDistribution(dec, 39, table, *dec.terms[0])
+        dist = InnovationDistribution(dec, table)
         rep = check_pmf_validity(dist)
         assert not rep.overall
         failed = {c.name for c in rep.checks if not c.passed}
