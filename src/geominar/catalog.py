@@ -60,7 +60,6 @@ from .pgf import (
     interval,
     offset_div,
 )
-from .polyrat import RationalFunction
 
 _MARGIN_CAP = 1e18
 NUMERIC = "innovation pmf nonnegative (numeric)"  # the label of the check run last
@@ -93,14 +92,12 @@ class DispersionClass:
 
 @dataclass(frozen=True)
 class INARModel:
-    """A derived model: pgfs, innovation law and its hurdle view, moments, constraints."""
+    """A derived model: spec, innovation law (its one pgf), table and hurdle view, moments."""
 
     name: str
     params: Mapping[str, float]
     spec: ModelSpec
-    marginal_rf: RationalFunction
-    counting_rf: RationalFunction
-    innovation_rf: RationalFunction
+    law: InnovationLaw
     innovation: InnovationDistribution
     hurdle: HurdleForm
     moments: Moments
@@ -218,12 +215,14 @@ def build_model(name: str, **params: float) -> INARModel:
     p = _coerce_params(entry, params)
     constraints, spec, law, table = _validate(entry, p)
     _refuse(name, constraints)
+    marginal_pole = spec.marginal.offsets()[1:] if spec.marginal else ()
+    for t in law.poles + marginal_pole:  # the marginal's too: the law may drop its factor
+        if not 1.0 + t > 1.0:  # a named refusal, not a term at s = 1
+            raise GeominarError(f"{name}: pole s = 1 + {t!r} rounds onto 1 in double precision")
     innovation = pmf_from_decomposition(law.decomposition())
     _cross_check(table, innovation)
-
-    marg_rf = law.rf if spec.marginal is None else spec.marginal.pgf()
-    return INARModel(name, dict(p), spec, marg_rf, spec.thinning.pgf(), law.rf,
-                     innovation, decomposition_to_hurdle(innovation.decomposition),
+    return INARModel(name, dict(p), spec, law, innovation,
+                     decomposition_to_hurdle(innovation.decomposition),
                      _moments(entry, spec, p), constraints)
 
 

@@ -58,9 +58,9 @@ class _Declared:
 class _Moebius(_Declared):
     """A marginal pgf (a s + b) / (c s + d) with a + b = c + d, read from mobius()."""
 
-    def pgf(self) -> RationalFunction:
+    def pgf(self, s: float) -> float:
         a, b, c, d = self.mobius()
-        return RationalFunction(Polynomial((b, a)), Polynomial((d, c)), radius=-d / c, pgf=True)
+        return (a * s + b) / (c * s + d)
 
     def offsets(self) -> tuple[float, float]:
         """The zero and the pole as offsets t = s - 1: -S/a and -S/c with S = a + b."""
@@ -83,8 +83,8 @@ class Geometric(_Moebius):
         return (1.0 - self.theta) / self.theta
 
     def variance(self) -> float:
-        q = 1.0 - self.theta
-        return q / (self.theta * self.theta)
+        t2 = self.theta * self.theta  # 0 below theta ~ 1.5e-162: the variance overflows
+        return (1.0 - self.theta) / t2 if t2 else math.inf
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -210,10 +210,8 @@ class BinomialThinning(_Thinning):
     phi_N(s) = 1 - alpha + alpha s moves an offset t to alpha t.
     """
 
-    def pgf(self) -> RationalFunction:
-        a = self.alpha
-        return RationalFunction(Polynomial((1.0 - a, a)), Polynomial((1.0,)),
-                                radius=math.inf, pgf=True)
+    def pgf(self, s: float) -> float:
+        return self.alpha * s + (1.0 - self.alpha)
 
     def innovation_variance(self, mean: float, var: float) -> float:
         """Var(e) from the marginal's mean E and variance V: (1 - a)((1 + a) V - a E)."""
@@ -237,10 +235,8 @@ class NegativeBinomialThinning(_Thinning):
     phi_N(s) = 1 / (1 + alpha - alpha s) moves an offset t to alpha t / (1 - alpha t).
     """
 
-    def pgf(self) -> RationalFunction:
-        a = self.alpha
-        return RationalFunction(Polynomial((1.0,)), Polynomial((1.0 + a, -a)),
-                                radius=offset_div(1.0 + a, a), pgf=True)
+    def pgf(self, s: float) -> float:
+        return 1.0 / (1.0 + self.alpha - self.alpha * s)
 
     def innovation_variance(self, mean: float, var: float) -> float:
         """Var(e) from the marginal's mean E and variance V: (1 + a)((1 - a) V - a E)."""

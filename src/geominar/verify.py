@@ -50,14 +50,16 @@ def check_pgf_identity(model: INARModel, grid_points: int = 50,
                        tol: float = 1e-10) -> VerificationReport:
     """Stationarity identity phi_X(s) = phi_X(phi_N(s)) * phi_e(s) on a grid.
 
+    phi_X and phi_N are the spec's (an iid model's phi_X is its law's rf), and
     phi_e is evaluated from the derived decomposition (atoms plus residue
-    terms), so a perturbed residue or root shows up as a deviation.
-    """
+    terms), so a perturbed residue or root shows up as a deviation."""
+    spec = model.spec
+    phi_x = model.law.rf if spec.marginal is None else spec.marginal.pgf
     worst = 0.0
     for i in range(grid_points):
         s = 0.99 * i / (grid_points - 1) if grid_points > 1 else 0.0
-        lhs = model.marginal_rf(s)
-        rhs = model.marginal_rf(model.counting_rf(s)) * model.innovation.pgf_value(s)
+        lhs = phi_x(s)
+        rhs = phi_x(spec.thinning.pgf(s)) * model.innovation.pgf_value(s)
         worst = max(worst, abs(lhs - rhs))
     return VerificationReport((_check("pgf_identity_max_abs_deviation", worst, 0.0, tol),))
 
@@ -81,7 +83,7 @@ def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationRepo
     """Entrywise agreement of the recursion with the residue decomposition
     and with its hurdle view, for m <= CROSS_METHOD_TERMS."""
     n = CROSS_METHOD_TERMS
-    recursive = pmf_recursive(model.innovation_rf, n)
+    recursive = pmf_recursive(model.law.rf, n)
     dec = model.innovation.decomposition
     worst_rd = max(abs(dec.pmf(m) - recursive[m]) for m in range(n + 1))
     worst_h = max(abs(hurdle_pmf(model.hurdle, m) - recursive[m]) for m in range(n + 1))
@@ -102,12 +104,12 @@ def _ess_factor(alpha: float) -> float:
 
 def _marginal_central_moments(model: INARModel) -> tuple[float, float, float, float]:
     """mean, m2, m3, m4 of the marginal law, summed to mean + 40 sd + 60 and on
-    until the geometric tail, whose ratio is 1 / the pgf's radius R, is below
-    1e-20: R^-k < 1e-20 from k = log(1e20) / log(R)."""
-    mean = model.moments.marginal_mean
-    var = model.moments.marginal_var
-    span = max(int(mean + 40.0 * math.sqrt(var) + 60),
-               math.ceil(math.log(1e20) / math.log(model.marginal_rf.radius)))
+    until the geometric tail, whose ratio is 1 / R for the pole R = 1 + t (the
+    marginal's, or an iid law's smallest), is below 1e-20: from k = log(1e20) / log1p(t)."""
+    mean, var = model.moments.marginal_mean, model.moments.marginal_var
+    marginal = model.spec.marginal
+    t = marginal.offsets()[1] if marginal else min(model.law.poles, default=math.inf)
+    span = max(int(mean + 40.0 * math.sqrt(var) + 60), math.ceil(math.log(1e20) / math.log1p(t)))
     ks = np.arange(span + 1)
     ps = np.array([model.marginal_pmf(int(k)) for k in ks])
     mu = float(ps @ ks)

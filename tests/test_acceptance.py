@@ -81,7 +81,7 @@ def test_criterion_2_cross_method_equivalence():
         t0 = time.perf_counter()
         worst = 0.0
         for name, params, model in _all_models():
-            rf = model.innovation_rf
+            rf = model.law.rf
             recursive = pmf_recursive(rf, 200)
             fresh = partial_fractions(rf)
             # the closed form as an independent oracle; a linear rf takes its abar = 0 branch

@@ -12,6 +12,7 @@ from geominar.catalog import (
     build_model,
     closed_form_moments,
     dispersion_class,
+    model_entries,
     validate_params,
 )
 from geominar.cli import main
@@ -109,19 +110,34 @@ class TestBuildModel:
         assert len(law_calls) == (0 if name in ("zmg", "two-param") else 1)
         assert [n for _, n in recursions] == [400]
 
-    def test_build_takes_no_generic_pgf_algebra(self, monkeypatch):
+    def test_build_takes_no_generic_pgf_algebra(self, monkeypatch, capsys):
         # one route: the roots come from the parameters, so the generic
         # composition, cancellation, root finding and partial fractions
-        # stay references for the tests that no build calls
+        # stay references for the tests that no build calls; and the marginal
+        # and counting pgfs are evaluated from their parameters, so neither a
+        # build nor verify normalises a RationalFunction as a pgf
         calls = [count_calls(monkeypatch, home, func)
                  for home, func in ((polyrat, "compose_mobius"), (polyrat, "cancel"),
                                     (polyrat, "real_distinct_roots"),
                                     (decompose, "partial_fractions"))]
+        normalised = []
+        post_init = polyrat.RationalFunction.__post_init__
+
+        def counted(rf):
+            if rf.pgf:
+                normalised.append(rf)
+            post_init(rf)
+
+        monkeypatch.setattr(polyrat.RationalFunction, "__post_init__", counted)
         points = [(name, p) for name, grid in GRIDS.items() for p in grid]
         for name, params in points + list(CANONICAL.items()):
             build_model(name, **params)
+        flags = [x for k, v in CANONICAL["rho-geo-nb"].items() for x in (f"--{k}", repr(v))]
+        assert main(["verify", "rho-geo-nb", *flags, "--n", "2000", "--seed", "5"]) == 0
+        capsys.readouterr()
         assert len(points) == 220
         assert calls == [[], [], [], []]
+        assert normalised == []
 
     @pytest.mark.parametrize("name, params", [
         ("two-param", {"r": 1e-20, "m": 0.5}),
@@ -135,6 +151,18 @@ class TestBuildModel:
         assert innovation.decomposition.terms == ()
         expect = oracle_pmf(name, 5, **params)
         assert [innovation.pmf(m) for m in range(6)] == pytest.approx(expect, abs=1e-12)
+
+    def test_extreme_inputs_raise_only_geominar_errors(self):
+        # tiny, huge, subnormal and near-one parameters, signed zeros and the
+        # bounds themselves: every failure names its cause as a GeominarError
+        points = _fuzz_points()
+        assert len(points) == 300
+        for name, params in points:
+            for f in (build_model, closed_form_moments):
+                try:
+                    f(name, **params)
+                except GeominarError:
+                    pass
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_model_carries_its_validation_report(self, name):
@@ -183,6 +211,34 @@ class TestValidateParams:
         numeric = next(c for c in cs if c.name.startswith("innovation pmf nonnegative"))
         assert not numeric.satisfied
         assert numeric.margin < -1e-6
+
+
+_FUZZ_SPECIAL = (0.0, -0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0 - 1e-16, 1e-16, 1e300,
+                 0.5, 1.0)
+
+
+def _fuzz_points(n: int = 300, seed: int = 5) -> list[tuple[str, dict]]:
+    """Seeded points of any family, valid or not: each parameter is a special
+    value (30%), 10**U(-320, 20) (30%), U(0, 1) (20%) or 1 - 10**U(-16, 0)
+    (20%); zmg's k is negated half the time."""
+    rng = random.Random(seed)
+
+    def value():
+        u = rng.random()
+        if u < 0.3:
+            return rng.choice(_FUZZ_SPECIAL)
+        if u < 0.6:
+            return 10.0 ** rng.uniform(-320.0, 20.0)
+        return rng.random() if u < 0.8 else 1.0 - 10.0 ** rng.uniform(-16.0, 0.0)
+
+    out = []
+    for _ in range(n):
+        entry = rng.choice(model_entries())
+        params = {k: value() for k in entry.param_names}
+        if entry.name == "zmg" and rng.random() < 0.5:
+            params["k"] = -params["k"]
+        out.append((entry.name, params))
+    return out
 
 
 def _extreme_points(per_family: int = 60, seed: int = 11) -> list[tuple[str, dict]]:
@@ -256,6 +312,13 @@ class TestMoments:
     def test_closed_forms_refuse_out_of_domain_parameters(self, name, params):
         with pytest.raises(InvalidParameterError):
             closed_form_moments(name, **params)
+
+    def test_underflowing_theta_squared_gives_infinite_variance(self):
+        # theta * theta is 0 below theta ~ 1.5e-162; the quotient divided by it
+        mo = closed_form_moments("ginar", theta=1e-170, alpha=0.5)
+        assert (mo.marginal_mean, mo.marginal_var) == (1e170, math.inf)
+        assert closed_form_moments("ginar", theta=1e-150, alpha=0.5).marginal_var == \
+            (1.0 - 1e-150) / (1e-150 * 1e-150)
 
     def test_zero_modified_equidispersion_at_k_minus_one(self):
         mo = closed_form_moments("zmg", mu=1.0, k=-1.0)

@@ -6,7 +6,10 @@ import textwrap
 import pytest
 
 from geominar import simulate
+from geominar.catalog import build_model
 from geominar.cli import build_parser, main
+
+from oracles import oracle_pmf
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +46,31 @@ class TestDerive:
         doc = json.loads(out)
         assert doc["pmf"] == pmf and doc["terms"] == []
         assert doc["hurdle"] == {"pi": pi, "p1": 0.0, "p2": 0.0, "w1": 1.0, "w2": 0.0}
+
+    def test_near_unit_alpha_derives(self, capsys):
+        # 1 - (1 - theta) at s = 1 cancels to 5e-9 relative here, which a pgf
+        # normalised to value 1 at s = 1 refused; the law needs no such value
+        params = {"theta": 1e-8, "alpha": 0.9999999999999999}
+        code, out, err = run_cli(capsys, "derive", "ginar",
+                                 *(f"--{k}={v!r}" for k, v in params.items()))
+        assert (code, err) == (0, "")
+        expect = oracle_pmf("ginar", 32, **params)
+        assert [p for _, p in json.loads(out)["pmf"]] == pytest.approx(expect[:1], abs=1e-12)
+        # the printed table stops at pmf(0) = 1 - 1e-16; the law goes on in its term
+        law = build_model("ginar", **params).innovation
+        assert [law.pmf(m) for m in range(33)] == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("argv, pole", [
+        (("ginar", "--theta", "1e-16", "--alpha", "0.5"), "1.0000000000000001e-16"),
+        (("ginar", "--theta", "5e-324", "--alpha", "0.5"), "5e-324"),
+        (("zmg", "--mu", "1e19", "--k", "0.5"), "1e-19"),
+        (("nginar", "--mu", "1e300", "--alpha", "0.5"), "1e-300"),
+    ])
+    def test_pole_rounding_onto_one_exit_2(self, capsys, argv, pole):
+        # every declared constraint holds, but s = 1 + t is 1 as a float
+        code, out, err = run_cli(capsys, "derive", *argv)
+        assert (code, out) == (2, "")
+        assert f"{argv[0]}: pole s = 1 + {pole} rounds onto 1 in double precision" in err
 
     def test_validation_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "derive", "nginar", "--mu", "1",

@@ -362,7 +362,7 @@ class TestRecursion:
     def test_grid_models_same_bits_as_the_full_convolution(self):
         for name, grid in GRIDS.items():
             for params in grid:
-                r = build_model(name, **params).innovation_rf
+                r = build_model(name, **params).law.rf
                 assert list(map(float.hex, pmf_recursive(r, 400))) == \
                     list(map(float.hex, full_convolution(r, 400))), (name, params)
 

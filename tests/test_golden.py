@@ -1,11 +1,11 @@
-"""Golden digests pinning the seeded and printed output of version 0.3.2.
+"""Golden digests pinning the seeded and printed output of version 0.3.3.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
 A change to the sampler algorithm that moves a single drawn value must update
 these digests and bump the version (see the README's numerical conventions).
 The series digests (SERIES, ACROSS_BLOCKS, WIDE_TABLE, SHORT_TABLE) were
-recorded from the 0.2.0 sampler and hold unchanged in 0.3.2. VERIFY, DERIVE
+recorded from the 0.2.0 sampler and hold unchanged in 0.3.3. VERIFY, DERIVE
 and REFUSAL were re-recorded in 0.3.0, where every family's innovation law
 comes from partial fractions: pmf rows moved by at most 2.3e-13, every family
 prints its hurdle view and verify checks it. They were re-recorded again in
@@ -18,7 +18,15 @@ printed pmf rows moved by at most 6.6e-14 relative; six of the eight
 VERIFY digests moved, and no pass/fail flag). REFUSAL was re-recorded
 once more within 0.3.2, where every parameter bound reports its signed
 distance: 23 runs refused for a negative alpha or rho now print that value
-as the margin, and nothing else moved. CATALOG pins the `geominar catalog`
+as the margin, and nothing else moved. Four VERIFY digests were re-recorded
+in 0.3.3, where verify evaluates the marginal and counting pgfs from their
+parameters instead of from normalised rational functions; only the
+pgf_identity_max_abs_deviation line moved (observed, old -> new):
+hurdle-geo-bin 4.440892098500626e-16 -> 3.3306690738754696e-16,
+hurdle-geo-nb 2.220446049250313e-16 -> 3.3306690738754696e-16,
+nginar 2.220446049250313e-16 -> 3.3306690738754696e-16 and
+rho-geo-nb 3.3306690738754696e-16 -> 5.551115123125783e-16, all against a
+tolerance of 1e-10, with no pass/fail flag changed. CATALOG pins the `geominar catalog`
 listing. tests/golden_points.py lists the runs behind each of these four
 digests one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -89,13 +97,13 @@ SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
     "ginar": "9a228d5403fb37efec3f8a8cda2cadc77b4fdab76d6c3318f4d8c7a866383bea",
-    "nginar": "83076d07b0f80de35bf8c7df385ed36264ab1a78a72ebba65be860718a54d935",
+    "nginar": "78f259a3eb6817b4ed06fa4bdfb645829c71f15efa3fd8250392bac769912eba",
     "zmg": "c351e4cbfb87f05e0aa2a93c5cc0569ea71aba5f250c64a7ed76f3e560b294d1",
     "two-param": "5c78f929e36c2e6f1c7387542dd9c2079eeb676fddf428befb8b51fa422306ac",
     "rho-geo-bin": "ef32b2a199c9032ee4ae4bd4edd6640a8be9f543c45a41082226ca76eeed34d1",
-    "hurdle-geo-bin": "674ca1ddd79e6efc7d26f344703fb740988fb0034299f912e5127a8f46dd5007",
-    "rho-geo-nb": "5ebca48575e9688065e21d70a3c5e1af698ce289f9faed871c18c04d4420bd98",
-    "hurdle-geo-nb": "db1089e704277bd3f765cda0b64c8b142a3422b7b0218c6b0cc707605e57819e",
+    "hurdle-geo-bin": "50b5ac0fd803a7cffef1674d50ff51e9e9f528190a481cfc4b14b7b9c6b17fd6",
+    "rho-geo-nb": "349bf8e654628d68b573cf41c2c66d70f41001472ba71c3b13a5f1630b9fd9b4",
+    "hurdle-geo-nb": "5110f16ac2386c3f38cca0218e613f633f9ec40c792b256c4208876732730eee",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
@@ -180,7 +188,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.3.2"
+    assert __version__ == "0.3.3"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
