@@ -3,15 +3,19 @@
 Subcommands: derive (innovation decomposition and pmf table), simulate
 (seeded CSV trajectories), verify (full check suite, exit 1 on failure),
 catalog (model listing). Output is byte-identical for identical invocations:
-no timestamps, sorted JSON keys, repr floats. The argument parser is built
-once per process and holds no state between calls to main. The sampler and
-the checks (and with them numpy) are imported by the commands that use them,
-so derive and catalog start without them.
+no timestamps, sorted JSON keys, repr floats. JSON is strict (RFC 8259) and
+written by the stdlib encoder (`_json`), except derive's pmf rows: those are
+one f-string join spliced in at the "pmf" key, the bytes the encoder gives.
+A non-finite value still never prints: tabulation refuses a non-finite pmf
+row, and any other non-finite float is written as null or makes `_json`
+raise. The argument parser is built once per process and holds no state
+between calls to main. The sampler and the checks (and with them numpy) are
+imported by the commands that use them, so derive and catalog start without
+them.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -94,31 +98,46 @@ def _cmd_derive(args) -> int:
     innovation = model.innovation
     if args.truncation_mass != DEFAULT_TARGET_MASS:
         innovation = pmf_from_decomposition(innovation.decomposition, args.truncation_mass)
+    table = innovation.pmf_table
     doc = {
         "model": name,
         "params": model.params,
-        "constraints": [dataclasses.asdict(c) for c in model.constraints],
+        # every field is a scalar, so a shallow copy of the fields is a full one
+        "constraints": [dict(vars(c)) for c in model.constraints],
         "atoms": list(innovation.decomposition.atom_poly.coeffs),
         "terms": [{"rho": r, "s": s} for r, s in innovation.decomposition.terms],
-        "hurdle": dataclasses.asdict(model.hurdle),
-        "moments": dataclasses.asdict(model.moments),
-        "dispersion": dataclasses.asdict(dispersion_class(model.moments)),
+        "hurdle": dict(vars(model.hurdle)),
+        "moments": dict(vars(model.moments)),
+        "dispersion": dict(vars(dispersion_class(model.moments))),
         "truncation": innovation.truncation,
         "truncation_mass": args.truncation_mass,
-        "pmf": [[m, p] for m, p in enumerate(innovation.pmf_table)],
     }
     if args.format == "json":
-        _emit(_json({**doc, "moments": _finite(doc["moments"])}), args.output)
+        _emit(_derive_json({**doc, "moments": _finite(doc["moments"])}, table), args.output)
     elif args.format == "csv":
         lines = ["m,probability"]
-        lines += [f"{m},{p!r}" for m, p in enumerate(innovation.pmf_table)]
+        lines += [f"{m},{p!r}" for m, p in enumerate(table)]
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(_derive_table(doc), args.output)
+        _emit(_derive_table(doc, table), args.output)
     return 0
 
 
-def _derive_table(doc) -> str:
+def _derive_json(doc: dict, table) -> str:
+    """_json({**doc, "pmf": [[m, p] for m, p in enumerate(table)]}), with the rows
+    written by one join and spliced in at the "pmf" key.
+
+    json writes an int or a finite float as its repr, so the rows are the
+    bytes its encoder would give; tabulation never leaves a non-finite row.
+    Only a top-level key sits at a two-space indent, so the empty list's line
+    is the one place where the rows go.
+    """
+    head, tail = _json({**doc, "pmf": []}).split('\n  "pmf": [],\n')
+    rows = ",\n".join([f"    [\n      {m},\n      {p!r}\n    ]" for m, p in enumerate(table)])
+    return f'{head}\n  "pmf": [\n{rows}\n  ],\n{tail}'
+
+
+def _derive_table(doc: dict, table) -> str:
     out = [f"model: {doc['model']}"]
     out.append("params: " + ", ".join(f"{k}={v!r}" for k, v in doc["params"].items()))
     out.append("constraints:")
@@ -139,10 +158,10 @@ def _derive_table(doc) -> str:
     out.append(f"innovation: mean={mo['innovation_mean']:.12g} var={mo['innovation_var']:.12g} "
                f"dispersion={mo['innovation_dispersion']:.12g} ({doc['dispersion']['innovation']})")
     out.append(f"pmf table to m={doc['truncation']} (mass target {doc['truncation_mass']!r}):")
-    for m, p in doc["pmf"][:25]:
+    for m, p in enumerate(table[:25]):
         out.append(f"  {m:4d}  {p:.15g}")
-    if len(doc["pmf"]) > 25:
-        out.append(f"  ... {len(doc['pmf']) - 25} more rows (use --format csv for all)")
+    if len(table) > 25:
+        out.append(f"  ... {len(table) - 25} more rows (use --format csv for all)")
     return "\n".join(out) + "\n"
 
 

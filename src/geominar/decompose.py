@@ -15,7 +15,10 @@ dominance argument.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import add, or_, truediv
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -44,6 +47,11 @@ DEFAULT_TARGET_MASS = 1.0 - 1e-12
 # most guide-table buckets per innovation law (a power of two): bounds the
 # table, like simulate.BLOCK bounds the draws, whatever the pmf table length
 GUIDE_MAX = 1 << 16
+
+# pmf_from_decomposition tabulates in blocks of _FIRST_BLOCK rows, doubling,
+# and refuses a law whose table needs more than rows 0.._ROW_CAP
+_FIRST_BLOCK = 64
+_ROW_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -261,12 +269,21 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
                            target_mass: float = DEFAULT_TARGET_MASS) -> InnovationDistribution:
     """Tabulate the pmf until the accumulated mass reaches target_mass.
 
-    Entries below -1e-12 raise NegativeProbabilityError (invalid model
-    parameters); dust in [-1e-12, 0) is clamped to zero. The truncation index
-    is the smallest m at which the table's mass reaches target_mass or the
-    exact mass beyond m is at most 1 - target_mass, never less than the atom
-    support, and the tail is certified nonnegative by dominance of the
-    smallest-root term.
+    The truncation index T is the smallest m, never less than the atom
+    degree, at which the running sum of the clamped rows 0..m reaches
+    target_mass or the exact mass beyond m, sum_i rho_i s_i^-(m+1) / (s_i - 1),
+    is at most 1 - target_mass, and at which the tail beyond m is certified
+    nonnegative by dominance of the smallest-root term. Dust in [-1e-12, 0)
+    is clamped to zero; the first row at or before T that is below -1e-12
+    raises NegativeProbabilityError (invalid model parameters), and the first
+    that is not finite raises GeominarError. A law with no T up to m = 1e6
+    raises GeominarError.
+
+    The rows are built in blocks of 64, 128, 256, ... rows, column by column:
+    each term's column rho_i s_i^-(m+1) is added to the atom column in the
+    terms' order, and the running sums come from itertools.accumulate. Every
+    row, sum and remaining mass is the float that FractionalDecomposition.pmf,
+    a running `cum += v` and remaining_mass give one row at a time.
     """
     if not 0.0 < target_mass < 1.0:
         raise ConstraintViolationError(f"target_mass must be in (0,1), got {target_mass!r}")
@@ -274,28 +291,50 @@ def pmf_from_decomposition(dec: FractionalDecomposition,
     if terms and terms[0][0] < -CLAMP_TOL:
         raise NegativeProbabilityError(
             f"smallest-root residue rho={terms[0][0]!r} < 0: tail is eventually negative")
-    table = []
+    atoms = dec.atom_poly.coeffs
+    first = dec.atom_poly.degree
+    slack = 1.0 - target_mass
+    table: list[float] = []
     cum = 0.0
-    m = 0
-    cap = 1_000_000
-    while True:
-        v = dec.pmf(m)
+    lo, size = 0, _FIRST_BLOCK
+    while lo <= _ROW_CAP:
+        hi = min(lo + size, _ROW_CAP + 1)
+        rows = list(atoms[lo:hi])
+        rows += [0.0] * (hi - lo - len(rows))
+        beyond = [0.0] * (hi - lo)  # remaining_mass's sum starts from 0 too
+        for rho, s in terms:
+            col = [rho * s ** e for e in range(-lo - 1, -hi - 1, -1)]
+            rows = list(map(add, rows, col))
+            beyond = list(map(add, beyond, map(truediv, col, repeat(s - 1.0))))
+        # max(v, 0.0), faster: both keep -0.0, and a nan row in the table is refused below
+        clamped = [v if v >= 0.0 else 0.0 for v in rows]
+        sums = list(accumulate(clamped, initial=cum))  # sums[i + 1]: the mass of rows 0..lo + i
+        # cum stops growing once the entries fall below half its ulp,
+        # so the exact remaining mass stands in for it from there on
+        reached = map(or_, map(target_mass.__le__, islice(sums, 1, None)),
+                      map(slack.__ge__, map(abs, beyond)))
+        stop = next((m for m in compress(range(lo, hi), reached)
+                     if m >= first and _tail_certified(terms, m)), None)
+        end = hi if stop is None else stop + 1
+        _refuse_bad_row(rows[:end - lo], lo)
+        table += clamped[:end - lo]
+        if stop is not None:
+            return InnovationDistribution(dec, tuple(table))
+        cum = sums[-1]
+        lo, size = hi, 2 * size
+    raise GeominarError("pmf truncation did not converge within 1e6 entries")
+
+
+def _refuse_bad_row(rows: list[float], lo: int) -> None:
+    """Raise on the first of rows (indices lo, lo + 1, ...) that is not finite
+    or is below -CLAMP_TOL; min and sum pass a block without one in C."""
+    if min(rows) >= -CLAMP_TOL and math.isfinite(sum(rows)):
+        return  # min skips a nan after the first row, sum does not
+    for m, v in enumerate(rows, lo):
+        if not math.isfinite(v):
+            raise GeominarError(f"pmf entry at m={m} is {v!r}: not a finite number")
         if v < -CLAMP_TOL:
             raise NegativeProbabilityError(f"pmf entry at m={m} is {v!r}")
-        v = max(v, 0.0)
-        table.append(v)
-        cum += v
-        if m >= dec.atom_poly.degree:
-            # cum stops growing once the entries fall below half its ulp,
-            # so the exact remaining mass stands in for it from there on
-            remaining = dec.remaining_mass(m)
-            if cum >= target_mass or abs(remaining) <= 1.0 - target_mass:
-                if _tail_certified(terms, m):
-                    break
-        m += 1
-        if m > cap:
-            raise GeominarError("pmf truncation did not converge within 1e6 entries")
-    return InnovationDistribution(dec, tuple(table))
 
 
 def _tail_certified(terms, m: int) -> bool:

@@ -8,7 +8,7 @@ correct model makes it fail (the test suite injects such faults).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
     def to_dict(self) -> dict:
-        return {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
+        # every field is a scalar, so a shallow copy of the fields is a full one
+        return {"overall": self.overall, "checks": [dict(vars(c)) for c in self.checks]}
 
 
 def _check(name: str, observed: float, expected: float, tol: float) -> CheckResult:

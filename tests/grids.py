@@ -65,3 +65,13 @@ CANONICAL = {
     "rho-geo-nb": {"mu": 1.0, "rho": 0.2, "alpha": 0.3},
     "hurdle-geo-nb": {"mu": 0.3, "rho": 0.5, "alpha": 0.2},
 }
+
+# the large-mean points of the wide-tables benchmark workload: pmf tables of
+# 27k-322k rows at the default truncation mass
+WIDE = [
+    ("ginar", {"theta": 1e-4, "alpha": 0.5}),
+    ("nginar", {"mu": 1e4, "alpha": 0.9}),
+    ("rho-geo-nb", {"mu": 1e3, "rho": 0.2, "alpha": 0.5}),
+    ("zmg", {"mu": 1e3, "k": 0.3}),
+    ("two-param", {"r": 1e3, "m": 500.0}),
+]

@@ -122,3 +122,35 @@ def oracle_moments(name: str, n: int = 6000, **p) -> tuple[float, float]:
     m1 = sum(m * q for m, q in enumerate(c))
     m2 = sum(m * m * q for m, q in enumerate(c))
     return m1, m2 - m1 * m1
+
+
+def loop_pmf_table(dec, target_mass: float) -> tuple[float, ...]:
+    """The pmf table tabulated one row at a time, as pmf_from_decomposition
+    did before it built blocks of columns: dec.pmf(m) and dec.remaining_mass(m)
+    per row, with the same clamp, stop rule, tail certificate, refusals and
+    1e6-row cap."""
+    from geominar.decompose import CLAMP_TOL, _tail_certified
+    from geominar.errors import GeominarError, NegativeProbabilityError
+
+    terms = dec.terms
+    if terms and terms[0][0] < -CLAMP_TOL:
+        raise NegativeProbabilityError(
+            f"smallest-root residue rho={terms[0][0]!r} < 0: tail is eventually negative")
+    table = []
+    cum = 0.0
+    m = 0
+    while True:
+        v = dec.pmf(m)
+        if v < -CLAMP_TOL:
+            raise NegativeProbabilityError(f"pmf entry at m={m} is {v!r}")
+        v = max(v, 0.0)
+        table.append(v)
+        cum += v
+        if m >= dec.atom_poly.degree:
+            remaining = dec.remaining_mass(m)
+            if cum >= target_mass or abs(remaining) <= 1.0 - target_mass:
+                if _tail_certified(terms, m):
+                    return tuple(table)
+        m += 1
+        if m > 1_000_000:
+            raise GeominarError("pmf truncation did not converge within 1e6 entries")

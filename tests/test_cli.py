@@ -7,8 +7,10 @@ import pytest
 
 from geominar import simulate
 from geominar.catalog import build_model
-from geominar.cli import build_parser, main
+from geominar.cli import _json, build_parser, main
+from geominar.decompose import pmf_from_decomposition
 
+from grids import CANONICAL, GRIDS, WIDE
 from oracles import oracle_pmf
 
 
@@ -360,25 +362,60 @@ class TestCatalog:
         assert doc[0]["model"] == "ginar"
 
 
+def refuse_token(token):
+    """json.loads's parse_constant: RFC 8259 has no NaN or Infinity tokens."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 class TestStrictJson:
     @pytest.mark.parametrize("argv, where", [
         (("derive", "zmg", "--mu", "5e-324", "--k", "0.5"), "moments"),
         (("verify", "nginar", "--mu", "1", "--alpha", "0.3", "--format", "json"), "checks"),
     ])
     def test_non_finite_values_are_null(self, capsys, argv, where):
-        # RFC 8259 has no NaN or Infinity tokens; parse_constant meets only those
-        def refuse(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        doc = json.loads(out, parse_constant=refuse)
+        doc = json.loads(out, parse_constant=refuse_token)
         if where == "moments":  # mean 0: the dispersion index is undefined
             assert doc["moments"]["marginal_dispersion"] is None
             assert doc["dispersion"] == {"marginal": "undefined", "innovation": "undefined"}
         else:  # a law with two terms has no finite tail tolerance
             tol = {c["name"]: c["tolerance"] for c in doc["checks"]}
             assert tol["tail_rel_error_m5"] is None
+
+
+class TestDeriveJsonWriter:
+    """derive writes its pmf rows with one f-string join; the bytes are what
+    the stdlib encoder (cli._json) gives for the same document, and its rows
+    are the model's table."""
+
+    def assert_stdlib_bytes(self, capsys, name, params, *extra):
+        code, out, err = run_cli(capsys, "derive", name,
+                                 *(f"--{k}={v!r}" for k, v in params.items()), *extra)
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=refuse_token)
+        assert out == _json(doc), (name, params, extra)
+        innovation = build_model(name, **params).innovation
+        if extra:  # --truncation-mass
+            innovation = pmf_from_decomposition(innovation.decomposition, float(extra[1]))
+        assert doc["pmf"] == [[m, p] for m, p in enumerate(innovation.pmf_table)]
+        return doc
+
+    @pytest.mark.parametrize("extra", [
+        (), ("--truncation-mass", "0.5"), ("--truncation-mass", repr(1.0 - 1e-15)),
+    ])
+    def test_grid_and_canonical_points(self, capsys, extra):
+        points = [(n, p) for n, grid in GRIDS.items() for p in grid] + list(CANONICAL.items())
+        for name, params in points:
+            self.assert_stdlib_bytes(capsys, name, params, *extra)
+
+    @pytest.mark.parametrize("name, params", WIDE)
+    def test_wide_points(self, capsys, name, params):
+        assert len(self.assert_stdlib_bytes(capsys, name, params)["pmf"]) > 20_000
+
+    def test_one_row_table(self, capsys):
+        doc = self.assert_stdlib_bytes(capsys, "zmg", {"mu": 5e-324, "k": 0.0})
+        assert doc["pmf"] == [[0, 1.0]]
 
 
 class TestEntryPoint:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from geominar.catalog import build_model
+from geominar.catalog import _entry, _validate, build_model
 from geominar.decompose import (
+    DEFAULT_TARGET_MASS,
     FractionalDecomposition,
     HurdleForm,
     _weights_equal_leading,
@@ -34,8 +35,8 @@ from geominar.pgf import (
 )
 from geominar.polyrat import Polynomial, RationalFunction
 
-from grids import GRIDS
-from oracles import oracle_pmf
+from grids import CANONICAL, GRIDS, WIDE
+from oracles import loop_pmf_table, oracle_pmf
 
 
 def rf(num, den, radius=math.inf, pgf=True):
@@ -135,6 +136,78 @@ class TestPmfFromDecomposition:
         tight = pmf_from_decomposition(partial_fractions(GINAR_RF), 1.0 - 1e-12)
         assert loose.truncation < tight.truncation
         assert sum(loose.pmf_table) >= 0.99
+
+
+# the points that the build refuses with "innovation construction mismatch at
+# m=0"; their laws still tabulate
+MISMATCH_AT_ZERO = [
+    ("two-param", {"r": 1e-8, "m": 0.5}),
+    ("zmg", {"mu": 1e-8, "k": -5e7}),
+    ("hurdle-geo-nb", {"mu": 0.3, "rho": 1e-8, "alpha": 0.0}),
+    ("hurdle-geo-nb", {"mu": 0.39734968934271897, "rho": 4.72e-66, "alpha": 3.29e-81}),
+]
+TRUNCATION_MASSES = (DEFAULT_TARGET_MASS, 0.5, 1.0 - 1e-15)
+
+
+def law_decomposition(name, params):
+    """The decomposition of a catalog law, also where build_model refuses it."""
+    return _validate(_entry(name), params)[2].decomposition()
+
+
+def raised(fn, *args):
+    with pytest.raises(GeominarError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+class TestBlockTabulation:
+    """pmf_from_decomposition's blocks of columns give the table, truncation
+    index and refusals of the row-at-a-time loop (oracles.loop_pmf_table)."""
+
+    def assert_same_table(self, name, params, target):
+        dec = law_decomposition(name, params)
+        new = pmf_from_decomposition(dec, target)
+        old = loop_pmf_table(dec, target)
+        assert new.truncation == len(old) - 1, (name, params, target)
+        assert list(map(float.hex, new.pmf_table)) == list(map(float.hex, old)), (name, params)
+
+    @pytest.mark.parametrize("target", TRUNCATION_MASSES)
+    def test_same_bits_at_the_grid_canonical_and_mismatch_points(self, target):
+        points = [(n, p) for n, grid in GRIDS.items() for p in grid]
+        points += list(CANONICAL.items()) + MISMATCH_AT_ZERO
+        for name, params in points:
+            self.assert_same_table(name, params, target)
+
+    @pytest.mark.parametrize("target", TRUNCATION_MASSES)
+    @pytest.mark.parametrize("name, params", WIDE)
+    def test_same_bits_at_the_wide_points(self, name, params, target):
+        self.assert_same_table(name, params, target)
+
+    @pytest.mark.parametrize("atoms, terms, target, m", [
+        ((0.6, -0.2), ((0.3, 2.0),), DEFAULT_TARGET_MASS, 1),
+        ((0.5,) + (0.0,) * 99 + (-0.1,), ((0.3, 2.0),), DEFAULT_TARGET_MASS, 100),  # block 2
+        # the mass target holds at m = 0, where the tail is not certified: row 1 is < 0
+        ((0.9,), ((0.01, 2.0), (-0.1, 4.0)), 0.5, 1),
+    ])
+    def test_same_first_negative_row(self, atoms, terms, target, m):
+        dec = FractionalDecomposition(Polynomial(atoms), terms)
+        new = raised(pmf_from_decomposition, dec, target)
+        assert new == raised(loop_pmf_table, dec, target)
+        assert new[0] is NegativeProbabilityError and f"pmf entry at m={m} is " in new[1]
+
+    def test_same_row_cap_refusal(self):
+        dec = law_decomposition("ginar", {"theta": 1e-6, "alpha": 0.5})
+        new = raised(pmf_from_decomposition, dec)
+        assert new == raised(loop_pmf_table, dec, DEFAULT_TARGET_MASS)
+        assert new[1] == "pmf truncation did not converge within 1e6 entries"
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_row_refused_at_once(self, rho):
+        # the row loop gave the table (inf,) for rho = inf, and for nan ran to
+        # the 1e6-row cap; the writer would have printed either as a bare token
+        dec = FractionalDecomposition(Polynomial((0.5,)), ((rho, 2.0),))
+        assert raised(pmf_from_decomposition, dec) == (
+            GeominarError, f"pmf entry at m=0 is {rho!r}: not a finite number")
 
 
 class TestLinearClosedForm:
