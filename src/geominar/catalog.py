@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .decompose import (
+    CLAMP_TOL,
     HurdleForm,
     InnovationDistribution,
     decomposition_to_hurdle,
@@ -162,7 +163,7 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
     try:
         table = pmf_recursive(law.rf, 400)
         worst = min(table)
-        out.append(_constraint(NUMERIC, worst >= -1e-12, worst))
+        out.append(_constraint(NUMERIC, worst >= -CLAMP_TOL, worst))
     except GeominarError as exc:
         out.append(_constraint(f"{NUMERIC[:-1]}: {exc})", False, -math.inf))
     return tuple(out), spec, law, table
@@ -294,7 +295,7 @@ def _tail_weight(p, spec, law):
         rho1 = law.residues[0] if law.poles else 0.0
     except GeominarError:
         rho1 = -math.inf
-    return rho1 >= -1e-12, rho1
+    return rho1 >= -CLAMP_TOL, rho1
 
 
 _ROOTS_AND_TAIL = (("roots ordered s2 >= s1 > 1", _roots_ordered),

@@ -26,7 +26,8 @@ from .catalog import build_model, dispersion_class, model_entries
 from .decompose import DEFAULT_TARGET_MASS, pmf_from_decomposition
 from .errors import GeominarError
 
-_PARAM_FLAGS = ("theta", "mu", "rho", "alpha", "k", "m", "r")
+# read off the catalog rows, so that every row's parameters have their flags
+_PARAM_FLAGS = tuple(dict.fromkeys(n for e in model_entries() for n in e.param_names))
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:

@@ -219,15 +219,10 @@ def hurdle_pmf(h: HurdleForm, m: int) -> float:
         return 0.0
     if m == 0:
         return h.pi
-    t1 = h.w1 * (1.0 - h.p1) * _pow_conv(h.p1, m - 1)
-    t2 = h.w2 * (1.0 - h.p2) * _pow_conv(h.p2, m - 1)
+    # x ** 0 is 1.0 for every float x, 0.0 included: a p == 0 component adds only at m = 1
+    t1 = h.w1 * (1.0 - h.p1) * h.p1 ** (m - 1)
+    t2 = h.w2 * (1.0 - h.p2) * h.p2 ** (m - 1)
     return (1.0 - h.pi) * (t1 + t2)
-
-
-def _pow_conv(p: float, k: int) -> float:
-    if k == 0:
-        return 1.0  # 0**0 == 1 so a p == 0 component contributes only at m = 1
-    return p ** k
 
 
 def partial_fractions(rf: RationalFunction) -> FractionalDecomposition:
@@ -337,15 +332,17 @@ def _refuse_bad_row(rows: list[float], lo: int) -> None:
             raise NegativeProbabilityError(f"pmf entry at m={m} is {v!r}")
 
 
+def tail_dominance_margin(terms, m: int) -> float:
+    """rho_min less the bound on all other residues from index m+1 on:
+    sum_i |rho_i| (s_min / s_i)^(m+2) over the terms after the smallest root."""
+    rho_min, s_min = terms[0]
+    return rho_min - sum(abs(r) * (s_min / s) ** (m + 2) for r, s in terms[1:])
+
+
 def _tail_certified(terms, m: int) -> bool:
     """True when rho_min dominates all other residues from index m+1 on."""
-    if len(terms) <= 1:
-        return True
-    rho_min, s_min = terms[0]
-    if any(r < 0.0 for r, _ in terms[1:]):
-        bound = sum(abs(r) * (s_min / s) ** (m + 2) for r, s in terms[1:])
-        return rho_min - bound >= -CLAMP_TOL
-    return True
+    return (not any(r < 0.0 for r, _ in terms[1:])
+            or tail_dominance_margin(terms, m) >= -CLAMP_TOL)
 
 
 def linear_closed_form(a: float, b: float, c: float, d: float) -> InnovationDistribution:

@@ -4,9 +4,10 @@ Everything is plain double precision. Every catalog model pairs a Moebius
 (degree 1/1) marginal pgf with a counting pgf of degree at most one, so the
 polynomials whose roots are needed never exceed degree two: dense ascending
 coefficient vectors plus the linear and quadratic closed forms are adequate
-and easy to audit. Root finding above degree two raises. The catalog reads
-its roots off the parameters (pgf.InnovationLaw), so compose_mobius, cancel
-and the root finding serve only as test references.
+and easy to audit. Root finding above degree two raises, and so does
+compose_mobius above degree one. The catalog reads its roots off the
+parameters (pgf.InnovationLaw), so compose_mobius, cancel and the root
+finding serve only as test references.
 """
 from __future__ import annotations
 
@@ -81,10 +82,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial((0.0,))
         return Polynomial(tuple(k * self.coeffs[k] for k in range(1, len(self.coeffs))))
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -168,14 +165,11 @@ class RationalFunction:
     """Quotient of two polynomials, normalized so den(0) == 1.
 
     radius is the validity radius for evaluation; calls outside it raise.
-    When pgf is set the value at s=1 is renormalized to exactly one and the
-    value at s=0 is checked to lie in [0, 1].
     """
 
     num: Polynomial
     den: Polynomial
     radius: float = math.inf
-    pgf: bool = False
 
     def __post_init__(self):
         if self.den.is_zero():
@@ -184,23 +178,9 @@ class RationalFunction:
         scale_guard = max(abs(c) for c in self.den.coeffs)
         if abs(d0) <= 1e-14 * scale_guard:
             raise GeominarError("denominator vanishes at s = 0; b_0 > 0 required")
-        num, den = self.num, self.den
         if d0 != 1.0:
-            num = num.scaled(1.0 / d0)
-            den = den.scaled(1.0 / d0)
-        if self.pgf:
-            d1 = den(1.0)
-            if d1 == 0.0:
-                raise GeominarError("pgf denominator vanishes at s = 1")
-            v1 = num(1.0) / d1
-            if abs(v1 - 1.0) > 1e-9:
-                raise GeominarError(f"pgf value at s=1 is {v1!r}, not 1")
-            num = num.scaled(1.0 / v1)
-            v0 = num(0.0) / den(0.0)
-            if not -1e-12 <= v0 <= 1.0 + 1e-12:
-                raise GeominarError(f"pgf value at s=0 is {v0!r}, outside [0, 1]")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            object.__setattr__(self, "num", self.num.scaled(1.0 / d0))
+            object.__setattr__(self, "den", self.den.scaled(1.0 / d0))
 
     def __call__(self, s: float) -> float:
         if abs(s) >= self.radius:
@@ -213,8 +193,7 @@ class RationalFunction:
 def cancel(rf: RationalFunction) -> RationalFunction:
     """Remove common real roots of numerator and denominator within DISTINCT_TOL.
 
-    The result is renormalized (den(0) == 1, and value 1 at s=1 when the
-    function is tagged as a pgf). A no-op when no roots are shared.
+    The result is renormalized (den(0) == 1). A no-op when no roots are shared.
     """
     num, den = rf.num, rf.den
     while num.degree > 0 and den.degree > 0:
@@ -229,41 +208,28 @@ def cancel(rf: RationalFunction) -> RationalFunction:
         rn, rd = shared[0]
         num = poly_divmod(num, Polynomial((-rn, 1.0)))[0]
         den = poly_divmod(den, Polynomial((-rd, 1.0)))[0]
-    return RationalFunction(num, den, radius=rf.radius, pgf=rf.pgf)
+    return RationalFunction(num, den, radius=rf.radius)
 
 
 def compose_mobius(rf: RationalFunction, m: RationalFunction) -> RationalFunction:
-    """Compose rf with a degree <= 1 rational map m, returning rf(m(s)).
+    """rf(m(s)) for rf and m of degree at most one, common factors cancelled.
 
-    Clearing denominators: with rf = P/Q of degrees p, q and D = max(p, q),
-    the composed numerator is sum_k P_k * m_num^k * m_den^(D-k), and the
-    denominator is the same sum over Q. Common factors are cancelled.
+    rf = (a0 + a1 s) / (b0 + b1 s) and m = p / q give (a0 q + a1 p) / (b0 q + b1 p);
+    a constant rf comes back as it is. m is monotone on [0, 1] when q has no zero
+    there (q(0) = 1, so when q(1) > 0), and then maps [0, 1] inside rf.radius
+    exactly when |m(0)| and |m(1)| are below it.
     """
-    if m.num.degree > 1 or m.den.degree > 1:
-        raise DomainViolationError("composition map must have degree <= 1")
-    for i in range(33):
-        s = i / 32.0
-        md = m.den(s)
-        if md == 0.0 or not abs(m.num(s) / md) < rf.radius:
-            raise DomainViolationError(
-                f"map value at s={s} leaves the validity radius {rf.radius!r}"
-            )
-    d = max(rf.num.degree, rf.den.degree)
-    num_pows = [Polynomial((1.0,))]
-    den_pows = [Polynomial((1.0,))]
-    for _ in range(d):
-        num_pows.append(num_pows[-1] * m.num)
-        den_pows.append(den_pows[-1] * m.den)
+    p, q = m.num, m.den
+    if max(rf.num.degree, rf.den.degree, p.degree, q.degree) > 1:
+        raise DomainViolationError("composition needs rf and the map of degree <= 1")
+    if not (q(1.0) > 0.0 and max(abs(p(0.0) / q(0.0)), abs(p(1.0) / q(1.0))) < rf.radius):
+        raise DomainViolationError(
+            f"the map has a pole in [0, 1] or leaves the validity radius {rf.radius!r}")
+    if rf.num.degree == rf.den.degree == 0:
+        return RationalFunction(rf.num, rf.den)
 
-    def expand(p: Polynomial) -> Polynomial:
-        acc = Polynomial((0.0,))
-        for k, c in enumerate(p.coeffs):
-            if c != 0.0:
-                acc = acc + (num_pows[k] * den_pows[d - k]).scaled(c)
-        return acc
+    def substituted(c: Polynomial) -> Polynomial:  # c0 q + c1 p
+        return Polynomial(tuple(c.coeff(0) * q.coeff(k) + c.coeff(1) * p.coeff(k)
+                                for k in range(2)))
 
-    preserves_one = abs(m.num(1.0) / m.den(1.0) - 1.0) <= 1e-12
-    out = RationalFunction(expand(rf.num), expand(rf.den),
-                           radius=math.inf, pgf=rf.pgf and preserves_one)
-    return cancel(out)
-
+    return cancel(RationalFunction(substituted(rf.num), substituted(rf.den)))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import INARModel
-from .decompose import InnovationDistribution, hurdle_pmf, pmf_recursive, tail_geometric_approx
+from .decompose import (CLAMP_TOL, InnovationDistribution, hurdle_pmf, pmf_recursive,
+                        tail_dominance_margin, tail_geometric_approx)
 from .simulate import SeriesSample
 
 
@@ -69,14 +70,13 @@ def check_pmf_validity(d: InnovationDistribution, tol: float = 1e-10) -> Verific
     """Nonnegativity, total mass, and the signed-tail dominance certificate."""
     checks = []
     worst = min(d.pmf_table) if d.pmf_table else 0.0
-    checks.append(_check("pmf_min_entry", min(worst, 0.0), 0.0, 1e-12))
+    checks.append(_check("pmf_min_entry", min(worst, 0.0), 0.0, CLAMP_TOL))
     # the table alone: with its exact tail the sum is 1 however short the table
     checks.append(_check("pmf_total_mass", d.table_mass(), 1.0, tol))
     terms = d.decomposition.terms
     if len(terms) >= 2 and any(r < 0.0 for r, _ in terms):
-        rho_min, s_min = terms[0]
-        bound = sum(abs(r) * (s_min / s) ** (d.truncation + 2) for r, s in terms[1:])
-        checks.append(_check("tail_dominance_margin", min(rho_min - bound, 0.0), 0.0, 1e-12))
+        margin = tail_dominance_margin(terms, d.truncation)
+        checks.append(_check("tail_dominance_margin", min(margin, 0.0), 0.0, CLAMP_TOL))
     return VerificationReport(tuple(checks))
 
 

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from geominar import simulate
-from geominar.catalog import build_model
+from geominar.catalog import build_model, model_entries
 from geominar.cli import _json, build_parser, main
 from geominar.decompose import pmf_from_decomposition
 
@@ -360,6 +360,13 @@ class TestCatalog:
         doc = json.loads(out)
         assert len(doc) == 8
         assert doc[0]["model"] == "ginar"
+
+    def test_parameter_flags_are_the_rows_parameter_names(self):
+        # the flags are read off the catalog rows, so a row's parameter has its flag
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        flags = {a.dest for a in sub.choices["derive"]._actions if a.option_strings}
+        names = {n for e in model_entries() for n in e.param_names}
+        assert flags - {"help", "spec_file", "format", "truncation_mass", "output"} == names
 
 
 def refuse_token(token):

@@ -40,7 +40,12 @@ from oracles import loop_pmf_table, oracle_pmf
 
 
 def rf(num, den, radius=math.inf, pgf=True):
-    return RationalFunction(Polynomial(num), Polynomial(den), radius=radius, pgf=pgf)
+    """A RationalFunction; with pgf, its numerator is rescaled to make the value
+    at s = 1 exactly one."""
+    r = RationalFunction(Polynomial(num), Polynomial(den), radius=radius)
+    if not pgf:
+        return r
+    return RationalFunction(r.num.scaled(1.0 / r(1.0)), r.den, radius=radius)
 
 
 GINAR_RF = rf((0.75, -0.25), (1.0, -0.5), radius=2.0)

@@ -191,8 +191,8 @@ def test_roots_residual_bound(roots):
 
 class TestCompose:
     def test_geometric_with_bernoulli_counting(self):
-        r = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0, pgf=True)
-        m = RationalFunction(poly(0.5, 0.5), poly(1.0), pgf=True)
+        r = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
+        m = RationalFunction(poly(0.5, 0.5), poly(1.0))
         out = compose_mobius(r, m)
         # 0.5 / (0.75 - 0.25 s), normalized so den(0) = 1
         assert out.num.coeffs == pytest.approx((0.5 / 0.75,), rel=1e-14)
@@ -206,8 +206,8 @@ class TestCompose:
         assert out.den.coeffs == r.den.coeffs
 
     def test_geometric_with_nb_counting(self):
-        r = RationalFunction(poly(1.0), poly(2.0, -1.0), radius=2.0, pgf=True)
-        m = RationalFunction(poly(1.0), poly(1.3, -0.3), radius=1.3 / 0.3, pgf=True)
+        r = RationalFunction(poly(1.0), poly(2.0, -1.0), radius=2.0)
+        m = RationalFunction(poly(1.0), poly(1.3, -0.3), radius=1.3 / 0.3)
         out = compose_mobius(r, m)
         # (1.3 - 0.3 s) / (1.6 - 0.6 s) up to normalization
         for s in (0.0, 0.3, 0.7, 1.0):
@@ -215,10 +215,30 @@ class TestCompose:
                 (1.3 - 0.3 * s) / (1.6 - 0.6 * s), rel=1e-14)
 
     def test_map_leaving_radius_raises(self):
-        r = RationalFunction(poly(0.1), poly(1.0, -0.9), radius=1.0 / 0.9, pgf=True)
+        r = RationalFunction(poly(0.1), poly(1.0, -0.9), radius=1.0 / 0.9)
         m = RationalFunction(poly(0.5, 1.0), poly(1.0))
         with pytest.raises(DomainViolationError):
             compose_mobius(r, m)
+
+    def test_map_with_pole_between_samples_raises(self):
+        # the map 1 / (1 - 1.5 s) has its pole at s = 2/3, between the points
+        # i / 32 of a sampled scan, and an infinite radius never trips such a scan
+        r = RationalFunction(poly(0.3, 0.2), poly(1.0, -0.5))
+        m = RationalFunction(poly(1.0), poly(1.0, -1.5))
+        with pytest.raises(DomainViolationError, match="pole in"):
+            compose_mobius(r, m)
+
+    def test_degree_two_rf_rejected(self):
+        r = RationalFunction(poly(0.3, 0.2), poly(1.0, -0.7, 0.1))
+        m = RationalFunction(poly(0.0, 1.0), poly(1.0))
+        with pytest.raises(DomainViolationError, match="degree <= 1"):
+            compose_mobius(r, m)
+
+    def test_constant_comes_back_unchanged(self):
+        r = RationalFunction(poly(0.25), poly(1.0))
+        m = RationalFunction(poly(0.5, 0.5), poly(1.0))
+        out = compose_mobius(r, m)
+        assert (out.num.coeffs, out.den.coeffs) == ((0.25,), (1.0,))
 
     def test_degree_two_map_rejected(self):
         r = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
@@ -262,10 +282,6 @@ class TestRationalFunction:
         rf = RationalFunction(poly(-0.5), poly(-1.0, 0.5))
         assert rf.den.coeffs[0] == 1.0
         assert rf(0.0) == pytest.approx(0.5)
-
-    def test_pgf_renormalized_at_one(self):
-        rf = RationalFunction(poly(0.5000000000001), poly(1.0, -0.5), radius=2.0, pgf=True)
-        assert rf(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_evaluation_outside_radius_raises(self):
         rf = RationalFunction(poly(0.5), poly(1.0, -0.5), radius=2.0)
