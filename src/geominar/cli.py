@@ -4,14 +4,15 @@ Subcommands: derive (innovation decomposition and pmf table), simulate
 (seeded CSV trajectories), verify (full check suite, exit 1 on failure),
 catalog (model listing). Output is byte-identical for identical invocations:
 no timestamps, sorted JSON keys, repr floats. JSON is strict (RFC 8259) and
-written by the stdlib encoder (`_json`), except derive's pmf rows: those are
-one f-string join spliced in at the "pmf" key, the bytes the encoder gives.
-A non-finite value still never prints: tabulation refuses a non-finite pmf
-row, and any other non-finite float is written as null or makes `_json`
-raise. The argument parser is built once per process and holds no state
-between calls to main. The sampler and the checks (and with them numpy) are
-imported by the commands that use them, so derive and catalog start without
-them.
+written by `_json`, a recursive writer that gives the bytes of
+json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), except derive's
+pmf rows: those are one f-string join spliced in at the "pmf" key, the same
+bytes. A non-finite value still never prints: tabulation refuses a
+non-finite pmf row, and any other non-finite float is written as null or
+makes `_json` raise. The argument parser is built once per process and
+holds no state between calls to main. The sampler and the checks (and
+with them numpy) are imported by the commands that use them, so derive and
+catalog start without them.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .catalog import build_model, dispersion_class, model_entries
@@ -83,8 +85,51 @@ def _emit(text: str, output: Path | None) -> None:
 
 
 def _json(doc) -> str:
-    """Strict JSON (RFC 8259): a non-finite float that no caller mapped to None raises."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", byte for
+    byte, for a document of str-keyed dicts, lists, tuples, strs, floats, ints,
+    bools and None. Strict JSON (RFC 8259): a non-finite float that no caller
+    mapped to None raises the stdlib's ValueError. json.dumps falls back to
+    its pure-Python encoder whenever indent is set; this writer appends to
+    one list of chunks instead."""
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, indent: str, write) -> None:
+    """Write o's JSON as json.dumps would; indent is the newline and spaces
+    that start o's line."""
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        write(float.__repr__(o))
+    elif isinstance(o, str):
+        write(encode_basestring_ascii(o))
+    elif isinstance(o, dict):
+        inner, sep = indent + "  ", "{"
+        for k, v in sorted(o.items()):
+            write(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
+            _write(v, inner, write)
+            sep = ","
+        write(indent + "}" if o else "{}")
+    elif isinstance(o, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for v in o:
+            write(sep + inner)
+            _write(v, inner, write)
+            sep = ","
+        write(indent + "]" if o else "[]")
+    elif o is None:
+        write("null")
+    elif o is True:
+        write("true")
+    elif o is False:
+        write("false")
+    elif isinstance(o, int):
+        write(int.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _finite(fields: dict) -> dict:
@@ -128,8 +173,8 @@ def _derive_json(doc: dict, table) -> str:
     """_json({**doc, "pmf": [[m, p] for m, p in enumerate(table)]}), with the rows
     written by one join and spliced in at the "pmf" key.
 
-    json writes an int or a finite float as its repr, so the rows are the
-    bytes its encoder would give; tabulation never leaves a non-finite row.
+    _json writes an int or a finite float as its repr, so the rows are the
+    bytes it would give; tabulation never leaves a non-finite row.
     Only a top-level key sits at a two-space indent, so the empty list's line
     is the one place where the rows go.
     """

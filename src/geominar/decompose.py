@@ -453,23 +453,26 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
     numerator degree, where a term is present only when its index is >= 0
     and within the denominator degree q; identical to the staged triangular
     solves of the matrix formulation because those systems are
-    lower-triangular Toeplitz in the denominator coefficients. One loop
-    carries c_{l-1} and c_{l-2}; q > 2 raises.
+    lower-triangular Toeplitz in the denominator coefficients. The first
+    max(deg num + 1, q) values skip each absent term; from there on every
+    term is present and the steps run without a branch, from 0.0 as the
+    absent a_l. Skipping a term rather than adding 0.0 * c, and starting
+    from 0.0, keeps the sign of zero. q > 2 raises.
     """
     b = rf.den.coeffs  # RationalFunction scales b[0] = den(0) to 1, so never 0
     q = len(b) - 1
     if q > 2:
         raise GeominarError(f"pmf recursion supports denominator degree <= 2, got degree {q}")
     b0, b1, b2 = (*b, 0.0, 0.0)[:3]
-    # the first index at which each term enters (past the end when absent):
-    # skipping it, rather than adding 0.0 * c, keeps the sign of zero
+    # the first index at which each term enters (past the end when absent)
     from1 = 1 if q >= 1 else n + 1
     from2 = 2 if q == 2 else n + 1
     a = rf.num.coeffs
     na = len(a)
+    head = min(n + 1, max(na, q))
     out = []
     c1 = c2 = 0.0
-    for el in range(n + 1):
+    for el in range(head):
         acc = a[el] if el < na else 0.0
         if el >= from2:
             acc -= c2 * b2
@@ -477,6 +480,16 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
             acc -= c1 * b1
         c2, c1 = c1, acc / b0
         out.append(c1)
+    if q == 2:
+        for _ in range(head, n + 1):
+            c2, c1 = c1, (0.0 - c2 * b2 - c1 * b1) / b0
+            out.append(c1)
+    elif q == 1:
+        for _ in range(head, n + 1):
+            c1 = (0.0 - c1 * b1) / b0
+            out.append(c1)
+    else:
+        out += [0.0 / b0] * (n + 1 - head)
     return out
 
 

@@ -154,3 +154,32 @@ def loop_pmf_table(dec, target_mass: float) -> tuple[float, ...]:
         m += 1
         if m > 1_000_000:
             raise GeominarError("pmf truncation did not converge within 1e6 entries")
+
+
+def loop_pmf_recursive(rf, n: int) -> list[float]:
+    """The series recursion one row at a time, as pmf_recursive ran it before
+    its steps past the numerator and denominator degrees went branch-free:
+    each row tests whether the b_1 and b_2 terms are present, and a term is
+    skipped, not added as 0.0 * c, before it enters."""
+    from geominar.errors import GeominarError
+
+    b = rf.den.coeffs
+    q = len(b) - 1
+    if q > 2:
+        raise GeominarError(f"pmf recursion supports denominator degree <= 2, got degree {q}")
+    b0, b1, b2 = (*b, 0.0, 0.0)[:3]
+    from1 = 1 if q >= 1 else n + 1
+    from2 = 2 if q == 2 else n + 1
+    a = rf.num.coeffs
+    na = len(a)
+    out = []
+    c1 = c2 = 0.0
+    for el in range(n + 1):
+        acc = a[el] if el < na else 0.0
+        if el >= from2:
+            acc -= c2 * b2
+        if el >= from1:
+            acc -= c1 * b1
+        c2, c1 = c1, acc / b0
+        out.append(c1)
+    return out

@@ -1,9 +1,13 @@
+import enum
 import json
+import math
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geominar import simulate
 from geominar.catalog import build_model, model_entries
@@ -18,6 +22,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdlib_json(doc) -> str:
+    """The stdlib encoder's strict, indented, key-sorted JSON: the bytes that
+    cli._json must give."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class TestDerive:
@@ -393,15 +403,17 @@ class TestStrictJson:
 
 class TestDeriveJsonWriter:
     """derive writes its pmf rows with one f-string join; the bytes are what
-    the stdlib encoder (cli._json) gives for the same document, and its rows
-    are the model's table."""
+    the stdlib encoder gives for the same document, and so does cli._json,
+    and its rows are the model's table."""
 
     def assert_stdlib_bytes(self, capsys, name, params, *extra):
         code, out, err = run_cli(capsys, "derive", name,
                                  *(f"--{k}={v!r}" for k, v in params.items()), *extra)
         assert (code, err) == (0, "")
         doc = json.loads(out, parse_constant=refuse_token)
-        assert out == _json(doc), (name, params, extra)
+        expected = stdlib_json(doc)
+        assert out == expected, (name, params, extra)
+        assert _json(doc) == expected, (name, params, extra)
         innovation = build_model(name, **params).innovation
         if extra:  # --truncation-mass
             innovation = pmf_from_decomposition(innovation.decomposition, float(extra[1]))
@@ -423,6 +435,75 @@ class TestDeriveJsonWriter:
     def test_one_row_table(self, capsys):
         doc = self.assert_stdlib_bytes(capsys, "zmg", {"mu": 5e-324, "k": 0.0})
         assert doc["pmf"] == [[0, 1.0]]
+
+
+class Count(enum.IntEnum):
+    TWO = 2
+
+
+class Scaled(float):
+    def __repr__(self):
+        return "Scaled(" + float.__repr__(self) + ")"
+
+
+# strings with quotes, backslashes, control, non-ASCII and astral characters
+# and a lone surrogate, and the floats at the ends of the double range
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**20, max_value=10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.text(), st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\u00e9\u2028\ufeff",
+                                "\U0001f600", "\ud800"]),
+)
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00", "\u00e9", "pmf", ""]))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple),
+                           st.dictionaries(JSON_KEYS, kids)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """cli._json gives the stdlib encoder's bytes for every document."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    def test_stdlib_bytes_for_json_trees(self, doc):
+        assert _json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", 0, -0.0, True, None, [[]], {"a": {}}, {"b": [], "a": ()},
+        [Count.TWO, Scaled(0.5), {"k": Scaled(-0.0)}, True, False, 10**300],
+    ])
+    def test_stdlib_bytes_for_edge_documents(self, doc):
+        assert _json(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Scaled(math.inf)])
+    def test_non_finite_float_raises_the_stdlib_error(self, value):
+        for doc in (value, [1.0, value], {"a": {"b": value}}):
+            with pytest.raises(ValueError) as stdlib:
+                stdlib_json(doc)
+            with pytest.raises(ValueError) as ours:
+                _json(doc)
+            assert str(ours.value) == str(stdlib.value)
+            assert str(ours.value).startswith("Out of range float values are not JSON compliant")
+
+    @pytest.mark.parametrize("name, params", list(CANONICAL.items()))
+    def test_verify_documents(self, capsys, name, params):
+        code, out, err = run_cli(capsys, "verify", name,
+                                 *(f"--{k}={v!r}" for k, v in params.items()),
+                                 "--n", "2000", "--format", "json")
+        assert code in (0, 1) and err == ""
+        doc = json.loads(out, parse_constant=refuse_token)
+        assert out == stdlib_json(doc)
+        assert _json(doc) == out
+
+    def test_catalog_document(self, capsys):
+        code, out, err = run_cli(capsys, "catalog", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert out == stdlib_json(doc)
+        assert _json(doc) == out
 
 
 class TestEntryPoint:

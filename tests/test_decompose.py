@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,8 @@ from geominar.pgf import (
 from geominar.polyrat import Polynomial, RationalFunction
 
 from grids import CANONICAL, GRIDS, WIDE
-from oracles import loop_pmf_table, oracle_pmf
+from oracles import loop_pmf_recursive, loop_pmf_table, oracle_pmf
+from test_catalog import _extreme_points
 
 
 def rf(num, den, radius=math.inf, pgf=True):
@@ -448,6 +450,34 @@ class TestRecursion:
         cubic = rf((1.0,), (1.0, -0.5, 0.25, -0.125), pgf=False)
         with pytest.raises(GeominarError, match="got degree 3"):
             pmf_recursive(cubic, 10)
+
+
+def bits(values):
+    """Each float's eight bytes, so that 0.0 and -0.0 differ."""
+    return [struct.pack("d", x) for x in values]
+
+
+class TestBranchFreeRecursion:
+    """pmf_recursive's branch-free steps give the bits, sign of zero included,
+    of the row loop that tests each term's presence (oracles.loop_pmf_recursive)."""
+
+    @pytest.mark.parametrize("den", [
+        (1.0,), (1.0, -0.5), (1.0, 0.5), (1.0, 0.0, -0.25), (1.0, -0.7, 0.1), (1.0, -0.5, -0.06),
+    ])
+    def test_same_bits_at_each_degree(self, den):
+        nums = [(0.3,), (0.0,), (0.5, 0.5), (-0.0, 1.0), (0.2, 0.0, 0.8), (-0.0, -0.0, 1.0),
+                (0.1, 0.0, -0.0, 0.9), (0.0, 0.0, 0.0, -1.0)]
+        for num in nums:
+            r = RationalFunction(Polynomial(num), Polynomial(den))
+            for n in (0, 1, 2, 3, 200, 400):
+                assert bits(pmf_recursive(r, n)) == bits(loop_pmf_recursive(r, n)), (num, den, n)
+
+    def test_same_bits_for_the_catalog_laws(self):
+        points = [(n, p) for n, grid in GRIDS.items() for p in grid]
+        points += list(CANONICAL.items()) + WIDE + _extreme_points()
+        for name, params in points:
+            r = _validate(_entry(name), params)[2].rf
+            assert bits(pmf_recursive(r, 400)) == bits(loop_pmf_recursive(r, 400)), (name, params)
 
 
 def full_convolution(r, n):
