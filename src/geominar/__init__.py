@@ -85,4 +85,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
-__version__ = "0.3.3"
+__version__ = "0.4.0"

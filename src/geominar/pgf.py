@@ -222,6 +222,11 @@ class BinomialThinning(_Thinning):
         """Thin the counts x with the numpy Generator gen: binomial(x, alpha)."""
         return gen.binomial(x, self.alpha)
 
+    def draw_single(self, gen, size):
+        """Thin size single units with the numpy Generator gen: Bernoulli(alpha),
+        one uniform each."""
+        return gen.random(size) < self.alpha
+
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / alpha, and t - u formed
         as u (1 - alpha) / alpha."""
@@ -247,6 +252,12 @@ class NegativeBinomialThinning(_Thinning):
         """Thin the counts x with the numpy Generator gen: NB(x, 1/(1+alpha)), drawn
         as Poisson(Gamma(x, scale alpha)), which is zero at x = 0."""
         return gen.poisson(gen.gamma(x, self.alpha))
+
+    def draw_single(self, gen, size):
+        """Thin size single units with the numpy Generator gen: the offspring of one
+        unit, a geometric on {0, 1, ...} with mean alpha, which numpy draws by
+        search (its success probability 1/(1+alpha) is above 1/3), one uniform each."""
+        return gen.geometric(1.0 / (1.0 + self.alpha), size) - 1
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / (alpha (1 + u)) (1 / alpha for u = inf),

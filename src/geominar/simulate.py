@@ -8,14 +8,22 @@ Thinning acts on each unit independently, so a path is drawn by generations,
 not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
 step t+1 is one vector draw thinning the nonzero entries of generation k at t.
 With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
+A generation is thinned THIN_BLOCK entries at a time. In each block the
+counts of two or more go through the thinning's draw, then the counts of
+one through its draw_single, which spends one uniform per unit: Bernoulli
+(alpha) for binomial thinning, and for NB thinning a geometric with mean
+alpha, which numpy draws by search for its success probability
+1/(1+alpha) > 1/3. Both are the exact law of a thinned single unit, and
+single units are 50-73% of the thinned entries at the canonical points.
+Seeded paths changed in 0.4.0, when this split came in.
 
 Innovations are drawn by inverse CDF over the pmf table, with the geometric
 tail beyond it. The table index comes from a guide table (Chen & Asau),
 cached on the InnovationDistribution; it returns exactly the index a binary
 search over the CDF returns. The uniforms are drawn BLOCK at a time, and all
 blocks of one call reuse one pair of buffers (uniforms, bucket indices),
-which draws the same stream as a fresh array per block. Seeded output is
-unchanged from 0.2.0.
+which draws the same stream as a fresh array per block: BLOCK is not part
+of the seeded stream, while THIN_BLOCK is.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -60,6 +68,9 @@ class SeriesSample:
 
 # uniforms per block of innovation draws: bounds their temporaries, whatever n
 BLOCK = 1 << 16
+# entries per block of a generation's thinning draws; unlike BLOCK it orders
+# the draws, so it is part of the seeded stream and fixed with the version
+THIN_BLOCK = 1 << 16
 
 
 def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
@@ -127,6 +138,20 @@ def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     return shift + int(_geometric_inverse(np.array([(u - atom) / body]), ratio)[0])
 
 
+def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
+    """Thin the positive counts cnt in place, THIN_BLOCK entries at a time: in
+    each block the counts >= 2 through thinning.draw, then the single units
+    through thinning.draw_single, one uniform each."""
+    for start in range(0, cnt.size, THIN_BLOCK):
+        c = cnt[start:start + THIN_BLOCK]
+        # positions, not masks, as for kept in simulate_series: faster here too
+        one = c == 1
+        single, many = np.flatnonzero(one), np.flatnonzero(~one)
+        if many.size:  # an empty draw still pays numpy's fixed cost per call
+            c[many] = thinning.draw(gen, c[many])
+        c[single] = thinning.draw_single(gen, single.size)
+
+
 def simulate_series(model: INARModel, n: int, seed: RngStream,
                     burn_in: int = 0) -> SeriesSample:
     """Simulate X_0..X_{n-1} from an exact stationary start, by generations
@@ -149,7 +174,7 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
     cnt = out[idx]
     while idx.size:
         idx += 1
-        cnt = model.spec.thinning.draw(gen, cnt)
+        _thin(model.spec.thinning, gen, cnt)
         # positions once, then one gather each: faster than a boolean mask at
         # every size; rebinding idx before cnt[kept] frees the old idx first
         kept = (cnt > 0).nonzero()[0]

@@ -1,11 +1,11 @@
-"""Golden digests pinning the seeded and printed output of version 0.3.3.
+"""Golden digests pinning the seeded and printed output of version 0.4.0.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
 A change to the sampler algorithm that moves a single drawn value must update
 these digests and bump the version (see the README's numerical conventions).
 The series digests (SERIES, ACROSS_BLOCKS, WIDE_TABLE, SHORT_TABLE) were
-recorded from the 0.2.0 sampler and hold unchanged in 0.3.3. VERIFY, DERIVE
+recorded from the 0.2.0 sampler and held unchanged through 0.3.3. VERIFY, DERIVE
 and REFUSAL were re-recorded in 0.3.0, where every family's innovation law
 comes from partial fractions: pmf rows moved by at most 2.3e-13, every family
 prints its hurdle view and verify checks it. They were re-recorded again in
@@ -26,7 +26,14 @@ hurdle-geo-bin 4.440892098500626e-16 -> 3.3306690738754696e-16,
 hurdle-geo-nb 2.220446049250313e-16 -> 3.3306690738754696e-16,
 nginar 2.220446049250313e-16 -> 3.3306690738754696e-16 and
 rho-geo-nb 3.3306690738754696e-16 -> 5.551115123125783e-16, all against a
-tolerance of 1e-10, with no pass/fail flag changed. CATALOG pins the `geominar catalog`
+tolerance of 1e-10, with no pass/fail flag changed. The 0.4.0 sampler
+thins each single unit with one draw (simulate._thin), a block of
+THIN_BLOCK entries at a time, so every thinned path moved: the series
+digests of the six thinned families (the zmg and two-param paths, with
+alpha = 0, and the paths of one or two steps did not move), WIDE_TABLE,
+SHORT_TABLE and the six thinned VERIFY digests were re-recorded, and only
+the four empirical lines of each VERIFY run moved, with no pass/fail flag
+changed. ACROSS_THIN_BLOCKS was added in 0.4.0. CATALOG pins the `geominar catalog`
 listing. tests/golden_points.py lists the runs behind each of these four
 digests one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -45,21 +52,22 @@ from geominar import __version__
 from geominar.catalog import build_model
 from geominar.cli import main
 from geominar.decompose import pmf_from_decomposition
-from geominar.simulate import BLOCK, RngStream, simulate_series
+from geominar import simulate
+from geominar.simulate import BLOCK, THIN_BLOCK, RngStream, simulate_series
 
 from grids import CANONICAL, GRIDS
 from oracles import oracle_pmf
 
 # (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
 SERIES = {
-    ("ginar", 20000, 0): "2c06c380b55f73fb340875c018802bbbfba94e8701a92399f74b6aeac34322c8",
-    ("nginar", 20000, 0): "452bdfe20575c713dac1a88eef5b2eea91cf109bed0a9ffde6615fd9fa63c4db",
+    ("ginar", 20000, 0): "e46f05ba073dfc066b6613295137a636a11e4a2f095df383a4fc02f3a2dd9c5f",
+    ("nginar", 20000, 0): "4b0663c56704ca9a4ebac7e65a08299d22409fb88959131732d8f1365c96ecff",
     ("zmg", 20000, 0): "68a4ec6aa31ac78c0f8aef3a352f3cf27e84155c05a8682cfb09f272276b6f7b",
     ("two-param", 20000, 0): "67e8133990fa54911991167648042c7a863e8f1292f7d96277bb181834458747",
-    ("rho-geo-bin", 20000, 0): "c3346444131db46cf9efc15bb5a2ab4b69a7225dc94745840e47881f74f8692a",
-    ("hurdle-geo-bin", 20000, 0): "0513252e4b411979ca722be04631ac1352e8ba334e5925692d8a54b314f4f367",
-    ("rho-geo-nb", 20000, 0): "4f6eb7ec744e0db15e38ee09f0aa98201f6d9c9a8927844b8d2ed583f80e382b",
-    ("hurdle-geo-nb", 20000, 0): "e75494baba58ee211bdf82c1c586ab2c05fc5b020066b3aa1d5c8e6202bb6a17",
+    ("rho-geo-bin", 20000, 0): "0a6b1b60676ebd9f41c9b3b19c267b9e065983fc00ac907ca5ec56e1b658a7c5",
+    ("hurdle-geo-bin", 20000, 0): "f39a461f9c8e36d63a2854e431f4f4c52c6c97392408e50d6153dd2920f19877",
+    ("rho-geo-nb", 20000, 0): "62322cd712def3057c385411d810ef8a25540effd4be16593cee4cd8379eafe5",
+    ("hurdle-geo-nb", 20000, 0): "c879118f03ec6a3d4cd00fd827c900f6280b9c1a42db0dd7173d9d107f60be6b",
     ("ginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
     ("ginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     ("ginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
@@ -74,36 +82,45 @@ SERIES = {
 # seed 5: these pin the block boundaries, which the 20,000-step paths above
 # never cross. (model, n) -> sha256 of simulate_series(...).values.tobytes()
 ACROSS_BLOCKS = {
-    ("ginar", 2 * BLOCK + 3): "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854",
-    ("nginar", 2 * BLOCK + 3): "86db037d5e7c45464bc8b59bc490d8c32020bc981a2753b2308e4a85c8e312e8",
+    ("ginar", 2 * BLOCK + 3): "406670f89e6024c181b52bacb1daf48737651b3deee145dda41eed00cc7079fe",
+    ("nginar", 2 * BLOCK + 3): "fa3ded202ba1d62bb04cf41fdc3bc9a836dcc6b12899056e0f7ef9b8043e974b",
     ("zmg", 2 * BLOCK + 3): "30cc48e7ac26531c5f7b98b9fc125287d81402072c2e776856d84f0af9d27eea",
     ("two-param", 2 * BLOCK + 3): "caf7838c35d10ec41fe92ec9dc7959d24be210de3cb7c9706f3d7c39c9e6aedc",
-    ("rho-geo-bin", 2 * BLOCK + 3): "058a51f8590f07bc5b7dbfb239fd50ba6d8c51d20b1a733ad05b395307a9f2ac",
-    ("hurdle-geo-bin", 2 * BLOCK + 3): "46ae6764e7998fab076be4bbb62f0d16a27a5004995f2a32b814b0336d2b72c8",
-    ("rho-geo-nb", 2 * BLOCK + 3): "a79020ad41bfae34683fb69debb739a4a386d8818716431069269a9911b49cc4",
-    ("hurdle-geo-nb", 2 * BLOCK + 3): "b02562cbc3ecc9b8a39497700d6613d28737ecc622da5c3ad86c528aacdc7e07",
+    ("rho-geo-bin", 2 * BLOCK + 3): "902b530c2d76e15cde50a3b7ca70dbbca6ca4d1bb8df29dac1ccedb560ed4ac8",
+    ("hurdle-geo-bin", 2 * BLOCK + 3): "ac8a4367278ad23c03866f06f3862664e1bfbac4241e249e08b3e0ee162be337",
+    ("rho-geo-nb", 2 * BLOCK + 3): "16e9b22711b8c328ec17ba8b0c0bafeebf0464a27f48cd71c52a1b46b7831a4f",
+    ("hurdle-geo-nb", 2 * BLOCK + 3): "9bc0ac80261def3b9283093d38438ae49c9d90c16d3054845f3259b86f45e789",
 }
 
 # ginar theta=1e-4 alpha=0.5: a 262,564-row table, where the guide leaves many
 # buckets to binary search; n = BLOCK + 1, burn_in 3, seed 5
-WIDE_TABLE = "ba1507a8ed0a6be8e4c7b900d70045296d554d7fd5166784a5317d83e19ca69a"
+WIDE_TABLE = "600b7383d6a7d21e40da0c0432fe4789d7cc22aab67282165e3b3d335209633b"
 
 # canonical ginar with its table cut at mass 0.999, so that about one draw in
 # a thousand lands beyond the table and takes the geometric tail, in both
 # full blocks; n = 2 * BLOCK + 3, burn_in 3, seed 5. The tail continues the
 # law exactly, so the path equals the full-table one (ACROSS_BLOCKS ginar).
-SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
+SHORT_TABLE = "406670f89e6024c181b52bacb1daf48737651b3deee145dda41eed00cc7079fe"
+
+# Paths whose first generation of thinning draws holds more than one block
+# of THIN_BLOCK = 65,536 entries (about 130k for ginar, 101k for nginar, so
+# both thinnings cross a block boundary), burn_in 3, seed 5.
+# (model, n) -> sha256 of simulate_series(...).values.tobytes()
+ACROSS_THIN_BLOCKS = {
+    ("ginar", 8 * THIN_BLOCK + 3): "847f99f27517c3f20c76d3642fcfb6cbdeca2323e3360fa8d297f48657610a19",
+    ("nginar", 4 * THIN_BLOCK + 3): "adb6a64c9aee171a2bf9580d111d237e701742520cc32f6f32471ebf56500bd4",
+}
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
-    "ginar": "9a228d5403fb37efec3f8a8cda2cadc77b4fdab76d6c3318f4d8c7a866383bea",
-    "nginar": "78f259a3eb6817b4ed06fa4bdfb645829c71f15efa3fd8250392bac769912eba",
+    "ginar": "9d52df0902de037f0213425ee875c03e274df71b89359bd9ef48d34133663f8b",
+    "nginar": "82a52276e63fc289265aabe2f0c92ff9d272769bb6fc78ae2d1eb60619f189d6",
     "zmg": "c351e4cbfb87f05e0aa2a93c5cc0569ea71aba5f250c64a7ed76f3e560b294d1",
     "two-param": "5c78f929e36c2e6f1c7387542dd9c2079eeb676fddf428befb8b51fa422306ac",
-    "rho-geo-bin": "ef32b2a199c9032ee4ae4bd4edd6640a8be9f543c45a41082226ca76eeed34d1",
-    "hurdle-geo-bin": "50b5ac0fd803a7cffef1674d50ff51e9e9f528190a481cfc4b14b7b9c6b17fd6",
-    "rho-geo-nb": "349bf8e654628d68b573cf41c2c66d70f41001472ba71c3b13a5f1630b9fd9b4",
-    "hurdle-geo-nb": "5110f16ac2386c3f38cca0218e613f633f9ec40c792b256c4208876732730eee",
+    "rho-geo-bin": "42dc08e7aac2b8663dd4f1fee486e9c8f397502f11a0e39cf14864f0ff3584cb",
+    "hurdle-geo-bin": "95bbfb80302f5df93338f8099907a18643b793847eab260212d3d489e5320946",
+    "rho-geo-nb": "a059e1b86cb2641a71a489d2ed97ac2a92317369b708f80d72ff2ccf6ac2686c",
+    "hurdle-geo-nb": "9916b96f5c1385c73b1be56ef6435bd52ba249caf1944b7551794b7652f2ca16",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
@@ -188,7 +205,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.3.3"
+    assert __version__ == "0.4.0"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
@@ -203,6 +220,22 @@ def test_series_digest_across_blocks(name, n):
     model = build_model(name, **CANONICAL[name])
     values = simulate_series(model, n, RngStream(5), 3).values
     assert _sha(values.tobytes()) == ACROSS_BLOCKS[name, n]
+
+
+@pytest.mark.parametrize("name, n", sorted(ACROSS_THIN_BLOCKS))
+def test_series_digest_across_thin_blocks(name, n, monkeypatch):
+    model = build_model(name, **CANONICAL[name])
+    sizes = []
+    thin = simulate._thin
+
+    def recording(thinning, gen, cnt):
+        sizes.append(cnt.size)
+        thin(thinning, gen, cnt)
+
+    monkeypatch.setattr(simulate, "_thin", recording)
+    values = simulate_series(model, n, RngStream(5), 3).values
+    assert sizes[0] > THIN_BLOCK
+    assert _sha(values.tobytes()) == ACROSS_THIN_BLOCKS[name, n]
 
 
 def test_series_digest_wide_table():

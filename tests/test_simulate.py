@@ -186,23 +186,127 @@ class TestApplyThinning:
             assert abs(tens.mean() - 4.0) < 4.0 * math.sqrt(tens.var() / len(tens))
 
 
-def _thinning_pmf(model, i: int, kmax: int) -> list[float]:
+def _thinning_pmf(thinning, i: int, kmax: int) -> list[float]:
     """P(alpha o i = k), k = 0..kmax: binomial(i, alpha), or for NB thinning
-    the sum of i geometrics with mean alpha, NB(i, 1/(1+alpha))."""
-    a = model.alpha
-    if isinstance(model.spec.thinning, BinomialThinning):
-        return [math.comb(i, k) * a**k * (1 - a) ** (i - k) if k <= i else 0.0
-                for k in range(kmax + 1)]
-    if i == 0:
-        return [1.0] + [0.0] * kmax
-    p = 1.0 / (1.0 + a)
-    return [math.comb(k + i - 1, k) * p**i * (1 - p) ** k for k in range(kmax + 1)]
+    the sum of i geometrics with mean alpha, NB(i, 1/(1+alpha)). Built from
+    P(0) by the ratio of consecutive terms, so that no binomial coefficient
+    overflows a float at i = 1000."""
+    a = thinning.alpha
+    if isinstance(thinning, BinomialThinning):
+        pmf, ratio = (1.0 - a) ** i, (lambda k: max(i - k, 0) / (k + 1) * a / (1.0 - a))
+    else:
+        p = 1.0 / (1.0 + a)
+        pmf, ratio = p**i, (lambda k: (k + i) / (k + 1) * (1.0 - p))
+    out = []
+    for k in range(kmax + 1):
+        out.append(pmf)
+        pmf *= ratio(k)
+    return out
+
+
+def _binned_chi_square(draws: np.ndarray, pmf: list[float]) -> tuple[float, int]:
+    """Pearson chi-square of draws against pmf on k = 0..len(pmf) - 1, with one
+    more cell for the mass beyond; neighbouring values are merged until each
+    cell expects at least 5 draws. Returns the statistic and the cell count."""
+    tail = max(1.0 - sum(pmf), 0.0)
+    probs = np.array([*pmf, tail])
+    counts = np.bincount(np.minimum(draws, len(pmf)), minlength=len(probs))
+    expected = len(draws) * probs
+    cells, obs, exp = [], 0, 0.0
+    for o, e in zip(counts, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            cells.append((obs, exp))
+            obs, exp = 0, 0.0
+    if exp > 0.0 or obs:
+        last = cells.pop()
+        cells.append((last[0] + obs, last[1] + exp))
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return stat, len(cells)
+
+
+class TestSingleUnitThinning:
+    """draw_single against the exact one-unit laws, and _thin, which routes
+    single units to it, against the exact thinning law of every count."""
+
+    THINNINGS = [BinomialThinning(0.3), NegativeBinomialThinning(0.3),
+                 BinomialThinning(0.85), NegativeBinomialThinning(0.85)]
+    IDS = ["bin-0.3", "nb-0.3", "bin-0.85", "nb-0.85"]
+
+    @pytest.mark.parametrize("thinning", THINNINGS, ids=IDS)
+    def test_draw_single_matches_one_unit_law(self, thinning):
+        # Bernoulli(alpha) for binomial thinning, a geometric on {0, 1, ...}
+        # with mean alpha for NB thinning: both are the law of alpha o 1
+        draws = np.asarray(thinning.draw_single(RngStream(21).generator(), 200_000))
+        assert draws.shape == (200_000,)
+        draws = draws.astype(np.int64)
+        assert draws.min() >= 0
+        if isinstance(thinning, BinomialThinning):
+            assert draws.max() <= 1
+        stat, cells = _binned_chi_square(draws, _thinning_pmf(thinning, 1, 60))
+        assert cells >= 2
+        assert stat < _gate(1, cells), (stat, cells)
+
+    def test_draw_single_rejects_a_wrong_alpha(self):
+        for t in (BinomialThinning(0.3), NegativeBinomialThinning(0.3)):
+            draws = np.asarray(t.draw_single(RngStream(21).generator(), 200_000))
+            wrong = type(t)(0.3 * 1.05)
+            stat, cells = _binned_chi_square(draws.astype(np.int64),
+                                             _thinning_pmf(wrong, 1, 60))
+            assert stat > _gate(1, cells), (t, stat)
+
+    def test_draw_single_of_nothing_is_empty(self):
+        for t in self.THINNINGS:
+            assert np.asarray(t.draw_single(RngStream(0).generator(), 0)).size == 0
+
+    @pytest.mark.parametrize("size", [simulate.THIN_BLOCK - 1, simulate.THIN_BLOCK + 1,
+                                      2 * simulate.THIN_BLOCK + 3])
+    @pytest.mark.parametrize("thinning", THINNINGS[:2], ids=IDS[:2])
+    def test_thin_in_place_matches_thinning_law(self, thinning, size):
+        counts = (1, 2, 10, 1000)
+        order = np.random.default_rng(size).permutation(size)
+        cnt = np.array(counts, dtype=np.int64)[order % len(counts)]
+        before = cnt.copy()
+        assert simulate._thin(thinning, RngStream(size).generator(), cnt) is None
+        assert cnt.dtype == np.int64 and cnt.shape == (size,)
+        # every count was thinned where it stands: each class's draws moved
+        for i in counts:
+            drawn = cnt[before == i]
+            assert drawn.min() >= 0
+            if isinstance(thinning, BinomialThinning):
+                assert drawn.max() <= i
+            kmax = 2 * i + 60 if isinstance(thinning, NegativeBinomialThinning) else i
+            stat, cells = _binned_chi_square(drawn, _thinning_pmf(thinning, i, kmax))
+            assert cells >= 2
+            assert stat < _gate(1, cells), (i, stat, cells)
+
+    def test_thin_of_single_units_uses_draw_single(self, monkeypatch):
+        # all-ones blocks never call draw; larger counts never reach draw_single
+        calls = []
+        draw, draw_single = BinomialThinning.draw, BinomialThinning.draw_single
+
+        def spy_draw(self, gen, x):
+            calls.append(("draw", x.size))
+            return draw(self, gen, x)
+
+        def spy_draw_single(self, gen, size):
+            calls.append(("draw_single", size))
+            return draw_single(self, gen, size)
+
+        monkeypatch.setattr(BinomialThinning, "draw", spy_draw)
+        monkeypatch.setattr(BinomialThinning, "draw_single", spy_draw_single)
+        t = BinomialThinning(0.5)
+        simulate._thin(t, RngStream(1).generator(), np.ones(simulate.THIN_BLOCK + 5, np.int64))
+        assert calls == [("draw_single", simulate.THIN_BLOCK), ("draw_single", 5)]
+        calls.clear()
+        simulate._thin(t, RngStream(1).generator(), np.array([3, 1, 7, 1, 1], np.int64))
+        assert calls == [("draw", 2), ("draw_single", 3)]
 
 
 def _kernel_row(model, i: int, cells: int) -> np.ndarray:
     """Exact P(X_{t+1} = j | X_t = i) for j < cells - 1, then P(X_{t+1} >= cells - 1):
     the thinning pmf of i units convolved with the innovation pmf."""
-    thin = _thinning_pmf(model, i, cells - 2)
+    thin = _thinning_pmf(model.spec.thinning, i, cells - 2)
     row = [sum(thin[k] * model.innovation.pmf(j - k) for k in range(j + 1))
            for j in range(cells - 1)]
     return np.array(row + [1.0 - sum(row)])
@@ -237,15 +341,19 @@ class TestTransitionLaw:
     ROWS, CELLS = 5, 9
     GATE = _gate(ROWS, CELLS)
 
-    @pytest.mark.parametrize("name", ["ginar", "nginar", "zmg"])
+    # marginal mean 0.375: state 4 sees too few pairs for a cell past 7
+    SHAPE = {"hurdle-geo-bin": (4, 8)}
+
+    @pytest.mark.parametrize("name", ["ginar", "nginar", "zmg", "rho-geo-bin",
+                                      "hurdle-geo-bin", "rho-geo-nb", "hurdle-geo-nb"])
     def test_pair_counts_match_kernel(self, name):
         # zmg has alpha = 0: the kernel rows are all the innovation law, so
         # this is the test that the path is iid
+        rows, cells = self.SHAPE.get(name, (self.ROWS, self.CELLS))
         model = build_model(name, **CANONICAL[name])
         s = simulate_series(model, 1_000_000, RngStream(314))
-        stat = _transition_chi_square(model, s.values[:-1], s.values[1:],
-                                      self.ROWS, self.CELLS)
-        assert stat < self.GATE, (name, stat, self.GATE)
+        stat = _transition_chi_square(model, s.values[:-1], s.values[1:], rows, cells)
+        assert stat < _gate(rows, cells), (name, stat, _gate(rows, cells))
 
     def test_statistic_rejects_wrong_alpha(self):
         model = build_model("ginar", **CANONICAL["ginar"])
@@ -295,6 +403,7 @@ class TestSimulateSeries:
             raise AssertionError("thinning pass at alpha = 0")
 
         monkeypatch.setattr(BinomialThinning, "draw", no_thinning)
+        monkeypatch.setattr(BinomialThinning, "draw_single", no_thinning)
         for name in ("zmg", "two-param"):
             simulate_series(build_model(name, **CANONICAL[name]), 1000, RngStream(1))
 
