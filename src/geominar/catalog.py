@@ -63,7 +63,6 @@ from .pgf import (
 )
 
 _MARGIN_CAP = 1e18
-NUMERIC = "innovation pmf nonnegative (numeric)"  # the label of the check run last
 
 
 @dataclass(frozen=True)
@@ -129,23 +128,22 @@ def _refuse(name: str, constraints) -> None:
 def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     """Every applicable validity condition with a boolean and signed margin.
 
-    The model is buildable iff all entries are satisfied. Conditions without
-    a usable closed form are established numerically: the first few hundred
-    pmf values are computed by the series recursion (which needs no root
-    geometry) and checked for nonnegativity.
+    The model is buildable iff all entries are satisfied, short of the build's
+    own refusals (a pole that rounds onto s = 1, a table past 1e6 rows). Each
+    entry is exact, pmf nonnegativity at every m too (_pmf_nonnegative).
     """
     entry = _entry(name)
     return _validate(entry, _coerce_params(entry, params))[0]
 
 
 def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec | None,
-                                               InnovationLaw | None, list[float] | None]:
-    """The constraint report of validate_params, with the model spec, its
-    innovation law and the law's 400-term recursion table when the domain
-    admits them (else None)."""
+                                               InnovationLaw | None]:
+    """The constraint report of validate_params, with the model spec and its
+    innovation law when the domain admits them (else None). Every check runs,
+    even after another has failed, so that the report stays informative."""
     out = entry.domain(p)
     if not all(c.satisfied for c in out):
-        return tuple(out), None, None, None
+        return tuple(out), None, None
 
     spec = entry.spec(p)
     if spec.marginal is not None:
@@ -155,18 +153,7 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
         law = InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b),
                               offset_div(offset_div(diff, b), c)),))
     out += [_constraint(label, *test(p, spec, law)) for label, test in entry.checks]
-
-    # the numeric check runs whenever the domain admits an innovation law,
-    # even if a closed-form condition above already failed: the recursion
-    # needs no root geometry, so the report stays informative
-    table = None
-    try:
-        table = pmf_recursive(law.rf, 400)
-        worst = min(table)
-        out.append(_constraint(NUMERIC, worst >= -CLAMP_TOL, worst))
-    except GeominarError as exc:
-        out.append(_constraint(f"{NUMERIC[:-1]}: {exc})", False, -math.inf))
-    return tuple(out), spec, law, table
+    return tuple(out), spec, law
 
 
 def closed_form_moments(name: str, **params: float) -> Moments:
@@ -214,22 +201,22 @@ def build_model(name: str, **params: float) -> INARModel:
     """
     entry = _entry(name)
     p = _coerce_params(entry, params)
-    constraints, spec, law, table = _validate(entry, p)
+    constraints, spec, law = _validate(entry, p)
     _refuse(name, constraints)
     marginal_pole = spec.marginal.offsets()[1:] if spec.marginal else ()
     for t in law.poles + marginal_pole:  # the marginal's too: the law may drop its factor
         if not 1.0 + t > 1.0:  # a named refusal, not a term at s = 1
             raise GeominarError(f"{name}: pole s = 1 + {t!r} rounds onto 1 in double precision")
     innovation = pmf_from_decomposition(law.decomposition())
-    _cross_check(table, innovation)
+    _cross_check(pmf_recursive(law.rf, 32), innovation)
     return INARModel(name, dict(p), spec, law, innovation,
                      decomposition_to_hurdle(innovation.decomposition),
                      _moments(entry, spec, p), constraints)
 
 
 def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> None:
-    """The built law against the recursion at m = 0..32, to 1e-9."""
-    for m, expected in enumerate(recursive[:33]):
+    """The built law against the recursion's values (m = 0..32), to 1e-9."""
+    for m, expected in enumerate(recursive):
         if abs(innovation.pmf(m) - expected) > 1e-9:
             raise GeominarError(
                 f"innovation construction mismatch at m={m}: "
@@ -260,7 +247,7 @@ class _Entry:
     @property
     def labels(self) -> tuple[str, ...]:
         """Every constraint name validate_params reports, in its order; nothing is evaluated."""
-        return tuple(label for label, _ in self.bounds + self.checks) + (NUMERIC,)
+        return tuple(label for label, _ in self.bounds + self.checks)
 
     def marginal_params(self, p: dict) -> dict:
         return {f.name: p[f.name] for f in fields(self.marginal)}
@@ -298,21 +285,43 @@ def _tail_weight(p, spec, law):
     return rho1 >= -CLAMP_TOL, rho1
 
 
-_ROOTS_AND_TAIL = (("roots ordered s2 >= s1 > 1", _roots_ordered),
-                   ("dominant tail weight w1 >= 0", _tail_weight))
+def _pmf_nonnegative(p, spec, law):
+    # Past its atoms (degree <= 1) the pmf is r1 x1^(m+1) + r2 x2^(m+1), x_j = 1/s_j and
+    # 1 > x1 > x2, or x2^(m+1) (r1 (x1/x2)^(m+1) + r2), whose bracket is monotone in m: so
+    # the rows to one past the atoms and, if a residue is negative, the dominant one settle
+    # every m. The offsets give the rows where s = 1 + t rounds onto 1: the build names that.
+    try:
+        atoms, rho = law.atoms, law.residues
+    except GeominarError:  # poles not distinct
+        return False, -math.inf
+    if len(rho) > 2 or min(law.poles, default=1.0) <= 0.0:  # no such bracket
+        return False, -math.inf
+    values = [a + sum(r * (1.0 + t) ** -(m + 1) for r, t in zip(rho, law.poles))
+              for m, a in enumerate((*atoms, 0.0))]
+    values += [rho[0]] if min(rho, default=0.0) < 0.0 else []
+    if not math.isfinite(sum(values)):  # a nan or inf row has no sign to read
+        return False, -math.inf
+    return min(values) >= -CLAMP_TOL, min(values)
+
+
+_NONNEGATIVE = ("innovation pmf nonnegative", _pmf_nonnegative)
+_ROOTS_TAIL_AND_SIGN = (("roots ordered s2 >= s1 > 1", _roots_ordered),
+                        ("dominant tail weight w1 >= 0", _tail_weight), _NONNEGATIVE)
 
 _ENTRIES = {e.name: e for e in (
     _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning,
-           "geometric marginal, binomial thinning; zero-inflated geometric innovations"),
+           "geometric marginal, binomial thinning; zero-inflated geometric innovations",
+           checks=(_NONNEGATIVE,)),
     _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning,
            "geometric marginal (mean mu), negative binomial thinning",
-           checks=(_at_most_ratio("alpha", "mu"),)),
+           checks=(_at_most_ratio("alpha", "mu"), _NONNEGATIVE)),
     _Entry("zmg", ("mu", "k"), None, BinomialThinning,
            "zero-modified geometric innovation law (iid model, alpha = 0)",
            iid_bounds=(("mu > 0", lambda p: interval(p["mu"], 0.0)),
                        ("k >= -1/mu", lambda p: interval(p["k"], offset_div(-1.0, p["mu"]),
                                                          lo_closed=True, slack=1e-12)),
                        ("k < 1", lambda p: interval(p["k"], hi=1.0))),
+           checks=(_NONNEGATIVE,),
            factor=lambda mu, k: (k * mu, mu, mu * (k - 1.0)),
            moments=lambda mu, k: ((1.0 - k) * mu, (1.0 - k) * mu * (1.0 + mu + k * mu))),
     _Entry("two-param", ("r", "m"), None, BinomialThinning,
@@ -321,19 +330,20 @@ _ENTRIES = {e.name: e for e in (
                        ("m > 0", lambda p: interval(p["m"], 0.0)),
                        ("m <= 1 + r", lambda p: interval(p["m"], hi=1.0 + p["r"],
                                                          hi_closed=True, slack=1e-12))),
+           checks=(_NONNEGATIVE,),
            factor=lambda r, m: (r - m, r, -m),
            moments=lambda r, m: (m, m * (1.0 + 2.0 * r - m))),
     _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
-           checks=_ROOTS_AND_TAIL),
+           checks=_ROOTS_TAIL_AND_SIGN),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
-           checks=(_at_most_ratio("mu", "rho"),) + _ROOTS_AND_TAIL),
+           checks=(_at_most_ratio("mu", "rho"), *_ROOTS_TAIL_AND_SIGN)),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
            "zero-inflated geometric marginal, negative binomial thinning",
-           checks=_ROOTS_AND_TAIL),
+           checks=_ROOTS_TAIL_AND_SIGN),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
-           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_AND_TAIL),
+           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_TAIL_AND_SIGN),
 )}
 
 MODEL_NAMES = tuple(_ENTRIES)

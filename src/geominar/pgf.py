@@ -339,18 +339,23 @@ class InnovationLaw:
                 rho[pj] = r * gj * (-pj / zj) if math.isfinite(zj) else r * pj
         return tuple(rho[p] for p in self.poles)
 
-    def decomposition(self) -> FractionalDecomposition:
-        """A term (rho_j, s_j = 1 + pole_j) per pole; atoms 0, the gain, or, with one
-        zero more than poles, gain s plus the constant that makes the mass one."""
-        terms = tuple((r, 1.0 + p) for r, p in zip(self.residues, self.poles))
+    @functools.cached_property
+    def atoms(self) -> tuple[float, ...]:
+        """The atom coefficients: 0, the gain, or, with one zero more than poles,
+        the constant that makes the mass one and the gain (the atom at one)."""
         excess = sum(math.isfinite(z) for z, _, _ in self.factors) - len(self.poles)
         if excess > 1:
             raise GeominarError(f"innovation pgf has {excess} more zeros than poles")
         if excess < 0:
-            return FractionalDecomposition(Polynomial((0.0,)), terms)
+            return (0.0,)
         gain = _gain(self.factors)
         const = 1.0 - sum(r / p for r, p in zip(self.residues, self.poles)) - gain
-        return FractionalDecomposition(Polynomial((const, gain) if excess else (gain,)), terms)
+        return (const, gain) if excess else (gain,)
+
+    def decomposition(self) -> FractionalDecomposition:
+        """The atoms plus a term (rho_j, s_j = 1 + pole_j) per pole."""
+        terms = tuple((r, 1.0 + p) for r, p in zip(self.residues, self.poles))
+        return FractionalDecomposition(Polynomial(self.atoms), terms)
 
     @functools.cached_property
     def rf(self) -> RationalFunction:

@@ -2,9 +2,11 @@
 
 Runs `derive <model> <flags>` at the 220 points of grids.GRIDS in process
 and times each stage on its own, from inputs prepared beforehand: argument
-parsing, catalog._validate (and, inside it, pmf_recursive(law.rf, 400) on
-its own), law.decomposition(), pmf_from_decomposition, catalog._cross_check,
-cli._derive_json and cli._emit to a fresh file; then the whole command,
+parsing, catalog._validate (and, inside it, the `innovation pmf nonnegative`
+check on its own, with the law's residues formed already),
+law.decomposition(), pmf_from_decomposition, the cross-check's
+pmf_recursive(law.rf, 32), catalog._cross_check, cli._derive_json and
+cli._emit to a fresh file; then the whole command,
 cli.main with --output to a fresh file. Each line is the mean us/op over
 the points in the fastest of --passes passes. The library is called as it
 is, never patched. Informational, not a gate:
@@ -29,17 +31,19 @@ def _stages(out_dir: Path) -> dict[str, list]:
     """Per stage, one call per grid point, each with its inputs made already."""
     fresh = (str(out_dir / f"{i}.json") for i in count())
     stages = {name: [] for name in (
-        "argument parsing", "_validate", "  pmf_recursive(rf, 400)", "law.decomposition",
-        "pmf_from_decomposition", "_cross_check", "_derive_json", "_emit (fresh file)",
-        "main (whole derive)")}
+        "argument parsing", "_validate", "  pmf nonnegative check", "law.decomposition",
+        "pmf_from_decomposition", "pmf_recursive(rf, 32)", "_cross_check", "_derive_json",
+        "_emit (fresh file)", "main (whole derive)")}
     parser = build_parser()
     for name, params in ((n, p) for n, grid in GRIDS.items() for p in grid):
         argv = ["derive", name, *(f"--{k}={v!r}" for k, v in params.items())]
         entry = _entry(name)
         p = _coerce_params(entry, params)
-        _, _, law, table = _validate(entry, p)
+        _, spec, law = _validate(entry, p)
+        nonnegative = dict(entry.checks)["innovation pmf nonnegative"]
         dec = law.decomposition()
         innovation = pmf_from_decomposition(dec)
+        table = pmf_recursive(law.rf, 32)
         path = Path(next(fresh))
         main([*argv, "--output", str(path)])
         text = path.read_text()
@@ -47,9 +51,11 @@ def _stages(out_dir: Path) -> dict[str, list]:
         rows = tuple(v for _, v in doc.pop("pmf"))
         stages["argument parsing"].append(lambda argv=argv: parser.parse_args(argv))
         stages["_validate"].append(lambda entry=entry, p=p: _validate(entry, p))
-        stages["  pmf_recursive(rf, 400)"].append(lambda rf=law.rf: pmf_recursive(rf, 400))
+        stages["  pmf nonnegative check"].append(
+            lambda f=nonnegative, p=p, spec=spec, law=law: f(p, spec, law))
         stages["law.decomposition"].append(law.decomposition)
         stages["pmf_from_decomposition"].append(lambda dec=dec: pmf_from_decomposition(dec))
+        stages["pmf_recursive(rf, 32)"].append(lambda rf=law.rf: pmf_recursive(rf, 32))
         stages["_cross_check"].append(lambda t=table, i=innovation: _cross_check(t, i))
         stages["_derive_json"].append(lambda doc=doc, rows=rows: _derive_json(doc, rows))
         stages["_emit (fresh file)"].append(lambda text=text: _emit(text, Path(next(fresh))))

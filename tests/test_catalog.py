@@ -9,6 +9,8 @@ import pytest
 from geominar import decompose, pgf, polyrat
 from geominar.catalog import (
     MODEL_NAMES,
+    _entry,
+    _validate,
     build_model,
     closed_form_moments,
     dispersion_class,
@@ -16,10 +18,16 @@ from geominar.catalog import (
     validate_params,
 )
 from geominar.cli import main
-from geominar.decompose import linear_closed_form
-from geominar.errors import GeominarError, InvalidParameterError, ValidityViolationError
+from geominar.decompose import CLAMP_TOL, linear_closed_form, pmf_recursive
+from geominar.errors import (
+    GeominarError,
+    InvalidParameterError,
+    RepeatedRootsError,
+    ValidityViolationError,
+)
+from geominar.pgf import InnovationLaw
 
-from grids import CANONICAL, GRIDS
+from grids import CANONICAL, GRIDS, WIDE
 from oracles import exact_moments, oracle_moments, oracle_pmf
 from test_golden import REFUSAL_EDGES, _refusal_points
 
@@ -102,13 +110,19 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_build_derives_pgf_and_recursion_once(self, name, monkeypatch):
-        # validation's innovation law and 400-term table serve the build and
-        # its cross-check; the iid entries give their offsets directly
+        # validation's innovation law serves the build, which decomposes it
+        # once and cross-checks the 33 values m = 0..32 of one recursion; the
+        # iid entries give their offsets directly
         law_calls = count_calls(monkeypatch, pgf, "innovation_law")
         recursions = count_calls(monkeypatch, decompose, "pmf_recursive")
+        decompositions = []
+        decomposition = pgf.InnovationLaw.decomposition
+        monkeypatch.setattr(pgf.InnovationLaw, "decomposition",
+                            lambda law: decompositions.append(law) or decomposition(law))
         build_model(name, **CANONICAL[name])
         assert len(law_calls) == (0 if name in ("zmg", "two-param") else 1)
-        assert [n for _, n in recursions] == [400]
+        assert [n for _, n in recursions] == [32]
+        assert len(decompositions) == 1
 
     def test_build_takes_no_generic_pgf_algebra(self, monkeypatch, capsys):
         # one route: the roots come from the parameters, so the generic
@@ -171,8 +185,8 @@ class TestValidateParams:
         sign = next(c for c in cs if c.name == "mu <= rho/(1+rho)")
         assert not sign.satisfied
         assert sign.margin == pytest.approx(0.5 / 1.5 - 0.4, rel=1e-9)
-        numeric = [c for c in cs if c.name.startswith("innovation pmf nonnegative")]
-        assert numeric, "numeric pmf constraint missing from the report"
+        nonnegative = [c for c in cs if c.name == NONNEGATIVE]
+        assert nonnegative, "pmf nonnegativity constraint missing from the report"
 
     def test_no_thinning_always_satisfied(self):
         for name, params in (("ginar", dict(theta=0.3, alpha=0.0)),
@@ -196,10 +210,87 @@ class TestValidateParams:
     def test_negative_pmf_detected_numerically(self):
         # inside the root-ordering region but with a negative early pmf value
         cs = validate_params("rho-geo-bin", mu=0.5, rho=0.5, alpha=0.6)
-        numeric = next(c for c in cs if c.name.startswith("innovation pmf nonnegative"))
-        assert not numeric.satisfied
-        assert numeric.margin < -1e-6
+        nonnegative = next(c for c in cs if c.name == NONNEGATIVE)
+        assert not nonnegative.satisfied
+        assert nonnegative.margin < -1e-6
 
+    def test_negative_row_past_400_is_refused(self):
+        # a hand-built law whose first negative row lies past m = 400: the
+        # dominant residue is -1e-3, the other 2e-3 at a root 1.001 times as
+        # far, so r1 (s2/s1)^(m+1) + r2 changes sign where 1.001^(m+1) = 2
+        s1, s2, r1, r2 = 1.01, 1.01 * 1.001, -1e-3, 2e-3
+        gain = 1.0 - r1 / (s1 - 1.0) - r2 / (s2 - 1.0)  # the mass is one
+        # the zeros of gain (s1 - s)(s2 - s) + r1 (s2 - s) + r2 (s1 - s)
+        b = gain * (s1 + s2) + r1 + r2
+        c = gain * s1 * s2 + r1 * s2 + r2 * s1
+        half = math.sqrt(b * b - 4.0 * gain * c) / (2.0 * gain)
+        za, zb = b / (2.0 * gain) - half, b / (2.0 * gain) + half
+        law = InnovationLaw(((za - 1.0, s1 - 1.0, s1 - za), (zb - 1.0, s2 - 1.0, s2 - zb)))
+        assert law.residues == pytest.approx((r1, r2), rel=1e-9)
+        rows = pmf_recursive(law.rf, 800)
+        assert min(rows[:401]) >= 0.0  # what the 400-row check saw
+        assert next(m for m, v in enumerate(rows) if v < 0.0) == 693
+        test = dict(_entry("rho-geo-bin").checks)[NONNEGATIVE]
+        satisfied, margin = test({}, None, law)
+        assert not satisfied
+        assert margin == law.residues[0]
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_nonnegativity_label_declared_once(self, name):
+        # every report lists the entry's labels (the bounds alone where one
+        # fails), at the canonical point, the REFUSAL points and a point whose
+        # poles are not distinct; a refusal quotes the first violated label
+        entry = _entry(name)
+        assert entry.labels.count(NONNEGATIVE) == 1
+        repeated = [p for n, p in REPEATED_POLES if n == name]
+        for params in repeated:
+            with pytest.raises(RepeatedRootsError):
+                pgf.innovation_law(entry.spec(params)).residues
+        points = [CANONICAL[name], *repeated,
+                  *(p for n, p in _refusal_points() + REFUSAL_EDGES if n == name)]
+        for params in points:
+            report = validate_params(name, **params)
+            admitted = all(c.satisfied for c in report[:len(entry.bounds)])
+            assert [c.name for c in report] == (
+                list(entry.labels) if admitted else [label for label, _ in entry.bounds])
+            violated = [c for c in report if not c.satisfied]
+            if violated:
+                message = re.escape(f"{name}: constraint '{violated[0].name}' violated")
+                with pytest.raises(ValidityViolationError, match=message):
+                    build_model(name, **params)
+            if params in repeated:
+                assert (report[-1].name, report[-1].satisfied) == (NONNEGATIVE, False)
+                assert report[-1].margin == -1e18  # -inf, at the margin cap
+
+    def test_verdict_matches_400_rows(self):
+        # wherever the 400-row recursion and the residues can both be
+        # formed, the exact constraint gives the recursion's verdict
+        points = [(n, p) for n, grid in GRIDS.items() for p in grid]
+        points += [*CANONICAL.items(), *WIDE, *_refusal_points(), *REFUSAL_EDGES,
+                   *_extreme_points()]
+        compared = 0
+        for name, params in points:
+            report, _, law = _validate(_entry(name), params)
+            if law is None or report[-1].margin == -1e18:
+                continue  # the domain refused, or the residues cannot be formed
+            assert report[-1].satisfied == (min(pmf_recursive(law.rf, 400)) >= -CLAMP_TOL)
+            compared += 1
+        assert compared == 220 + 8 + 5 + 526 + 360
+
+
+NONNEGATIVE = "innovation pmf nonnegative"
+
+# points inside each domain whose innovation poles are not distinct, so that
+# the residues cannot be formed; ginar, zmg and two-param have one pole
+REPEATED_POLES = [
+    ("nginar", {"mu": 1.0, "alpha": 0.9999999999999999}),
+    ("rho-geo-bin", {"mu": 3.1578927574522893e-18, "rho": 0.9946580777609466,
+                     "alpha": 0.9999999999999917}),
+    ("hurdle-geo-bin", {"mu": 4.30730393556477e-56, "rho": 5.477203975872306e-36,
+                        "alpha": 0.9999999998507814}),
+    ("rho-geo-nb", {"mu": 0.9999999999999999, "rho": 0.0, "alpha": 0.999999999972646}),
+    ("hurdle-geo-nb", {"mu": 0.5, "rho": 0.9999999999999999, "alpha": 0.9999999997814156}),
+]
 
 _FUZZ_SPECIAL = (0.0, -0.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 1.0 - 1e-16, 1e-16, 1e300,
                  0.5, 1.0)

@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.4.0.
+"""Golden digests pinning the seeded and printed output of version 0.4.1.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -33,9 +33,14 @@ digests of the six thinned families (the zmg and two-param paths, with
 alpha = 0, and the paths of one or two steps did not move), WIDE_TABLE,
 SHORT_TABLE and the six thinned VERIFY digests were re-recorded, and only
 the four empirical lines of each VERIFY run moved, with no pass/fail flag
-changed. ACROSS_THIN_BLOCKS was added in 0.4.0. CATALOG pins the `geominar catalog`
-listing. tests/golden_points.py lists the runs behind each of these four
-digests one by one. The digests were recorded with numpy 2.4.6; numpy does
+changed. ACROSS_THIN_BLOCKS was added in 0.4.0. DERIVE, REFUSAL and CATALOG
+were re-recorded in 0.4.1, where pmf nonnegativity is decided exactly from
+a few pmf values and the residue signs: the constraint `innovation pmf
+nonnegative (numeric)` became `innovation pmf nonnegative`, and only its
+label and margin moved (in the 51 REFUSAL runs that it refuses, only the
+label). No exit code moved. CATALOG pins the `geominar catalog` listing.
+tests/golden_points.py lists the runs behind each of these four digests
+one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
 failure after a numpy upgrade alone means the dependency moved, not this
 code.
@@ -125,19 +130,19 @@ VERIFY = {
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
 # json, csv and table format: per run, the exit code and a newline, then stdout
-DERIVE = "74f8a1e0316c52591cb691fee325b5d7b85f161c1ebce054cbcaa2b70627c100"
+DERIVE = "dba6c5d27a424010f2e9e80d8bde672a9e271d8efb6d14f1869d60020c316447"
 
 # sha256 over `geominar derive --format json` at _refusal_points() and REFUSAL_EDGES: per
 # run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
-REFUSAL = "7d107902a887e33a9714081c7cdf302e4cec950b1e9cb4cacd4dfc5f410be1c5"
+REFUSAL = "abcc3a5d6461fb1197e48c0b9aa254d63d12393e78f70dd614d8ed3b9f0ef269"
 
 # sha256 over `geominar catalog` in table and json format (CATALOG_FORMATS): per
 # run, the exit code and a newline, then stdout. Recorded where the listing
 # reads each constraint's label from its declaration; a changed label or
 # summary moves it.
-CATALOG = "3860d7d341d08ff0c71235b44eb562ef61db6c2d5d3c7cbc8ff804677dcf314e"
+CATALOG = "ca60b92f6436d4f90ea23869e6e0b861d4decaba8c66a5175c29f13392e70fab"
 CATALOG_FORMATS = ("table", "json")
 
 
@@ -205,7 +210,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.4.0"
+    assert __version__ == "0.4.1"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
