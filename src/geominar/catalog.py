@@ -277,14 +277,6 @@ def _roots_ordered(p, spec, law):
     return 1.0 + t1 > 1.0 and t2 >= t1 - 1e-12, min(s1_margin, t2 - t1)
 
 
-def _tail_weight(p, spec, law):
-    try:  # the term of the smallest pole dominates the tail; no pole, no tail
-        rho1 = law.residues[0] if law.poles else 0.0
-    except GeominarError:
-        rho1 = -math.inf
-    return rho1 >= -CLAMP_TOL, rho1
-
-
 def _pmf_nonnegative(p, spec, law):
     # Past its atoms (degree <= 1) the pmf is r1 x1^(m+1) + r2 x2^(m+1), x_j = 1/s_j and
     # 1 > x1 > x2, or x2^(m+1) (r1 (x1/x2)^(m+1) + r2), whose bracket is monotone in m: so
@@ -305,8 +297,7 @@ def _pmf_nonnegative(p, spec, law):
 
 
 _NONNEGATIVE = ("innovation pmf nonnegative", _pmf_nonnegative)
-_ROOTS_TAIL_AND_SIGN = (("roots ordered s2 >= s1 > 1", _roots_ordered),
-                        ("dominant tail weight w1 >= 0", _tail_weight), _NONNEGATIVE)
+_ROOTS_AND_SIGN = (("roots ordered s2 >= s1 > 1", _roots_ordered), _NONNEGATIVE)
 
 _ENTRIES = {e.name: e for e in (
     _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning,
@@ -335,15 +326,15 @@ _ENTRIES = {e.name: e for e in (
            moments=lambda r, m: (m, m * (1.0 + 2.0 * r - m))),
     _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
-           checks=_ROOTS_TAIL_AND_SIGN),
+           checks=_ROOTS_AND_SIGN),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
-           checks=(_at_most_ratio("mu", "rho"), *_ROOTS_TAIL_AND_SIGN)),
+           checks=(_at_most_ratio("mu", "rho"), *_ROOTS_AND_SIGN)),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
            "zero-inflated geometric marginal, negative binomial thinning",
-           checks=_ROOTS_TAIL_AND_SIGN),
+           checks=_ROOTS_AND_SIGN),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
-           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_TAIL_AND_SIGN),
+           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_AND_SIGN),
 )}
 
 MODEL_NAMES = tuple(_ENTRIES)

@@ -11,7 +11,8 @@ Each marginal family is one dataclass holding its closed forms: mobius()
 pmf(k), and geometric_form() = (atom, body, shift, ratio), which says that
 the law is an atom at zero plus, with probability body = 1 - atom, shift
 plus a geometric on {0,1,...} with failure ratio ratio. The sampler inverts
-that form. Each thinning holds its counting pgf, variance identity and draw.
+that form. Each thinning holds its counting pgf, variance identity, draw
+and the law of the thinned count of c units (count_ratio, count_width).
 Both declare their parameter bounds once, as DOMAIN: (label, test) pairs,
 where test(params) gives (inside, margin) and the label names the bound
 wherever it is checked, refused or listed.
@@ -202,6 +203,14 @@ class _Thinning(_Declared):
 
     DOMAIN = (("alpha in [0,1)", lambda p: interval(p["alpha"], 0.0, 1.0, lo_closed=True)),)
 
+    @functools.cached_property
+    def count_table(self):
+        """The sampler's guided CDF rows of the thinned counts (simulate.count_table),
+        built on first use and cached on the instance, so derive never builds
+        them, nor imports numpy."""
+        from .simulate import count_table
+        return count_table(self)
+
 
 @dataclass(frozen=True)
 class BinomialThinning(_Thinning):
@@ -222,10 +231,15 @@ class BinomialThinning(_Thinning):
         """Thin the counts x with the numpy Generator gen: binomial(x, alpha)."""
         return gen.binomial(x, self.alpha)
 
-    def draw_single(self, gen, size):
-        """Thin size single units with the numpy Generator gen: Bernoulli(alpha),
-        one uniform each."""
-        return gen.random(size) < self.alpha
+    def count_ratio(self, c, k):
+        """Pr[k + 1] / Pr[k] for the thinned count of c units, binomial(c, alpha),
+        in the precision of c and k (numbers or arrays); it is not positive from
+        k = c on, where the law ends."""
+        return (c - k) * (self.alpha / ((k + 1) - (k + 1) * self.alpha))
+
+    def count_width(self, c: int) -> int:
+        """Columns k = 0..c: all of the thinned count of c units."""
+        return c + 1
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / alpha, and t - u formed
@@ -253,11 +267,19 @@ class NegativeBinomialThinning(_Thinning):
         as Poisson(Gamma(x, scale alpha)), which is zero at x = 0."""
         return gen.poisson(gen.gamma(x, self.alpha))
 
-    def draw_single(self, gen, size):
-        """Thin size single units with the numpy Generator gen: the offspring of one
-        unit, a geometric on {0, 1, ...} with mean alpha, which numpy draws by
-        search (its success probability 1/(1+alpha) is above 1/3), one uniform each."""
-        return gen.geometric(1.0 / (1.0 + self.alpha), size) - 1
+    def count_ratio(self, c, k):
+        """Pr[k + 1] / Pr[k] for the thinned count of c units, NB(c, 1/(1+alpha)),
+        in the precision of c and k (numbers or arrays)."""
+        return (c + k) * (self.alpha / ((k + 1) + (k + 1) * self.alpha))
+
+    def count_width(self, c: int) -> int:
+        """Columns k = 0..W-1 that hold all but less than 2^-54 of the thinned count
+        of c units. From k0 on the ratio is at most r = sqrt(q), q = alpha/(1+alpha),
+        and Pr[k0] <= 1, so the mass from W on is at most r^(W-k0) / (1-r)."""
+        q = self.alpha / (1.0 + self.alpha)
+        r = math.sqrt(q)
+        k0 = max(0, math.ceil((c * q - r) / (r - q)))
+        return k0 + math.floor((54.0 * math.log(2.0) - math.log1p(-r)) / -math.log(r)) + 1
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / (alpha (1 + u)) (1 / alpha for u = inf),

@@ -8,14 +8,14 @@ Thinning acts on each unit independently, so a path is drawn by generations,
 not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
 step t+1 is one vector draw thinning the nonzero entries of generation k at t.
 With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
-A generation is thinned THIN_BLOCK entries at a time. In each block the
-counts of two or more go through the thinning's draw, then the counts of
-one through its draw_single, which spends one uniform per unit: Bernoulli
-(alpha) for binomial thinning, and for NB thinning a geometric with mean
-alpha, which numpy draws by search for its success probability
-1/(1+alpha) > 1/3. Both are the exact law of a thinned single unit, and
-single units are 50-73% of the thinned entries at the canonical points.
-Seeded paths changed in 0.4.0, when this split came in.
+A generation is thinned THIN_BLOCK entries at a time, one uniform u per
+entry, by inversion: a count c <= CAP becomes the least k with u < F_c(k),
+F_c the exact CDF of the thinned count of c units, built once per thinning
+from the ratio of its successive cells. A guide table of PER buckets per row
+(Chen & Asau; Devroye 1986, III.2-3) answers most u, and the rest are
+searched within row c. Counts above CAP, which no canonical path reaches,
+go through the thinning's draw. Seeded paths changed in 0.5.0, when this
+inversion came in, and in 0.4.0.
 
 Innovations are drawn by inverse CDF over the pmf table, with the geometric
 tail beyond it. The table index comes from a guide table (Chen & Asau),
@@ -68,9 +68,13 @@ class SeriesSample:
 
 # uniforms per block of innovation draws: bounds their temporaries, whatever n
 BLOCK = 1 << 16
-# entries per block of a generation's thinning draws; unlike BLOCK it orders
-# the draws, so it is part of the seeded stream and fixed with the version
+# entries per block of a generation's thinning draws, the largest count thinned
+# through the table and its guide buckets per row (a power of two, so u * PER
+# is exact); unlike BLOCK they order the draws, so they are part of the seeded
+# stream and fixed with the version
 THIN_BLOCK = 1 << 16
+CAP = 32
+PER = 256
 
 
 def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
@@ -138,18 +142,80 @@ def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     return shift + int(_geometric_inverse(np.array([(u - atom) / body]), ratio)[0])
 
 
+def count_table(thinning) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The guided CDF rows of the thinned counts of c = 0..CAP units, which
+    the thinning caches as its count_table.
+
+    Row c of the (CAP + 1, W) cdf, W = thinning.count_width(CAP), is the CDF
+    of the thinned count of c units over k = 0..W-1, divided by its last
+    column, which is then 1.0. Its cells come from thinning.count_ratio r,
+    which falls with k, outwards from the row's mode, where the cell is 1:
+    cell k is prod_{j<k} min(r_j, 1) / prod_{j>=k} max(r_j, 1). So no cell
+    is above 1, and none is started from a cell that underflows, as
+    (1 - alpha)^c can.
+    """
+    c = np.arange(CAP + 1)[:, None]
+    # in extended precision where numpy has it (the ratio's arithmetic follows
+    # c and k), so that each CDF value is within about one ulp of exact
+    k = np.arange(thinning.count_width(CAP), dtype=np.longdouble)
+    ratio = thinning.count_ratio(c.astype(np.longdouble), k)
+    cells = np.ones_like(ratio)
+    np.cumprod(np.minimum(ratio[:, :-1], 1.0), axis=1, out=cells[:, 1:])
+    # the mode is at most c, so the cells below it lie in the first CAP + 1 columns
+    low = 1.0 / np.maximum(ratio[:, CAP::-1], 1.0)
+    cells[:, :CAP + 1] *= np.cumprod(low, axis=1)[:, ::-1]
+    cdf = np.cumsum(cells, axis=1)
+    return _guided((cdf / cdf[:, -1:]).astype(float))
+
+
+def _guided(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, guide, keys) over the CDF rows cdf, each ending at 1.0.
+
+    guide[c * PER + b] is searchsorted(cdf[c], u, side="right") for every u
+    in [b/PER, (b+1)/PER) when no value of row c lies inside that bucket,
+    and -1 when one does; scaling by PER is exact, so the counts are.
+    keys holds c + 1j * cdf[c, k] flat: numpy orders complex numbers by
+    real, then imaginary part, so a search of c + 1j * u there stays within
+    row c.
+    """
+    rows, width = cdf.shape
+    c = np.arange(rows)[:, None]
+    # per row, #{cdf < (b+1)/PER} for b = 0..PER over the flat buckets
+    # floor(cdf * PER) (cdf >= 0), less the cells of the rows before
+    scaled = cdf * PER
+    bucket = scaled.astype(np.intp)
+    flat = (bucket + c * (PER + 1)).ravel()
+    guide = np.bincount(flat, minlength=rows * (PER + 1)).cumsum() - (c * width).repeat(PER + 1)
+    guide[flat[(scaled != bucket).ravel()]] = -1  # a value inside bucket b
+    guide = guide.reshape(rows, PER + 1)[:, :PER].ravel()
+    keys = (c + 1j * cdf).ravel()  # exact: 1j * x is 0 + x j
+    cdf.flags.writeable = guide.flags.writeable = keys.flags.writeable = False
+    return cdf, guide, keys
+
+
 def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
-    """Thin the positive counts cnt in place, THIN_BLOCK entries at a time: in
-    each block the counts >= 2 through thinning.draw, then the single units
-    through thinning.draw_single, one uniform each."""
+    """Thin the positive counts cnt in place, THIN_BLOCK entries at a time, one
+    uniform u per entry: a count c <= CAP becomes searchsorted(cdf[c], u,
+    side="right"), read from the guide at c * PER + floor(u * PER) or searched
+    within row c; a count above CAP reads a clipped bucket and is then
+    overwritten by thinning.draw. The blocks share buffers."""
+    cdf, guide, keys = thinning.count_table
+    ubuf = np.empty(min(THIN_BLOCK, cnt.size))
+    kbuf, bbuf = np.empty(len(ubuf), dtype=np.intp), np.empty(len(ubuf), dtype=np.intp)
     for start in range(0, cnt.size, THIN_BLOCK):
         c = cnt[start:start + THIN_BLOCK]
-        # positions, not masks, as for kept in simulate_series: faster here too
-        one = c == 1
-        single, many = np.flatnonzero(one), np.flatnonzero(~one)
-        if many.size:  # an empty draw still pays numpy's fixed cost per call
-            c[many] = thinning.draw(gen, c[many])
-        c[single] = thinning.draw_single(gen, single.size)
+        u, key, bucket = gen.random(out=ubuf[:c.size]), kbuf[:c.size], bbuf[:c.size]
+        above = np.flatnonzero(c > CAP)
+        larger = c[above]
+        np.multiply(c, PER, out=key)
+        key += np.multiply(u, PER, out=bucket, casting="unsafe")
+        np.take(guide, key, out=c, mode="clip")
+        miss = np.flatnonzero(c < 0)
+        if miss.size:
+            row = key[miss] // PER
+            c[miss] = keys.searchsorted(row + 1j * u[miss], side="right") - row * cdf.shape[1]
+        if above.size:  # an empty draw still pays numpy's fixed cost per call
+            c[above] = thinning.draw(gen, larger)
 
 
 def simulate_series(model: INARModel, n: int, seed: RngStream,

@@ -3,15 +3,16 @@
 For each point of grids.CANONICAL it simulates one path of --n steps
 (seed 1) and keeps every stage's inputs: the innovation law, generation 0,
 and per generation the surviving positions and counts before and after
-thinning, with each block's single-unit count and larger counts as
-simulate._thin hands them to the thinning. The loop that collects them is
+thinning, with each block's counts above simulate.CAP as simulate._thin
+hands them to the thinning's draw. The loop that collects them is
 simulate_series's own, calling simulate._thin with a recording stand-in for
 the thinning, and its path must equal simulate_series's bit for bit. It
 then times, summed over the generations of one path: the innovation draws
 (simulate._innovation_draws), the generation-0 gather (the nonzero
-positions and their counts), the thinning of single units (draw_single),
-the thinning of larger counts (draw), the whole of simulate._thin (on a
-copy of each generation's counts), the keep and np.add.at of the survivors,
+positions and their counts), the table lookup (simulate._thin on a copy of
+each generation's counts up to CAP), the counts above CAP (draw), the
+whole of simulate._thin (on a copy of each generation's counts), the keep
+and np.add.at of the survivors,
 simulate_series itself and verify.run_all_checks on the path. Each cell is
 us per path in the fastest of --passes passes; the points with alpha = 0
 run no thinning stages. The library is called as it is, never patched.
@@ -34,24 +35,24 @@ from geominar.verify import run_all_checks
 
 from grids import CANONICAL
 
-STAGES = ("innovation draws", "generation-0 gather", "thin: singles (draw_single)",
-          "thin: counts >= 2 (draw)", "thin: whole _thin", "keep + np.add.at",
+STAGES = ("innovation draws", "generation-0 gather", "thin: table lookup (counts <= CAP)",
+          "thin: counts > CAP (draw)", "thin: whole _thin", "keep + np.add.at",
           "simulate_series (whole)", "run_all_checks")
 
 
 class _Recording:
-    """Stands in for a thinning inside simulate._thin and keeps what it is given."""
+    """Stands in for a thinning inside simulate._thin and keeps what its draw
+    is given; everything else is the thinning's own."""
 
     def __init__(self, thinning):
-        self.thinning, self.singles, self.larger = thinning, [], []
+        self.thinning, self.larger = thinning, []
+
+    def __getattr__(self, name):
+        return getattr(self.thinning, name)
 
     def draw(self, gen, x):
         self.larger.append(x.copy())
         return self.thinning.draw(gen, x)
-
-    def draw_single(self, gen, size):
-        self.singles.append(size)
-        return self.thinning.draw_single(gen, size)
 
 
 def _generations(model, n: int, seed: RngStream):
@@ -96,9 +97,11 @@ def _stages(name: str, params: dict, n: int) -> dict:
         idx = np.flatnonzero(first[:-1] != 0)
         return first[idx]
 
-    def singles():
-        for size in rec.singles:
-            thinning.draw_single(gen, size)
+    small = [before[before <= simulate.CAP] for _, before, _ in generations]
+
+    def lookup():
+        for counts in small:
+            simulate._thin(thinning, gen, counts.copy())
 
     def larger():
         for x in rec.larger:
@@ -116,8 +119,8 @@ def _stages(name: str, params: dict, n: int) -> dict:
     return {
         "innovation draws": lambda: simulate._innovation_draws(model.innovation, gen, n),
         "generation-0 gather": gather,
-        "thin: singles (draw_single)": singles,
-        "thin: counts >= 2 (draw)": larger,
+        "thin: table lookup (counts <= CAP)": lookup,
+        "thin: counts > CAP (draw)": larger,
         "thin: whole _thin": whole_thin,
         "keep + np.add.at": keep,
         "simulate_series (whole)": lambda: simulate_series(model, n, seed),

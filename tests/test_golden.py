@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.4.1.
+"""Golden digests pinning the seeded and printed output of version 0.5.0.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -38,7 +38,21 @@ were re-recorded in 0.4.1, where pmf nonnegativity is decided exactly from
 a few pmf values and the residue signs: the constraint `innovation pmf
 nonnegative (numeric)` became `innovation pmf nonnegative`, and only its
 label and margin moved (in the 51 REFUSAL runs that it refuses, only the
-label). No exit code moved. CATALOG pins the `geominar catalog` listing.
+label). No exit code moved. The 0.5.0 sampler thins every count up to
+simulate.CAP with one uniform, by inversion over exact CDF rows through a
+guide table, so every thinned path moved again: the series digests of the
+six thinned families, ACROSS_THIN_BLOCKS, WIDE_TABLE, SHORT_TABLE (still
+equal to ACROSS_BLOCKS ginar) and the six thinned VERIFY digests were
+re-recorded, and only the four empirical lines of each VERIFY run moved,
+with no pass/fail flag changed. For small counts and alpha <= 0.5,
+numpy's binomial draw inverts one uniform per entry too, so the
+binomial-thinned series and VERIFY digests are again those of 0.3.3. DERIVE, REFUSAL and CATALOG
+were re-recorded in 0.5.0 too, where the constraint `dominant tail weight
+w1 >= 0`, implied by `innovation pmf nonnegative`, was dropped: it left
+the constraint lists of the rho and hurdle families, the 24 REFUSAL runs
+that it refused first are now refused by `innovation pmf nonnegative`
+with the same margin, and no exit code, pmf row or other printed byte
+moved. CATALOG pins the `geominar catalog` listing.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -65,14 +79,14 @@ from oracles import oracle_pmf
 
 # (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
 SERIES = {
-    ("ginar", 20000, 0): "e46f05ba073dfc066b6613295137a636a11e4a2f095df383a4fc02f3a2dd9c5f",
-    ("nginar", 20000, 0): "4b0663c56704ca9a4ebac7e65a08299d22409fb88959131732d8f1365c96ecff",
+    ("ginar", 20000, 0): "2c06c380b55f73fb340875c018802bbbfba94e8701a92399f74b6aeac34322c8",
+    ("nginar", 20000, 0): "506ce3000a7ab0e0dc2dd2641e09223e22da94a2ee9e8bfd68bc787ccdc50535",
     ("zmg", 20000, 0): "68a4ec6aa31ac78c0f8aef3a352f3cf27e84155c05a8682cfb09f272276b6f7b",
     ("two-param", 20000, 0): "67e8133990fa54911991167648042c7a863e8f1292f7d96277bb181834458747",
-    ("rho-geo-bin", 20000, 0): "0a6b1b60676ebd9f41c9b3b19c267b9e065983fc00ac907ca5ec56e1b658a7c5",
-    ("hurdle-geo-bin", 20000, 0): "f39a461f9c8e36d63a2854e431f4f4c52c6c97392408e50d6153dd2920f19877",
-    ("rho-geo-nb", 20000, 0): "62322cd712def3057c385411d810ef8a25540effd4be16593cee4cd8379eafe5",
-    ("hurdle-geo-nb", 20000, 0): "c879118f03ec6a3d4cd00fd827c900f6280b9c1a42db0dd7173d9d107f60be6b",
+    ("rho-geo-bin", 20000, 0): "c3346444131db46cf9efc15bb5a2ab4b69a7225dc94745840e47881f74f8692a",
+    ("hurdle-geo-bin", 20000, 0): "0513252e4b411979ca722be04631ac1352e8ba334e5925692d8a54b314f4f367",
+    ("rho-geo-nb", 20000, 0): "2f3fa184d9a846014d6eed61079f03f1e153e71768d6fac5ff88144c70c89b9a",
+    ("hurdle-geo-nb", 20000, 0): "2383287b1c7572b89867326b018ff84d9f20ca561651080ec059eb3cc01289ae",
     ("ginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
     ("ginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     ("ginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
@@ -87,62 +101,62 @@ SERIES = {
 # seed 5: these pin the block boundaries, which the 20,000-step paths above
 # never cross. (model, n) -> sha256 of simulate_series(...).values.tobytes()
 ACROSS_BLOCKS = {
-    ("ginar", 2 * BLOCK + 3): "406670f89e6024c181b52bacb1daf48737651b3deee145dda41eed00cc7079fe",
-    ("nginar", 2 * BLOCK + 3): "fa3ded202ba1d62bb04cf41fdc3bc9a836dcc6b12899056e0f7ef9b8043e974b",
+    ("ginar", 2 * BLOCK + 3): "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854",
+    ("nginar", 2 * BLOCK + 3): "eba71e28d4d26cdbe65b3f3ede6a65831568e72543f51f5d0e047762eef5397c",
     ("zmg", 2 * BLOCK + 3): "30cc48e7ac26531c5f7b98b9fc125287d81402072c2e776856d84f0af9d27eea",
     ("two-param", 2 * BLOCK + 3): "caf7838c35d10ec41fe92ec9dc7959d24be210de3cb7c9706f3d7c39c9e6aedc",
-    ("rho-geo-bin", 2 * BLOCK + 3): "902b530c2d76e15cde50a3b7ca70dbbca6ca4d1bb8df29dac1ccedb560ed4ac8",
-    ("hurdle-geo-bin", 2 * BLOCK + 3): "ac8a4367278ad23c03866f06f3862664e1bfbac4241e249e08b3e0ee162be337",
-    ("rho-geo-nb", 2 * BLOCK + 3): "16e9b22711b8c328ec17ba8b0c0bafeebf0464a27f48cd71c52a1b46b7831a4f",
-    ("hurdle-geo-nb", 2 * BLOCK + 3): "9bc0ac80261def3b9283093d38438ae49c9d90c16d3054845f3259b86f45e789",
+    ("rho-geo-bin", 2 * BLOCK + 3): "058a51f8590f07bc5b7dbfb239fd50ba6d8c51d20b1a733ad05b395307a9f2ac",
+    ("hurdle-geo-bin", 2 * BLOCK + 3): "46ae6764e7998fab076be4bbb62f0d16a27a5004995f2a32b814b0336d2b72c8",
+    ("rho-geo-nb", 2 * BLOCK + 3): "bd6048a5267017a3ff913aed4cd8e467bc3914b40953eedd59769bb755460665",
+    ("hurdle-geo-nb", 2 * BLOCK + 3): "81d016e82f84935d289020b226988b0e35dce160e6635399396871cc838c9c2d",
 }
 
 # ginar theta=1e-4 alpha=0.5: a 262,564-row table, where the guide leaves many
 # buckets to binary search; n = BLOCK + 1, burn_in 3, seed 5
-WIDE_TABLE = "600b7383d6a7d21e40da0c0432fe4789d7cc22aab67282165e3b3d335209633b"
+WIDE_TABLE = "779d331ce2478a9e5dfa14829f67fe2a95f2fd3c5fac1eb0b0677ceff3d4dd4c"
 
 # canonical ginar with its table cut at mass 0.999, so that about one draw in
 # a thousand lands beyond the table and takes the geometric tail, in both
 # full blocks; n = 2 * BLOCK + 3, burn_in 3, seed 5. The tail continues the
 # law exactly, so the path equals the full-table one (ACROSS_BLOCKS ginar).
-SHORT_TABLE = "406670f89e6024c181b52bacb1daf48737651b3deee145dda41eed00cc7079fe"
+SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
 
 # Paths whose first generation of thinning draws holds more than one block
 # of THIN_BLOCK = 65,536 entries (about 130k for ginar, 101k for nginar, so
 # both thinnings cross a block boundary), burn_in 3, seed 5.
 # (model, n) -> sha256 of simulate_series(...).values.tobytes()
 ACROSS_THIN_BLOCKS = {
-    ("ginar", 8 * THIN_BLOCK + 3): "847f99f27517c3f20c76d3642fcfb6cbdeca2323e3360fa8d297f48657610a19",
-    ("nginar", 4 * THIN_BLOCK + 3): "adb6a64c9aee171a2bf9580d111d237e701742520cc32f6f32471ebf56500bd4",
+    ("ginar", 8 * THIN_BLOCK + 3): "8bf6786bd72a04d22cc7813d3cca8c9cdda4cdc636280ce1fa4352895d3a89b8",
+    ("nginar", 4 * THIN_BLOCK + 3): "a71bb6a9b81673965e1edb45d620c734edcdb61c8a68a094f1552adf12cbbfd5",
 }
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
-    "ginar": "9d52df0902de037f0213425ee875c03e274df71b89359bd9ef48d34133663f8b",
-    "nginar": "82a52276e63fc289265aabe2f0c92ff9d272769bb6fc78ae2d1eb60619f189d6",
+    "ginar": "9a228d5403fb37efec3f8a8cda2cadc77b4fdab76d6c3318f4d8c7a866383bea",
+    "nginar": "4fbb1c23053c8e7fb8fa5b5b92c83952839d7b0b95dc19bc5167f19d9c36cdc3",
     "zmg": "c351e4cbfb87f05e0aa2a93c5cc0569ea71aba5f250c64a7ed76f3e560b294d1",
     "two-param": "5c78f929e36c2e6f1c7387542dd9c2079eeb676fddf428befb8b51fa422306ac",
-    "rho-geo-bin": "42dc08e7aac2b8663dd4f1fee486e9c8f397502f11a0e39cf14864f0ff3584cb",
-    "hurdle-geo-bin": "95bbfb80302f5df93338f8099907a18643b793847eab260212d3d489e5320946",
-    "rho-geo-nb": "a059e1b86cb2641a71a489d2ed97ac2a92317369b708f80d72ff2ccf6ac2686c",
-    "hurdle-geo-nb": "9916b96f5c1385c73b1be56ef6435bd52ba249caf1944b7551794b7652f2ca16",
+    "rho-geo-bin": "ef32b2a199c9032ee4ae4bd4edd6640a8be9f543c45a41082226ca76eeed34d1",
+    "hurdle-geo-bin": "50b5ac0fd803a7cffef1674d50ff51e9e9f528190a481cfc4b14b7b9c6b17fd6",
+    "rho-geo-nb": "bfb09b1e6bd450425d168aebcfdf581c34ec945014f9bcd50addef4d285ed3d7",
+    "hurdle-geo-nb": "4ab68ee4d5f8127da95a697877e6e2492e9f2b2ab30461886d35793f9b6bb04b",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
 # json, csv and table format: per run, the exit code and a newline, then stdout
-DERIVE = "dba6c5d27a424010f2e9e80d8bde672a9e271d8efb6d14f1869d60020c316447"
+DERIVE = "b595cd02784eff22cd5bf5ed8ac5ba10f53499cb4de71ff2add22e089ae0710a"
 
 # sha256 over `geominar derive --format json` at _refusal_points() and REFUSAL_EDGES: per
 # run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
-REFUSAL = "abcc3a5d6461fb1197e48c0b9aa254d63d12393e78f70dd614d8ed3b9f0ef269"
+REFUSAL = "6ea98fd93c84a267cb374af6406ccc39588c877001c6ee52fa5fcd38dbc79244"
 
 # sha256 over `geominar catalog` in table and json format (CATALOG_FORMATS): per
 # run, the exit code and a newline, then stdout. Recorded where the listing
 # reads each constraint's label from its declaration; a changed label or
 # summary moves it.
-CATALOG = "ca60b92f6436d4f90ea23869e6e0b861d4decaba8c66a5175c29f13392e70fab"
+CATALOG = "c2030a63a4ae2ab4d6eb067cb45079603358c6b4e06eed6d8211428b1798f2e1"
 CATALOG_FORMATS = ("table", "json")
 
 
@@ -210,7 +224,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.4.1"
+    assert __version__ == "0.5.0"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))

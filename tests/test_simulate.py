@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,39 +227,166 @@ def _binned_chi_square(draws: np.ndarray, pmf: list[float]) -> tuple[float, int]
     return stat, len(cells)
 
 
-class TestSingleUnitThinning:
-    """draw_single against the exact one-unit laws, and _thin, which routes
-    single units to it, against the exact thinning law of every count."""
+def _exact_cdf(thinning, c: int, width: int) -> list[Fraction]:
+    """The exact CDF of the thinned count of c units over k = 0..width-1, from
+    binomial coefficients in Fraction arithmetic at the float alpha."""
+    a = Fraction(thinning.alpha)
+    if isinstance(thinning, BinomialThinning):
+        cells = [math.comb(c, k) * a**k * (1 - a) ** (c - k) for k in range(min(c, width - 1) + 1)]
+    else:  # NB(c, 1/(1+a)); at c = 0 all of the mass is at 0
+        cells = [math.comb(c + k - 1, k) * a**k / (1 + a) ** (c + k) if c else Fraction(k == 0)
+                 for k in range(width)]
+    cells += [Fraction(0)] * (width - len(cells))
+    return list(itertools.accumulate(cells))
 
-    THINNINGS = [BinomialThinning(0.3), NegativeBinomialThinning(0.3),
-                 BinomialThinning(0.85), NegativeBinomialThinning(0.85)]
-    IDS = ["bin-0.3", "nb-0.3", "bin-0.85", "nb-0.85"]
+
+def _thinned(thinning, counts, size: int, seed: int = 21) -> tuple[np.ndarray, np.ndarray]:
+    """size shuffled entries of the given counts, and _thin's draws for them."""
+    cnt = np.array(counts, dtype=np.int64)[np.random.default_rng(seed).permutation(size)
+                                           % len(counts)]
+    before = cnt.copy()
+    simulate._thin(thinning, RngStream(seed).generator(), cnt)
+    return before, cnt
+
+
+def _count_stats(thinning, before, drawn, model=None) -> dict[int, tuple[float, float]]:
+    """Per count i in before: (chi-square of its draws against the law of the
+    thinned count of i units under model, default thinning; the gate)."""
+    model = model or thinning
+    out = {}
+    for i in np.unique(before):
+        i = int(i)
+        kmax = 2 * i + 60 if isinstance(model, NegativeBinomialThinning) else i
+        stat, cells = _binned_chi_square(drawn[before == i], _thinning_pmf(model, i, kmax))
+        assert cells >= 2
+        out[i] = stat, _gate(1, cells)
+    return out
+
+
+def _moved_cell(cdf: np.ndarray, c: int) -> np.ndarray:
+    """cdf with the cell of row c at its mode moved one column to the right."""
+    pmf = np.diff(cdf, prepend=0.0, axis=1)
+    k = int(pmf[c].argmax())
+    pmf[c, k + 1] += pmf[c, k]
+    pmf[c, k] = 0.0
+    return np.cumsum(pmf, axis=1)
+
+
+class TestGuidedThinning:
+    """_thin against the exact law of the thinned count of every count, its
+    table's CDF rows against exact ones, and its guide against row search."""
+
+    CAP = simulate.CAP
+    ALPHAS = (0.3, 0.85, 1.0 - 1e-4)
+    THINNINGS = [cls(a) for a in ALPHAS for cls in (BinomialThinning, NegativeBinomialThinning)]
+    IDS = [f"{name}-{a}" for a in ALPHAS for name in ("bin", "nb")]
 
     @pytest.mark.parametrize("thinning", THINNINGS, ids=IDS)
-    def test_draw_single_matches_one_unit_law(self, thinning):
-        # Bernoulli(alpha) for binomial thinning, a geometric on {0, 1, ...}
-        # with mean alpha for NB thinning: both are the law of alpha o 1
-        draws = np.asarray(thinning.draw_single(RngStream(21).generator(), 200_000))
-        assert draws.shape == (200_000,)
-        draws = draws.astype(np.int64)
-        assert draws.min() >= 0
+    def test_each_count_matches_its_thinning_law(self, thinning):
+        # 1 and 2 through the guide, CAP through its last row, CAP + 1 through draw
+        counts = (1, 2, self.CAP, self.CAP + 1)
+        before, drawn = _thinned(thinning, counts, 4 * 100_000)
+        assert drawn.min() >= 0
         if isinstance(thinning, BinomialThinning):
-            assert draws.max() <= 1
-        stat, cells = _binned_chi_square(draws, _thinning_pmf(thinning, 1, 60))
-        assert cells >= 2
-        assert stat < _gate(1, cells), (stat, cells)
+            assert (drawn <= before).all()
+        stats = _count_stats(thinning, before, drawn)
+        assert sorted(stats) == list(counts)
+        for i, (stat, gate) in stats.items():
+            assert stat < gate, (i, stat, gate)
 
-    def test_draw_single_rejects_a_wrong_alpha(self):
+    def test_chi_square_rejects_a_wrong_alpha(self):
         for t in (BinomialThinning(0.3), NegativeBinomialThinning(0.3)):
-            draws = np.asarray(t.draw_single(RngStream(21).generator(), 200_000))
+            before, drawn = _thinned(t, (1, 2, self.CAP, self.CAP + 1), 4 * 50_000)
             wrong = type(t)(0.3 * 1.05)
-            stat, cells = _binned_chi_square(draws.astype(np.int64),
-                                             _thinning_pmf(wrong, 1, 60))
-            assert stat > _gate(1, cells), (t, stat)
+            stats = _count_stats(t, before, drawn, model=wrong)
+            for i, (stat, gate) in stats.items():
+                assert stat > gate, (t, i, stat)
 
-    def test_draw_single_of_nothing_is_empty(self):
+    @pytest.mark.parametrize("c", [1, 2, 32])
+    @pytest.mark.parametrize("cls", [BinomialThinning, NegativeBinomialThinning])
+    def test_a_cell_moved_one_column_is_caught(self, cls, c, monkeypatch):
+        thinning = cls(0.3)
+        real = simulate.count_table(thinning)[0]
+        mutant = simulate._guided(_moved_cell(real, c))
+        monkeypatch.setattr(simulate, "count_table", lambda t: mutant)
+        before, drawn = _thinned(thinning, (1, 2, self.CAP), 3 * 50_000)
+        stats = _count_stats(thinning, before, drawn)
+        assert [i for i, (stat, gate) in stats.items() if stat > gate] == [c]
+        exact = [float(v) for v in _exact_cdf(thinning, c, real.shape[1])]
+        assert np.abs(mutant[0][c] - exact).max() > 1e-15
+
+    def test_table_built_once_per_thinning(self, monkeypatch):
+        # cached on the thinning, as sampling_table is on its distribution: a
+        # model's paths share one build, a new model builds its own
+        builds = []
+        real = simulate.count_table
+
+        def counting(thinning):
+            builds.append(thinning)
+            return real(thinning)
+
+        monkeypatch.setattr(simulate, "count_table", counting)
+        model = build_model("nginar", **CANONICAL["nginar"])
+        for seed in range(5):
+            simulate_series(model, 2000, RngStream(seed))
+        assert builds == [model.spec.thinning]
+        other = build_model("nginar", **CANONICAL["nginar"])
+        simulate_series(other, 2000, RngStream(0))
+        assert len(builds) == 2 and builds[1] is other.spec.thinning
+
+    def test_thin_of_nothing_draws_nothing(self):
         for t in self.THINNINGS:
-            assert np.asarray(t.draw_single(RngStream(0).generator(), 0)).size == 0
+            gen = RngStream(0).generator()
+            state = gen.bit_generator.state
+            cnt = np.empty(0, dtype=np.int64)
+            simulate._thin(t, gen, cnt)
+            assert cnt.size == 0 and gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("alpha", [1e-300, 0.3, 1.0 - 1e-16])
+    @pytest.mark.parametrize("cls", [BinomialThinning, NegativeBinomialThinning])
+    def test_cdf_rows_match_exact_law(self, cls, alpha):
+        # at 1 - 1e-16, (1 - alpha)^c underflows from c = 20 on and (1 + alpha)^-c
+        # is near 2^-32: the rows are built from the mode, not from P(0)
+        thinning = cls(alpha)
+        cdf, guide, keys = thinning.count_table
+        width = thinning.count_width(self.CAP)
+        # one ulp of 1.0 where numpy's longdouble is wider than a double
+        extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
+        tol = 2.0**-52 if extended else 1e-15
+        assert cdf.shape == (self.CAP + 1, width) and guide.shape == ((self.CAP + 1) * simulate.PER,)
+        assert not (cdf.flags.writeable or guide.flags.writeable or keys.flags.writeable)
+        assert (cdf[:, -1] == 1.0).all() and (np.diff(cdf, axis=1) >= 0.0).all()
+        for c in range(self.CAP + 1):
+            exact = _exact_cdf(thinning, c, width)
+            assert 1 - exact[-1] < Fraction(2) ** -54  # the folded tail
+            assert np.abs(cdf[c] - [float(v) for v in exact]).max() <= tol, c
+
+    @pytest.mark.parametrize("thinning", THINNINGS + [NegativeBinomialThinning(1.0 - 1e-16)],
+                             ids=IDS + ["nb-1-1e-16"])
+    def test_guide_bucket_is_row_search_at_both_ends(self, thinning):
+        cdf, guide, _ = thinning.count_table
+        per = simulate.PER
+        for c in range(self.CAP + 1):
+            lo = np.searchsorted(cdf[c], np.arange(per) / per, side="right")
+            hi = np.searchsorted(cdf[c], np.nextafter(np.arange(1, per + 1) / per, 0.0),
+                                 side="right")
+            assert np.array_equal(guide[c * per:(c + 1) * per], np.where(lo == hi, lo, -1)), c
+
+    @pytest.mark.parametrize("thinning", THINNINGS + [NegativeBinomialThinning(1.0 - 1e-16)],
+                             ids=IDS + ["nb-1-1e-16"])
+    def test_lookup_equals_row_search(self, thinning):
+        # 0, every bucket edge, every value of the row and its float neighbours
+        # and the largest double below one, for every count up to CAP
+        cdf, guide, _ = thinning.count_table
+        u = [_adversarial_uniforms(cdf[c], simulate.PER) for c in range(1, self.CAP + 1)]
+        counts = np.repeat(np.arange(1, self.CAP + 1), [len(x) for x in u])
+        u = np.concatenate(u)
+        assert 0 < len(u) < simulate.THIN_BLOCK
+        cnt = counts.copy()
+        simulate._thin(thinning, _FixedUniforms(u), cnt)
+        expect = [np.searchsorted(cdf[c], x, side="right") for c, x in zip(counts, u)]
+        assert np.array_equal(cnt, expect)
+        assert (guide[counts * simulate.PER + (u * simulate.PER).astype(int)] < 0).any()
 
     @pytest.mark.parametrize("size", [simulate.THIN_BLOCK - 1, simulate.THIN_BLOCK + 1,
                                       2 * simulate.THIN_BLOCK + 3])
@@ -280,27 +409,28 @@ class TestSingleUnitThinning:
             assert cells >= 2
             assert stat < _gate(1, cells), (i, stat, cells)
 
-    def test_thin_of_single_units_uses_draw_single(self, monkeypatch):
-        # all-ones blocks never call draw; larger counts never reach draw_single
+    def test_only_counts_above_cap_reach_draw(self, monkeypatch):
+        # counts up to CAP never call draw; above it, one draw per block with
+        # exactly that block's larger counts, after the block's uniforms
         calls = []
-        draw, draw_single = BinomialThinning.draw, BinomialThinning.draw_single
+        draw = BinomialThinning.draw
 
         def spy_draw(self, gen, x):
-            calls.append(("draw", x.size))
+            calls.append(x.tolist())
             return draw(self, gen, x)
 
-        def spy_draw_single(self, gen, size):
-            calls.append(("draw_single", size))
-            return draw_single(self, gen, size)
-
         monkeypatch.setattr(BinomialThinning, "draw", spy_draw)
-        monkeypatch.setattr(BinomialThinning, "draw_single", spy_draw_single)
         t = BinomialThinning(0.5)
-        simulate._thin(t, RngStream(1).generator(), np.ones(simulate.THIN_BLOCK + 5, np.int64))
-        assert calls == [("draw_single", simulate.THIN_BLOCK), ("draw_single", 5)]
-        calls.clear()
-        simulate._thin(t, RngStream(1).generator(), np.array([3, 1, 7, 1, 1], np.int64))
-        assert calls == [("draw", 2), ("draw_single", 3)]
+        cnt = np.full(simulate.THIN_BLOCK + 5, self.CAP, np.int64)
+        simulate._thin(t, RngStream(1).generator(), cnt)
+        assert calls == []
+        cnt = np.array([3, self.CAP + 1, 7, 1, 1000, self.CAP], np.int64)
+        gen = RngStream(1).generator()
+        simulate._thin(t, gen, cnt)
+        assert calls == [[self.CAP + 1, 1000]]
+        replay = RngStream(1).generator()
+        replay.random(6)
+        assert np.array_equal(cnt[[1, 4]], draw(t, replay, np.array([self.CAP + 1, 1000])))
 
 
 def _kernel_row(model, i: int, cells: int) -> np.ndarray:
@@ -403,7 +533,7 @@ class TestSimulateSeries:
             raise AssertionError("thinning pass at alpha = 0")
 
         monkeypatch.setattr(BinomialThinning, "draw", no_thinning)
-        monkeypatch.setattr(BinomialThinning, "draw_single", no_thinning)
+        monkeypatch.setattr(simulate, "count_table", no_thinning)  # never built
         for name in ("zmg", "two-param"):
             simulate_series(build_model(name, **CANONICAL[name]), 1000, RngStream(1))
 
