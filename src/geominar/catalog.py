@@ -34,6 +34,7 @@ with the pmf and are kept only in the test suite as rejected candidates.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -41,6 +42,7 @@ from typing import Callable, Mapping
 
 from .decompose import (
     CLAMP_TOL,
+    FractionalDecomposition,
     HurdleForm,
     InnovationDistribution,
     decomposition_to_hurdle,
@@ -92,16 +94,22 @@ class DispersionClass:
 
 @dataclass(frozen=True)
 class INARModel:
-    """A derived model: spec, innovation law (its one pgf), table and hurdle view, moments."""
+    """A derived model: spec, innovation law (its one pgf), decomposition, hurdle view, moments."""
 
     name: str
     params: Mapping[str, float]
     spec: ModelSpec
     law: InnovationLaw
-    innovation: InnovationDistribution
+    decomposition: FractionalDecomposition
     hurdle: HurdleForm
     moments: Moments
     constraints: tuple[Constraint, ...]
+
+    @functools.cached_property
+    def innovation(self) -> InnovationDistribution:
+        """The pmf table at the default mass, built on first use and cached;
+        its refusals (past 1e6 rows, a row not finite) come here."""
+        return pmf_from_decomposition(self.decomposition)
 
     @property
     def alpha(self) -> float:
@@ -129,7 +137,8 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     """Every applicable validity condition with a boolean and signed margin.
 
     The model is buildable iff all entries are satisfied, short of the build's
-    own refusals (a pole that rounds onto s = 1, a table past 1e6 rows). Each
+    own refusals (a pole that rounds onto s = 1, a law that the recursion's
+    values contradict); its table's refusals come at first use. Each
     entry is exact, pmf nonnegativity at every m too (_pmf_nonnegative).
     """
     entry = _entry(name)
@@ -193,8 +202,8 @@ def dispersion_class(m: Moments) -> DispersionClass:
 
 
 def build_model(name: str, **params: float) -> INARModel:
-    """Validate parameters, derive the innovation law from its root offsets,
-    and attach closed-form moments.
+    """Validate parameters, derive and decompose the innovation law from its
+    root offsets (no table: see INARModel.innovation), attach closed-form moments.
 
     Raises ValidityViolationError naming the first violated constraint and
     its margin when the parameters are outside the validity region.
@@ -207,20 +216,20 @@ def build_model(name: str, **params: float) -> INARModel:
     for t in law.poles + marginal_pole:  # the marginal's too: the law may drop its factor
         if not 1.0 + t > 1.0:  # a named refusal, not a term at s = 1
             raise GeominarError(f"{name}: pole s = 1 + {t!r} rounds onto 1 in double precision")
-    innovation = pmf_from_decomposition(law.decomposition())
-    _cross_check(pmf_recursive(law.rf, 32), innovation)
-    return INARModel(name, dict(p), spec, law, innovation,
-                     decomposition_to_hurdle(innovation.decomposition),
+    dec = law.decomposition()
+    _cross_check(pmf_recursive(law.rf, 32), dec)
+    return INARModel(name, dict(p), spec, law, dec, decomposition_to_hurdle(dec),
                      _moments(entry, spec, p), constraints)
 
 
-def _cross_check(recursive: list[float], innovation: InnovationDistribution) -> None:
-    """The built law against the recursion's values (m = 0..32), to 1e-9."""
+def _cross_check(recursive: list[float], dec: FractionalDecomposition) -> None:
+    """The law, clamped at zero as its table is, against the recursion (m = 0..32), to 1e-9."""
     for m, expected in enumerate(recursive):
-        if abs(innovation.pmf(m) - expected) > 1e-9:
-            raise GeominarError(
-                f"innovation construction mismatch at m={m}: "
-                f"{innovation.pmf(m)!r} (root offsets) vs {expected!r} (recursion)")
+        v = dec.pmf(m)
+        v = v if v >= 0.0 else 0.0
+        if abs(v - expected) > 1e-9:
+            raise GeominarError(f"innovation construction mismatch at m={m}: "
+                                f"{v!r} (root offsets) vs {expected!r} (recursion)")
 
 
 @dataclass(frozen=True)

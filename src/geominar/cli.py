@@ -141,17 +141,15 @@ def _finite(fields: dict) -> dict:
 def _cmd_derive(args) -> int:
     name, params = _resolve_model(args)
     model = build_model(name, **params)
-    innovation = model.innovation
-    if args.truncation_mass != DEFAULT_TARGET_MASS:
-        innovation = pmf_from_decomposition(innovation.decomposition, args.truncation_mass)
+    innovation = pmf_from_decomposition(model.decomposition, args.truncation_mass)
     table = innovation.pmf_table
     doc = {
         "model": name,
         "params": model.params,
         # every field is a scalar, so a shallow copy of the fields is a full one
         "constraints": [dict(vars(c)) for c in model.constraints],
-        "atoms": list(innovation.decomposition.atom_poly.coeffs),
-        "terms": [{"rho": r, "s": s} for r, s in innovation.decomposition.terms],
+        "atoms": list(model.decomposition.atom_poly.coeffs),
+        "terms": [{"rho": r, "s": s} for r, s in model.decomposition.terms],
         "hurdle": dict(vars(model.hurdle)),
         "moments": dict(vars(model.moments)),
         "dispersion": dict(vars(dispersion_class(model.moments))),

@@ -2,7 +2,8 @@
 
 A FractionalDecomposition is point masses plus signed geometric terms
 rho_i / s_i^(m+1), which every catalog family gets from pgf.InnovationLaw.
-pmf_from_decomposition tabulates them and decomposition_to_hurdle reads them
+pmf_from_decomposition tabulates them where the table is read (derive, a
+model's innovation on first use) and decomposition_to_hurdle reads them
 as a hurdle form (atom pi at zero, signed two-geometric mixture above).
 partial_fractions (the terms from a RationalFunction's coefficients),
 linear_closed_form, quadratic_closed_form (with hurdle_pmf) and the series
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
 from operator import add, or_, truediv
-from typing import TYPE_CHECKING
 
 from .errors import (
     ConstraintViolationError,
@@ -35,18 +35,11 @@ from .polyrat import (
     real_distinct_roots,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Entries in [-CLAMP_TOL, 0) are floating-point dust and are clamped to zero;
 # anything below raises NegativeProbabilityError.
 CLAMP_TOL = 1e-12
 
 DEFAULT_TARGET_MASS = 1.0 - 1e-12
-
-# most guide-table buckets per innovation law (a power of two): bounds the
-# table, like simulate.BLOCK bounds the draws, whatever the pmf table length
-GUIDE_MAX = 1 << 16
 
 # pmf_from_decomposition tabulates in blocks of _FIRST_BLOCK rows, doubling,
 # and refuses a law whose table needs more than rows 0.._ROW_CAP
@@ -123,28 +116,13 @@ class InnovationDistribution:
             return self.pmf_table[m]
         return max(self.decomposition.pmf(m), 0.0)
 
-    def pgf_value(self, s: float) -> float:
-        return self.decomposition.pgf_value(s)
-
     @functools.cached_property
-    def sampling_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cdf, guide): the table CDF and a guide over M buckets (Chen & Asau).
-
-        M is the smallest power of two >= 4 len(cdf), at most GUIDE_MAX.
-        guide[b] is searchsorted(cdf, u, side="right") for every u in
-        [b/M, (b+1)/M) when no CDF value lies in that bucket, and -1 when one
-        does. Scaling by a power of two is exact, so the counts below are
-        exact: lo[b] = #{cdf <= b/M} and hi[b] = #{cdf < (b+1)/M}.
-        """
-        import numpy as np
-
-        cdf = np.cumsum(self.pmf_table)
-        m = min(GUIDE_MAX, 1 << (4 * len(cdf) - 1).bit_length())
-        lo = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))[:m]
-        hi = np.cumsum(np.bincount(np.floor(cdf * m).astype(np.intp), minlength=m + 1))[:m]
-        guide = np.where(lo == hi, lo, -1)
-        cdf.flags.writeable = guide.flags.writeable = False
-        return cdf, guide
+    def sampling_table(self):
+        """The sampler's guided CDF of the table (simulate.sampling_table),
+        built on first use and cached on the instance, so derive never builds
+        it, nor imports numpy."""
+        from .simulate import sampling_table
+        return sampling_table(self)
 
     def table_mass(self) -> float:
         return sum(self.pmf_table)

@@ -11,19 +11,19 @@ With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
 A generation is thinned THIN_BLOCK entries at a time, one uniform u per
 entry, by inversion: a count c <= CAP becomes the least k with u < F_c(k),
 F_c the exact CDF of the thinned count of c units, built once per thinning
-from the ratio of its successive cells. A guide table of PER buckets per row
-(Chen & Asau; Devroye 1986, III.2-3) answers most u, and the rest are
-searched within row c. Counts above CAP, which no canonical path reaches,
-go through the thinning's draw. Seeded paths changed in 0.5.0, when this
-inversion came in, and in 0.4.0.
+from the ratio of its successive cells. Counts above CAP, which no canonical
+path reaches, go through the thinning's draw. Seeded paths changed in 0.5.0,
+when this inversion came in, and in 0.4.0.
 
 Innovations are drawn by inverse CDF over the pmf table, with the geometric
-tail beyond it. The table index comes from a guide table (Chen & Asau),
-cached on the InnovationDistribution; it returns exactly the index a binary
-search over the CDF returns. The uniforms are drawn BLOCK at a time, and all
-blocks of one call reuse one pair of buffers (uniforms, bucket indices),
-which draws the same stream as a fresh array per block: BLOCK is not part
-of the seeded stream, while THIN_BLOCK is.
+tail beyond it, BLOCK uniforms at a time into one pair of buffers (uniforms,
+bucket indices), which draws the same stream as a fresh array per block:
+BLOCK is not part of the seeded stream, while THIN_BLOCK is.
+
+Both inversions read CDF rows with a guide (Chen & Asau; Devroye 1986,
+III.2-3), built by _guided and read by _guided_lookup, which returns exactly
+what a binary search of the row returns: the thinning caches its CAP + 1
+rows, the InnovationDistribution its table's one row, searched as reals.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -68,6 +68,9 @@ class SeriesSample:
 
 # uniforms per block of innovation draws: bounds their temporaries, whatever n
 BLOCK = 1 << 16
+# most guide buckets of an innovation table (a power of two): bounds the
+# guide, like BLOCK bounds the draws, whatever the pmf table length
+GUIDE_MAX = 1 << 16
 # entries per block of a generation's thinning draws, the largest count thinned
 # through the table and its guide buckets per row (a power of two, so u * PER
 # is exact); unlike BLOCK they order the draws, so they are part of the seeded
@@ -84,26 +87,12 @@ def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / np.log(ratio)).astype(np.int64)
 
 
-def _table_index(d: InnovationDistribution, u: np.ndarray, k: np.ndarray,
-                 bucket: np.ndarray) -> None:
-    """Write searchsorted(cdf, u, side="right") into k, exactly: the guide
-    answers every u whose bucket holds no CDF value, binary search the rest.
-    bucket is intp scratch of len(u)."""
-    cdf, guide = d.sampling_table
-    # the unsafe cast truncates like astype(intp), into the caller's buffer
-    np.multiply(u, len(guide), out=bucket, casting="unsafe")
-    # u < 1 keeps every bucket index in range, so "clip" never clips; unlike
-    # the default "raise" it writes into k without an intermediate buffer
-    np.take(guide, bucket, out=k, mode="clip")
-    miss = np.flatnonzero(k < 0)
-    if miss.size:
-        k[miss] = np.searchsorted(cdf, u[miss], side="right")
-
-
 def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
     """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms
     at a time; every block reuses one pair of buffers."""
-    total = d.sampling_table[0][-1]
+    table = d.sampling_table
+    cdf, guide, _ = table
+    total, per = cdf[0, -1], len(guide)
     out = np.empty(size, dtype=np.int64)
     ubuf = np.empty(min(BLOCK, size))
     bucket = np.empty(len(ubuf), dtype=np.intp)
@@ -111,7 +100,9 @@ def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size:
         m = min(BLOCK, size - start)
         u = gen.random(out=ubuf[:m])  # the same stream as gen.random(m)
         k = out[start:start + m]
-        _table_index(d, u, k, bucket[:m])
+        # the unsafe cast truncates like astype(intp), into the buffer
+        key = np.multiply(u, per, out=bucket[:m], casting="unsafe")
+        _guided_lookup(table, u, key, k)
         if k.max() > d.truncation:
             beyond = k > d.truncation
             terms = d.decomposition.terms  # sorted by root: the tail term (rho, s) first
@@ -165,41 +156,67 @@ def count_table(thinning) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     low = 1.0 / np.maximum(ratio[:, CAP::-1], 1.0)
     cells[:, :CAP + 1] *= np.cumprod(low, axis=1)[:, ::-1]
     cdf = np.cumsum(cells, axis=1)
-    return _guided((cdf / cdf[:, -1:]).astype(float))
+    return _guided((cdf / cdf[:, -1:]).astype(float), PER)
 
 
-def _guided(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cdf, guide, keys) over the CDF rows cdf, each ending at 1.0.
+def sampling_table(d: InnovationDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The guided CDF of d's T + 1 pmf rows as one row (d.sampling_table), with
+    the smallest power of two >= 4 (T + 1) buckets, at most GUIDE_MAX."""
+    cdf = np.cumsum(d.pmf_table)[None, :]
+    return _guided(cdf, min(GUIDE_MAX, 1 << (4 * cdf.size - 1).bit_length()))
 
-    guide[c * PER + b] is searchsorted(cdf[c], u, side="right") for every u
-    in [b/PER, (b+1)/PER) when no value of row c lies inside that bucket,
-    and -1 when one does; scaling by PER is exact, so the counts are.
+
+def _guided(cdf: np.ndarray, per: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, guide, keys) over the nondecreasing CDF rows cdf, each ending
+    below 1 + 1/per, with per (a power of two) guide buckets per row.
+
+    guide[c * per + b] is searchsorted(cdf[c], u, side="right") for every u
+    in [b/per, (b+1)/per) when no value of row c lies inside that bucket,
+    and -1 when one does; scaling by per is exact, so the counts are.
     keys holds c + 1j * cdf[c, k] flat: numpy orders complex numbers by
     real, then imaginary part, so a search of c + 1j * u there stays within
     row c.
     """
     rows, width = cdf.shape
     c = np.arange(rows)[:, None]
-    # per row, #{cdf < (b+1)/PER} for b = 0..PER over the flat buckets
-    # floor(cdf * PER) (cdf >= 0), less the cells of the rows before
-    scaled = cdf * PER
+    # per row, #{cdf < (b+1)/per} for b = 0..per over the flat buckets
+    # floor(cdf * per) (cdf >= 0), less the cells of the rows before
+    scaled = cdf * per
     bucket = scaled.astype(np.intp)
-    flat = (bucket + c * (PER + 1)).ravel()
-    guide = np.bincount(flat, minlength=rows * (PER + 1)).cumsum() - (c * width).repeat(PER + 1)
+    flat = (bucket + c * (per + 1)).ravel()
+    guide = np.bincount(flat, minlength=rows * (per + 1)).cumsum() - (c * width).repeat(per + 1)
     guide[flat[(scaled != bucket).ravel()]] = -1  # a value inside bucket b
-    guide = guide.reshape(rows, PER + 1)[:, :PER].ravel()
+    guide = guide.reshape(rows, per + 1)[:, :per].ravel()
     keys = (c + 1j * cdf).ravel()  # exact: 1j * x is 0 + x j
     cdf.flags.writeable = guide.flags.writeable = keys.flags.writeable = False
     return cdf, guide, keys
 
 
+def _guided_lookup(table, u: np.ndarray, key: np.ndarray, out: np.ndarray) -> None:
+    """Write searchsorted(cdf[c], u, side="right") into out, exactly, for the
+    uniforms u of rows c, given their bucket keys c * per + floor(u * per),
+    in the guided table (cdf, guide, keys) of _guided: the guide answers
+    every u whose bucket holds no value of its row, a search of keys the rest
+    (of the row itself, for a table of one row)."""
+    cdf, guide, keys = table
+    # "clip" clips only _thin's counts above CAP, which it overwrites; unlike
+    # the default "raise" it writes into out without an intermediate buffer
+    np.take(guide, key, out=out, mode="clip")
+    miss = np.flatnonzero(out < 0)
+    if miss.size and len(cdf) == 1:  # a real search takes about half the complex one's time
+        out[miss] = cdf[0].searchsorted(u[miss], side="right")
+    elif miss.size:
+        row = key[miss] // (len(guide) // len(cdf))
+        out[miss] = keys.searchsorted(row + 1j * u[miss], side="right") - row * cdf.shape[1]
+
+
 def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
     """Thin the positive counts cnt in place, THIN_BLOCK entries at a time, one
     uniform u per entry: a count c <= CAP becomes searchsorted(cdf[c], u,
-    side="right"), read from the guide at c * PER + floor(u * PER) or searched
-    within row c; a count above CAP reads a clipped bucket and is then
-    overwritten by thinning.draw. The blocks share buffers."""
-    cdf, guide, keys = thinning.count_table
+    side="right"), looked up at the key c * PER + floor(u * PER); a count
+    above CAP reads a clipped bucket and is then overwritten by
+    thinning.draw. The blocks share buffers."""
+    table = thinning.count_table
     ubuf = np.empty(min(THIN_BLOCK, cnt.size))
     kbuf, bbuf = np.empty(len(ubuf), dtype=np.intp), np.empty(len(ubuf), dtype=np.intp)
     for start in range(0, cnt.size, THIN_BLOCK):
@@ -209,11 +226,7 @@ def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
         larger = c[above]
         np.multiply(c, PER, out=key)
         key += np.multiply(u, PER, out=bucket, casting="unsafe")
-        np.take(guide, key, out=c, mode="clip")
-        miss = np.flatnonzero(c < 0)
-        if miss.size:
-            row = key[miss] // PER
-            c[miss] = keys.searchsorted(row + 1j * u[miss], side="right") - row * cdf.shape[1]
+        _guided_lookup(table, u, key, c)
         if above.size:  # an empty draw still pays numpy's fixed cost per call
             c[above] = thinning.draw(gen, larger)
 

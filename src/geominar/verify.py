@@ -61,7 +61,7 @@ def check_pgf_identity(model: INARModel, grid_points: int = 50,
     for i in range(grid_points):
         s = 0.99 * i / (grid_points - 1) if grid_points > 1 else 0.0
         lhs = phi_x(s)
-        rhs = phi_x(spec.thinning.pgf(s)) * model.innovation.pgf_value(s)
+        rhs = phi_x(spec.thinning.pgf(s)) * model.decomposition.pgf_value(s)
         worst = max(worst, abs(lhs - rhs))
     return VerificationReport((_check("pgf_identity_max_abs_deviation", worst, 0.0, tol),))
 
@@ -85,7 +85,7 @@ def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationRepo
     and with its hurdle view, for m <= CROSS_METHOD_TERMS."""
     n = CROSS_METHOD_TERMS
     recursive = pmf_recursive(model.law.rf, n)
-    dec = model.innovation.decomposition
+    dec = model.decomposition
     worst_rd = max(abs(dec.pmf(m) - recursive[m]) for m in range(n + 1))
     worst_h = max(abs(hurdle_pmf(model.hurdle, m) - recursive[m]) for m in range(n + 1))
     return VerificationReport((_check("recursion_vs_decomposition", worst_rd, 0.0, tol),

@@ -4,12 +4,13 @@ Runs `derive <model> <flags>` at the 220 points of grids.GRIDS in process
 and times each stage on its own, from inputs prepared beforehand: argument
 parsing, catalog._validate (and, inside it, the `innovation pmf nonnegative`
 check on its own, with the law's residues formed already),
-law.decomposition(), pmf_from_decomposition, the cross-check's
-pmf_recursive(law.rf, 32), catalog._cross_check, cli._derive_json and
-cli._emit to a fresh file; then the whole command,
-cli.main with --output to a fresh file. Each line is the mean us/op over
-the points in the fastest of --passes passes. The library is called as it
-is, never patched. Informational, not a gate:
+law.decomposition(), pmf_from_decomposition (derive's only tabulation,
+at its --truncation-mass: the build tabulates nothing), the cross-check's
+pmf_recursive(law.rf, 32), catalog._cross_check of the decomposition
+against those values, cli._derive_json and cli._emit to a fresh file;
+then the whole command, cli.main with --output to a fresh file. Each line
+is the mean us/op over the points in the fastest of --passes passes. The
+library is called as it is, never patched. Informational, not a gate:
 
     PYTHONPATH=src python tests/derive_stages.py [--passes N]
 """
@@ -42,8 +43,7 @@ def _stages(out_dir: Path) -> dict[str, list]:
         _, spec, law = _validate(entry, p)
         nonnegative = dict(entry.checks)["innovation pmf nonnegative"]
         dec = law.decomposition()
-        innovation = pmf_from_decomposition(dec)
-        table = pmf_recursive(law.rf, 32)
+        recursive = pmf_recursive(law.rf, 32)
         path = Path(next(fresh))
         main([*argv, "--output", str(path)])
         text = path.read_text()
@@ -56,7 +56,7 @@ def _stages(out_dir: Path) -> dict[str, list]:
         stages["law.decomposition"].append(law.decomposition)
         stages["pmf_from_decomposition"].append(lambda dec=dec: pmf_from_decomposition(dec))
         stages["pmf_recursive(rf, 32)"].append(lambda rf=law.rf: pmf_recursive(rf, 32))
-        stages["_cross_check"].append(lambda t=table, i=innovation: _cross_check(t, i))
+        stages["_cross_check"].append(lambda r=recursive, dec=dec: _cross_check(r, dec))
         stages["_derive_json"].append(lambda doc=doc, rows=rows: _derive_json(doc, rows))
         stages["_emit (fresh file)"].append(lambda text=text: _emit(text, Path(next(fresh))))
         stages["main (whole derive)"].append(

@@ -109,20 +109,28 @@ class TestBuildModel:
             assert all(c.satisfied for c in constraints), (params, constraints)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_build_derives_pgf_and_recursion_once(self, name, monkeypatch):
+    def test_build_derives_pgf_and_recursion_once(self, name, monkeypatch, capsys):
         # validation's innovation law serves the build, which decomposes it
         # once and cross-checks the 33 values m = 0..32 of one recursion; the
-        # iid entries give their offsets directly
+        # iid entries give their offsets directly. The build tabulates
+        # nothing: derive tabulates once, at the mass it is given
         law_calls = count_calls(monkeypatch, pgf, "innovation_law")
         recursions = count_calls(monkeypatch, decompose, "pmf_recursive")
+        tabulations = count_calls(monkeypatch, decompose, "pmf_from_decomposition")
         decompositions = []
         decomposition = pgf.InnovationLaw.decomposition
         monkeypatch.setattr(pgf.InnovationLaw, "decomposition",
                             lambda law: decompositions.append(law) or decomposition(law))
-        build_model(name, **CANONICAL[name])
+        model = build_model(name, **CANONICAL[name])
         assert len(law_calls) == (0 if name in ("zmg", "two-param") else 1)
         assert [n for _, n in recursions] == [32]
         assert len(decompositions) == 1
+        assert tabulations == []
+        flags = [x for k, v in CANONICAL[name].items() for x in (f"--{k}", repr(v))]
+        assert main(["derive", name, *flags, "--truncation-mass", "0.5"]) == 0
+        capsys.readouterr()
+        assert [args[1:] for args in tabulations] == [(0.5,)]
+        assert tabulations[0][0] == model.decomposition
 
     def test_build_takes_no_generic_pgf_algebra(self, monkeypatch, capsys):
         # one route: the roots come from the parameters, so the generic

@@ -198,6 +198,20 @@ class TestDerive:
                                   "--alpha", "0.5", "--truncation-mass", "0.99")
         assert json.loads(out_loose)["truncation"] < json.loads(out_tight)["truncation"]
 
+    def test_short_table_of_a_law_refused_at_the_default_mass(self, capsys):
+        # the build tabulates nothing and derive tabulates at its own mass, so
+        # a law whose default-mass table needs more than 1e6 rows derives its
+        # one row at 0.5; simulate and verify tabulate at the default mass
+        point = ("ginar", "--theta", "1e-6", "--alpha", "0.5")
+        code, out, err = run_cli(capsys, "derive", *point, "--truncation-mass", "0.5")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["truncation"] == 0 and doc["pmf"] == [[0, 0.5000005]]
+        for command in ("simulate", "verify"):
+            code, out, err = run_cli(capsys, command, *point, "--n", "10")
+            assert (code, out) == (2, "")
+            assert "did not converge within 1e6 entries" in err
+
 
 class TestSimulate:
     def test_csv_header_and_length(self, capsys):

@@ -9,7 +9,6 @@ import pytest
 from geominar import simulate
 from geominar.catalog import build_model
 from geominar.decompose import (
-    GUIDE_MAX,
     FractionalDecomposition,
     InnovationDistribution,
     pmf_from_decomposition,
@@ -17,6 +16,7 @@ from geominar.decompose import (
 from geominar.pgf import BinomialThinning, NegativeBinomialThinning
 from geominar.polyrat import Polynomial
 from geominar.simulate import (
+    GUIDE_MAX,
     RngStream,
     sample_innovation,
     simulate_series,
@@ -92,9 +92,9 @@ def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
 
 
 def _lookup(d, u: np.ndarray) -> np.ndarray:
-    k = np.empty(len(u), dtype=np.int64)
-    simulate._table_index(d, u, k, np.empty(len(u), dtype=np.intp))
-    return k
+    """The sampler's table index of each u: its innovation draw, with a draw
+    from the tail beyond the table read as T + 1, where a search puts it."""
+    return np.minimum(simulate._innovation_draws(d, _FixedUniforms(u), len(u)), d.truncation + 1)
 
 
 class TestGuideTable:
@@ -104,22 +104,24 @@ class TestGuideTable:
         return build_model(name, **p).innovation
 
     def test_shape_and_cdf(self, dist):
-        cdf, guide = dist.sampling_table
-        assert np.array_equal(cdf, np.cumsum(dist.pmf_table))
+        # one row: the table's CDF
+        cdf, guide, keys = dist.sampling_table
+        assert cdf.shape == (1, len(dist.pmf_table))
+        assert np.array_equal(cdf[0], np.cumsum(dist.pmf_table))
         m = len(guide)
         assert m & (m - 1) == 0
-        assert m == GUIDE_MAX or m // 2 < 4 * len(cdf) <= m
-        assert not cdf.flags.writeable and not guide.flags.writeable
+        assert m == GUIDE_MAX or m // 2 < 4 * cdf.size <= m
+        assert not (cdf.flags.writeable or guide.flags.writeable or keys.flags.writeable)
 
     def test_lookup_equals_binary_search(self, dist):
-        cdf, guide = dist.sampling_table
-        u = _adversarial_uniforms(cdf, len(guide))
-        assert np.array_equal(_lookup(dist, u), np.searchsorted(cdf, u, side="right"))
+        cdf, guide, _ = dist.sampling_table
+        u = _adversarial_uniforms(cdf[0], len(guide))
+        assert np.array_equal(_lookup(dist, u), np.searchsorted(cdf[0], u, side="right"))
 
     def test_mass_beyond_table_reaches_the_tail(self, dist):
-        cdf, _ = dist.sampling_table
-        u = np.concatenate([[cdf[-1], np.nextafter(cdf[-1], 1.0)],
-                            np.linspace(cdf[-1], 1.0, 16, endpoint=False)[1:],
+        total = dist.sampling_table[0][0, -1]
+        u = np.concatenate([[total, np.nextafter(total, 1.0)],
+                            np.linspace(total, 1.0, 16, endpoint=False)[1:],
                             [np.nextafter(1.0, 0.0)]])
         u = u[u < 1.0]
         draws = simulate._innovation_draws(dist, _FixedUniforms(u), len(u))
@@ -148,10 +150,10 @@ class TestGuideTable:
             model = build_model("ginar", theta=0.3 + 0.02 * i, alpha=0.5)
             d = model.innovation
             sample_innovation(d, RngStream(i).generator())
-            cdf, guide = d.sampling_table
-            assert np.array_equal(cdf, np.cumsum(d.pmf_table))
-            u = _adversarial_uniforms(cdf, len(guide))
-            assert np.array_equal(_lookup(d, u), np.searchsorted(cdf, u, side="right"))
+            cdf, guide, _ = d.sampling_table
+            assert np.array_equal(cdf[0], np.cumsum(d.pmf_table))
+            u = _adversarial_uniforms(cdf[0], len(guide))
+            assert np.array_equal(_lookup(d, u), np.searchsorted(cdf[0], u, side="right"))
             del model, d, cdf, guide
             gc.collect()
 
@@ -190,20 +192,28 @@ class TestApplyThinning:
 
 def _thinning_pmf(thinning, i: int, kmax: int) -> list[float]:
     """P(alpha o i = k), k = 0..kmax: binomial(i, alpha), or for NB thinning
-    the sum of i geometrics with mean alpha, NB(i, 1/(1+alpha)). Built from
-    P(0) by the ratio of consecutive terms, so that no binomial coefficient
-    overflows a float at i = 1000."""
+    the sum of i geometrics with mean alpha, NB(i, 1/(1+alpha)). Built by the
+    ratio of consecutive terms outwards from the mode, where the cell is 1,
+    and divided by the sum of the cells, as simulate.count_table builds its
+    rows: so no binomial coefficient overflows a float at i = 1000, and no
+    cell is started from P(0), which underflows where alpha is near 1."""
     a = thinning.alpha
     if isinstance(thinning, BinomialThinning):
-        pmf, ratio = (1.0 - a) ** i, (lambda k: max(i - k, 0) / (k + 1) * a / (1.0 - a))
+        ratio = lambda k: max(i - k, 0) / (k + 1) * a / (1.0 - a)
     else:
-        p = 1.0 / (1.0 + a)
-        pmf, ratio = p**i, (lambda k: (k + i) / (k + 1) * (1.0 - p))
-    out = []
-    for k in range(kmax + 1):
-        out.append(pmf)
-        pmf *= ratio(k)
-    return out
+        ratio = lambda k: (k + i) / (k + 1) * (a / (1.0 + a))
+    mode = next(k for k in itertools.count() if ratio(k) < 1.0)
+    cells = [1.0]
+    for k in range(mode - 1, -1, -1):
+        cells.append(cells[-1] / ratio(k))
+    cells.reverse()
+    # on past kmax until the cells no longer add to the sum
+    k = mode
+    while k < kmax or cells[-1] > 1e-20:
+        cells.append(cells[-1] * ratio(k))
+        k += 1
+    total = sum(cells)
+    return [c / total for c in cells[:kmax + 1]]
 
 
 def _binned_chi_square(draws: np.ndarray, pmf: list[float]) -> tuple[float, int]:
@@ -272,9 +282,29 @@ def _moved_cell(cdf: np.ndarray, c: int) -> np.ndarray:
     return np.cumsum(pmf, axis=1)
 
 
+def _guided_source(source):
+    """(table, rows, draw) for a thinning or a GUIDE_POINTS key: the guided
+    table, the rows the sampler reads (the counts 1..CAP, or the one row of
+    the innovations) and draw(counts, u), the sampler's index for uniforms u
+    in those rows: _thin of the counts, in one block, or _lookup."""
+    if isinstance(source, str):
+        name, p = GUIDE_POINTS[source]
+        d = build_model(name, **p).innovation
+        return d.sampling_table, np.zeros(1, np.int64), lambda counts, u: _lookup(d, u)
+
+    def thin(counts, u):
+        assert len(u) < simulate.THIN_BLOCK
+        cnt = counts.copy()
+        simulate._thin(source, _FixedUniforms(u), cnt)
+        return cnt
+
+    return source.count_table, np.arange(1, simulate.CAP + 1), thin
+
+
 class TestGuidedThinning:
     """_thin against the exact law of the thinned count of every count, its
-    table's CDF rows against exact ones, and its guide against row search."""
+    table's CDF rows against exact ones, and its guide against row search,
+    as the innovation tables' guides, which the same builder makes."""
 
     CAP = simulate.CAP
     ALPHAS = (0.3, 0.85, 1.0 - 1e-4)
@@ -307,7 +337,7 @@ class TestGuidedThinning:
     def test_a_cell_moved_one_column_is_caught(self, cls, c, monkeypatch):
         thinning = cls(0.3)
         real = simulate.count_table(thinning)[0]
-        mutant = simulate._guided(_moved_cell(real, c))
+        mutant = simulate._guided(_moved_cell(real, c), simulate.PER)
         monkeypatch.setattr(simulate, "count_table", lambda t: mutant)
         before, drawn = _thinned(thinning, (1, 2, self.CAP), 3 * 50_000)
         stats = _count_stats(thinning, before, drawn)
@@ -360,33 +390,38 @@ class TestGuidedThinning:
             exact = _exact_cdf(thinning, c, width)
             assert 1 - exact[-1] < Fraction(2) ** -54  # the folded tail
             assert np.abs(cdf[c] - [float(v) for v in exact]).max() <= tol, c
+        # the chi-square oracle is built from the mode too, so it keeps its mass
+        assert abs(sum(_thinning_pmf(thinning, self.CAP, width - 1)) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("thinning", THINNINGS + [NegativeBinomialThinning(1.0 - 1e-16)],
-                             ids=IDS + ["nb-1-1e-16"])
-    def test_guide_bucket_is_row_search_at_both_ends(self, thinning):
-        cdf, guide, _ = thinning.count_table
-        per = simulate.PER
-        for c in range(self.CAP + 1):
+    # the guided tables: the thinnings' count tables, and the innovation
+    # tables of the GUIDE_POINTS laws, named by their key there
+    GUIDED = THINNINGS + [NegativeBinomialThinning(1.0 - 1e-16)] + list(GUIDE_POINTS)
+    GUIDED_IDS = IDS + ["nb-1-1e-16"] + [f"innovation-{k}" for k in GUIDE_POINTS]
+
+    @pytest.mark.parametrize("source", GUIDED, ids=GUIDED_IDS)
+    def test_guide_bucket_is_row_search_at_both_ends(self, source):
+        cdf, guide, _ = _guided_source(source)[0]
+        per = len(guide) // len(cdf)
+        for c in range(len(cdf)):
             lo = np.searchsorted(cdf[c], np.arange(per) / per, side="right")
             hi = np.searchsorted(cdf[c], np.nextafter(np.arange(1, per + 1) / per, 0.0),
                                  side="right")
             assert np.array_equal(guide[c * per:(c + 1) * per], np.where(lo == hi, lo, -1)), c
 
-    @pytest.mark.parametrize("thinning", THINNINGS + [NegativeBinomialThinning(1.0 - 1e-16)],
-                             ids=IDS + ["nb-1-1e-16"])
-    def test_lookup_equals_row_search(self, thinning):
+    @pytest.mark.parametrize("source", GUIDED, ids=GUIDED_IDS)
+    def test_lookup_equals_row_search(self, source):
         # 0, every bucket edge, every value of the row and its float neighbours
-        # and the largest double below one, for every count up to CAP
-        cdf, guide, _ = thinning.count_table
-        u = [_adversarial_uniforms(cdf[c], simulate.PER) for c in range(1, self.CAP + 1)]
-        counts = np.repeat(np.arange(1, self.CAP + 1), [len(x) for x in u])
+        # and the largest double below one, for every row the sampler reads
+        table, rows, draw = _guided_source(source)
+        cdf, guide, _ = table
+        per = len(guide) // len(cdf)
+        u = [_adversarial_uniforms(cdf[c], per) for c in rows]
+        counts = np.repeat(rows, [len(x) for x in u])
+        expect = np.concatenate([cdf[c].searchsorted(x, side="right") for c, x in zip(rows, u)])
         u = np.concatenate(u)
-        assert 0 < len(u) < simulate.THIN_BLOCK
-        cnt = counts.copy()
-        simulate._thin(thinning, _FixedUniforms(u), cnt)
-        expect = [np.searchsorted(cdf[c], x, side="right") for c, x in zip(counts, u)]
-        assert np.array_equal(cnt, expect)
-        assert (guide[counts * simulate.PER + (u * simulate.PER).astype(int)] < 0).any()
+        assert len(u) > 0
+        assert np.array_equal(draw(counts, u), expect)
+        assert (guide[counts * per + (u * per).astype(int)] < 0).any()
 
     @pytest.mark.parametrize("size", [simulate.THIN_BLOCK - 1, simulate.THIN_BLOCK + 1,
                                       2 * simulate.THIN_BLOCK + 3])

@@ -18,27 +18,22 @@ from geominar.verify import (
 )
 
 from grids import CANONICAL
+from test_acceptance import _with_terms
 
 
 def perturb_residue(model, factor=1.01, index=0):
     """Scale one geometric residue: the classic injected fault."""
-    dec = model.innovation.decomposition
-    terms = list(dec.terms)
+    terms = list(model.decomposition.terms)
     rho, s = terms[index]
     terms[index] = (rho * factor, s)
-    bad_dec = dataclasses.replace(dec, terms=tuple(terms))
-    bad_dist = dataclasses.replace(model.innovation, decomposition=bad_dec)
-    return dataclasses.replace(model, innovation=bad_dist)
+    return _with_terms(model, tuple(terms))
 
 
 def perturb_root(model, factor=1.05, index=0):
-    dec = model.innovation.decomposition
-    terms = list(dec.terms)
+    terms = list(model.decomposition.terms)
     rho, s = terms[index]
     terms[index] = (rho, s * factor)
-    bad_dec = dataclasses.replace(dec, terms=tuple(terms))
-    bad_dist = dataclasses.replace(model.innovation, decomposition=bad_dec)
-    return dataclasses.replace(model, innovation=bad_dist)
+    return _with_terms(model, tuple(terms))
 
 
 @pytest.fixture(scope="module")
