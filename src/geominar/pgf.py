@@ -273,13 +273,17 @@ class NegativeBinomialThinning(_Thinning):
         return (c + k) * (self.alpha / ((k + 1) + (k + 1) * self.alpha))
 
     def count_width(self, c: int) -> int:
-        """Columns k = 0..W-1 that hold all but less than 2^-54 of the thinned count
-        of c units. From k0 on the ratio is at most r = sqrt(q), q = alpha/(1+alpha),
-        and Pr[k0] <= 1, so the mass from W on is at most r^(W-k0) / (1-r)."""
-        q = self.alpha / (1.0 + self.alpha)
-        r = math.sqrt(q)
-        k0 = max(0, math.ceil((c * q - r) / (r - q)))
-        return k0 + math.floor((54.0 * math.log(2.0) - math.log1p(-r)) / -math.log(r)) + 1
+        """The fewest columns k = 0..W-1 leaving less than 2^-54 of the thinned count
+        of c >= 1 units past them by the bound Pr[W] / (1 - r_W), which holds once
+        r_W < 1 as r_k falls with k; Pr[W] in logs, with a margin for rounding."""
+        log_q, log_p0 = math.log(self.alpha) - math.log1p(self.alpha), -c * math.log1p(self.alpha)
+        w = 0
+        while True:
+            r = self.count_ratio(c, w)
+            log_pw = math.lgamma(c + w) - math.lgamma(c) - math.lgamma(w + 1) + w * log_q + log_p0
+            if r < 1.0 and log_pw - math.log1p(-r) < -54.0 * math.log(2.0) - 1e-9:
+                return w
+            w += 1
 
     def preimage(self, u: float) -> tuple[float, float]:
         """The offset t with phi_N(1 + t) = 1 + u, u / (alpha (1 + u)) (1 / alpha for u = inf),

@@ -8,22 +8,19 @@ Thinning acts on each unit independently, so a path is drawn by generations,
 not time steps: generation 0 is X_0 and the innovations, and generation k+1 at
 step t+1 is one vector draw thinning the nonzero entries of generation k at t.
 With alpha = 0 there is no thinning pass: the path is X_0 and iid innovations.
-A generation is thinned THIN_BLOCK entries at a time, one uniform u per
-entry, by inversion: a count c <= CAP becomes the least k with u < F_c(k),
-F_c the exact CDF of the thinned count of c units, built once per thinning
-from the ratio of its successive cells. Counts above CAP, which no canonical
-path reaches, go through the thinning's draw. Seeded paths changed in 0.5.0,
-when this inversion came in, and in 0.4.0.
-
-Innovations are drawn by inverse CDF over the pmf table, with the geometric
-tail beyond it, BLOCK uniforms at a time into one pair of buffers (uniforms,
-bucket indices), which draws the same stream as a fresh array per block:
-BLOCK is not part of the seeded stream, while THIN_BLOCK is.
-
-Both inversions read CDF rows with a guide (Chen & Asau; Devroye 1986,
-III.2-3), built by _guided and read by _guided_lookup, which returns exactly
-what a binary search of the row returns: the thinning caches its CAP + 1
-rows, the InnovationDistribution its table's one row, searched as reals.
+Each draw inverts a CDF row at a 53-bit uniform u: the exact CDF of the
+thinned count of c <= CAP units (counts above CAP, which no canonical path
+reaches, go through the thinning's draw), or the innovation pmf table's, with
+the geometric tail past it. The rows are read through guides (Chen & Asau;
+Devroye 1986, III.2-3) built by _guided, PER buckets per count row and
+GUIDE_MAX for the innovation row, so a draw first takes only its bucket, the
+top 8 or 16 bits of u, packed 8 or 4 to a raw word (_bucket_bits). Only where
+the bucket holds a CDF value, or lies past the innovation table, does it draw
+the rest of u from one more word (_uniforms) and search its row. One call
+draws every bucket word, then the completion words, then (thinning) the
+counts above CAP, each in position order: BLOCK and THIN_BLOCK bound the
+temporaries and split no word, so they are not part of the seeded stream.
+Seeded paths changed in 0.4.0, 0.5.0 and 0.6.0; the law did not.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -66,15 +63,13 @@ class SeriesSample:
             raise ValueError("series contains negative counts")
 
 
-# uniforms per block of innovation draws: bounds their temporaries, whatever n
+# innovation draws per block, bounding their temporaries whatever n, and the
+# buckets of every innovation guide (16 bits of a raw word), whatever its length
 BLOCK = 1 << 16
-# most guide buckets of an innovation table (a power of two): bounds the
-# guide, like BLOCK bounds the draws, whatever the pmf table length
 GUIDE_MAX = 1 << 16
-# entries per block of a generation's thinning draws, the largest count thinned
-# through the table and its guide buckets per row (a power of two, so u * PER
-# is exact); unlike BLOCK they order the draws, so they are part of the seeded
-# stream and fixed with the version
+# entries per block of a generation's thinning, the largest count thinned
+# through the table and its guide buckets per row (8 bits of a raw word); the
+# blocks split no word, so only CAP, PER and GUIDE_MAX order the seeded stream
 THIN_BLOCK = 1 << 16
 CAP = 32
 PER = 256
@@ -87,32 +82,53 @@ def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
     return np.floor(np.log1p(-u) / np.log(ratio)).astype(np.int64)
 
 
+def _bucket_bits(gen: np.random.Generator, size: int, per: int) -> np.ndarray:
+    """size bucket indices below per (2^8 or 2^16), packed 64 / log2(per) to a
+    raw word of gen, each word read from its lowest bits up on every platform."""
+    bits = per.bit_length() - 1
+    words = gen.bit_generator.random_raw(-(-size * bits // 64))
+    return words.astype("<u8", copy=False).view(f"<u{bits // 8}")[:size]
+
+
+def _uniforms(gen: np.random.Generator, top: np.ndarray, per: int) -> np.ndarray:
+    """The 53-bit uniforms u with floor(u * per) = top, per = 2^bits, each
+    completed from the top 53 - bits bits of one more raw word of gen."""
+    bits = per.bit_length() - 1
+    w = gen.bit_generator.random_raw(top.size)
+    return ((top.astype(np.uint64) << (53 - bits)) | (w >> (11 + bits))) * 2.0**-53
+
+
 def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
-    """size inverse-CDF draws (pmf table, geometric tail), a block of uniforms
-    at a time; every block reuses one pair of buffers."""
-    table = d.sampling_table
-    cdf, guide, _ = table
-    total, per = cdf[0, -1], len(guide)
+    """size inverse-CDF draws (pmf table, geometric tail), BLOCK at a time: each
+    takes its bucket from 16 bits of a raw word and, where that holds a CDF
+    value or lies past the table, the rest of its uniform after all buckets."""
+    cdf, guide, _ = d.sampling_table
     out = np.empty(size, dtype=np.int64)
-    ubuf = np.empty(min(BLOCK, size))
-    bucket = np.empty(len(ubuf), dtype=np.intp)
+    miss, top = [], []
     for start in range(0, size, BLOCK):
-        m = min(BLOCK, size - start)
-        u = gen.random(out=ubuf[:m])  # the same stream as gen.random(m)
-        k = out[start:start + m]
-        # the unsafe cast truncates like astype(intp), into the buffer
-        key = np.multiply(u, per, out=bucket[:m], casting="unsafe")
-        _guided_lookup(table, u, key, k)
-        if k.max() > d.truncation:
-            beyond = k > d.truncation
-            terms = d.decomposition.terms  # sorted by root: the tail term (rho, s) first
-            if not terms or terms[0][0] <= 0.0 or not np.isfinite(terms[0][1]):
-                k[beyond] = d.truncation
-            else:
-                # residual mass beyond the table is geometric with ratio 1/s
-                v = (u[beyond] - total) / max(1.0 - total, 1e-300)
-                v = np.clip(v, 0.0, 1.0 - 1e-16)
-                k[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / terms[0][1])
+        k = out[start:start + BLOCK]
+        b = _bucket_bits(gen, k.size, GUIDE_MAX)
+        # "clip" writes into k without the intermediate buffer of "raise"
+        np.take(guide, b, out=k, mode="clip")
+        # a miss (-1) and an index past the table (T + 1) both exceed T unsigned
+        at = np.flatnonzero(k.view(np.uint64) > d.truncation)
+        if at.size:
+            miss.append(at + start)
+            top.append(b[at])
+    terms = d.decomposition.terms  # sorted by root: the tail term (rho, s) first
+    for at, b in zip(miss, top):  # a block's worth at a time: small temporaries
+        u = _uniforms(gen, b, GUIDE_MAX)
+        k = cdf[0].searchsorted(u, side="right")
+        beyond = k > d.truncation
+        if not terms or terms[0][0] <= 0.0 or not np.isfinite(terms[0][1]):
+            k[beyond] = d.truncation
+        else:
+            # residual mass beyond the table is geometric with ratio 1/s
+            total = cdf[0, -1]
+            v = (u[beyond] - total) / max(1.0 - total, 1e-300)
+            v = np.clip(v, 0.0, 1.0 - 1e-16)
+            k[beyond] = d.truncation + 1 + _geometric_inverse(v, 1.0 / terms[0][1])
+        out[at] = k
     return out
 
 
@@ -161,9 +177,8 @@ def count_table(thinning) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sampling_table(d: InnovationDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The guided CDF of d's T + 1 pmf rows as one row (d.sampling_table), with
-    the smallest power of two >= 4 (T + 1) buckets, at most GUIDE_MAX."""
-    cdf = np.cumsum(d.pmf_table)[None, :]
-    return _guided(cdf, min(GUIDE_MAX, 1 << (4 * cdf.size - 1).bit_length()))
+    GUIDE_MAX buckets."""
+    return _guided(np.cumsum(d.pmf_table)[None, :], GUIDE_MAX)
 
 
 def _guided(cdf: np.ndarray, per: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,51 +199,46 @@ def _guided(cdf: np.ndarray, per: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     scaled = cdf * per
     bucket = scaled.astype(np.intp)
     flat = (bucket + c * (per + 1)).ravel()
-    guide = np.bincount(flat, minlength=rows * (per + 1)).cumsum() - (c * width).repeat(per + 1)
+    # in place: the temporaries of a 2^16-bucket guide, each as large as it,
+    # left glibc trimming the heap after every `verify --n 1000000` command
+    guide = np.bincount(flat, minlength=rows * (per + 1))
+    np.cumsum(guide, out=guide)
+    by_row = guide.reshape(rows, per + 1)
+    by_row -= c * width
     guide[flat[(scaled != bucket).ravel()]] = -1  # a value inside bucket b
-    guide = guide.reshape(rows, per + 1)[:, :per].ravel()
+    guide = by_row[:, :per].ravel()  # a view for one row
     keys = (c + 1j * cdf).ravel()  # exact: 1j * x is 0 + x j
     cdf.flags.writeable = guide.flags.writeable = keys.flags.writeable = False
     return cdf, guide, keys
 
 
-def _guided_lookup(table, u: np.ndarray, key: np.ndarray, out: np.ndarray) -> None:
-    """Write searchsorted(cdf[c], u, side="right") into out, exactly, for the
-    uniforms u of rows c, given their bucket keys c * per + floor(u * per),
-    in the guided table (cdf, guide, keys) of _guided: the guide answers
-    every u whose bucket holds no value of its row, a search of keys the rest
-    (of the row itself, for a table of one row)."""
-    cdf, guide, keys = table
-    # "clip" clips only _thin's counts above CAP, which it overwrites; unlike
-    # the default "raise" it writes into out without an intermediate buffer
-    np.take(guide, key, out=out, mode="clip")
-    miss = np.flatnonzero(out < 0)
-    if miss.size and len(cdf) == 1:  # a real search takes about half the complex one's time
-        out[miss] = cdf[0].searchsorted(u[miss], side="right")
-    elif miss.size:
-        row = key[miss] // (len(guide) // len(cdf))
-        out[miss] = keys.searchsorted(row + 1j * u[miss], side="right") - row * cdf.shape[1]
-
-
 def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
-    """Thin the positive counts cnt in place, THIN_BLOCK entries at a time, one
-    uniform u per entry: a count c <= CAP becomes searchsorted(cdf[c], u,
-    side="right"), looked up at the key c * PER + floor(u * PER); a count
-    above CAP reads a clipped bucket and is then overwritten by
-    thinning.draw. The blocks share buffers."""
-    table = thinning.count_table
-    ubuf = np.empty(min(THIN_BLOCK, cnt.size))
-    kbuf, bbuf = np.empty(len(ubuf), dtype=np.intp), np.empty(len(ubuf), dtype=np.intp)
+    """Thin the positive counts cnt in place, THIN_BLOCK at a time: a count
+    c <= CAP becomes searchsorted(cdf[c], u, side="right"), u a 53-bit uniform
+    whose bucket c * PER + b (b from 8 bits of a raw word) gives it unless it
+    holds a CDF value; then one thinning.draw of the counts above CAP."""
+    cdf, guide, keys = thinning.count_table
+    above = np.flatnonzero(cnt > CAP)
+    larger = cnt[above]
+    cnt[above] = 0  # row 0 reads 0 from every bucket, never a miss
+    kbuf = np.empty(min(THIN_BLOCK, cnt.size), dtype=np.intp)
+    miss, top = [], []
     for start in range(0, cnt.size, THIN_BLOCK):
         c = cnt[start:start + THIN_BLOCK]
-        u, key, bucket = gen.random(out=ubuf[:c.size]), kbuf[:c.size], bbuf[:c.size]
-        above = np.flatnonzero(c > CAP)
-        larger = c[above]
-        np.multiply(c, PER, out=key)
-        key += np.multiply(u, PER, out=bucket, casting="unsafe")
-        _guided_lookup(table, u, key, c)
-        if above.size:  # an empty draw still pays numpy's fixed cost per call
-            c[above] = thinning.draw(gen, larger)
+        key = np.multiply(c, PER, out=kbuf[:c.size])
+        key += _bucket_bits(gen, c.size, PER)
+        np.take(guide, key, out=c, mode="clip")
+        at = np.flatnonzero(c < 0)
+        if at.size:
+            miss.append(at + start)
+            top.append(key[at])
+    for at, key in zip(miss, top):  # after every bucket, in position order
+        row = key // PER
+        u = _uniforms(gen, key % PER, PER)
+        # complex keys c + 1j * cdf[c, k]: the search stays within row c
+        cnt[at] = keys.searchsorted(row + 1j * u, side="right") - row * cdf.shape[1]
+    if above.size:  # an empty draw still pays numpy's fixed cost per call
+        cnt[above] = thinning.draw(gen, larger)
 
 
 def simulate_series(model: INARModel, n: int, seed: RngStream,

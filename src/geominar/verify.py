@@ -148,12 +148,13 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     alpha = model.alpha
     ess = _ess_factor(alpha)
     emp_mean = float(xs.mean())
-    # centered sums of squares and lag-1 products by blocks, each one step into the next
+    # centered sums of squares and lag-1 products by blocks, each one step into the
+    # next, by einsum: a BLAS dot product may wait on threads a busy machine lacks
     ss = lag = 0.0
     for start in range(0, n, MOMENT_BLOCK):
         c = xs[start:start + MOMENT_BLOCK + 1] - emp_mean
-        ss += float(c[:MOMENT_BLOCK] @ c[:MOMENT_BLOCK])
-        lag += float(c[1:] @ c[:-1])
+        ss += float(np.einsum("i,i->", c[:MOMENT_BLOCK], c[:MOMENT_BLOCK]))
+        lag += float(np.einsum("i,i->", c[1:], c[:-1]))
     emp_var = ss / n
     # separate roots: a subnormal variance times ess / n would underflow to 0
     root_ess_n = math.sqrt(ess / n)

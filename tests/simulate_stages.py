@@ -3,11 +3,12 @@
 For each point of grids.CANONICAL it simulates one path of --n steps
 (seed 1) and keeps every stage's inputs: the innovation law, generation 0,
 and per generation the surviving positions and counts before and after
-thinning, with each block's counts above simulate.CAP as simulate._thin
+thinning, with each generation's counts above simulate.CAP as simulate._thin
 hands them to the thinning's draw. The loop that collects them is
 simulate_series's own, calling simulate._thin with a recording stand-in for
-the thinning, and its path must equal simulate_series's bit for bit. It
-then times, summed over the generations of one path: the innovation draws
+the thinning and a counting stand-in for the generator, and its path must
+equal simulate_series's bit for bit. It then times, summed over the
+generations of one path: the innovation draws
 (simulate._innovation_draws), the generation-0 gather (the nonzero
 positions and their counts), the table lookup (simulate._thin on a copy of
 each generation's counts up to CAP), the counts above CAP (draw), the
@@ -15,11 +16,14 @@ whole of simulate._thin (on a copy of each generation's counts), the keep
 and np.add.at of the survivors,
 simulate_series itself and verify.run_all_checks on the path. Each cell is
 us per path in the fastest of --passes passes; the points with alpha = 0
-run no thinning stages. The library is called as it is, never patched.
-run_all_checks' centred sums are BLAS dot products of 65,536 entries: with
-more than one BLAS thread on a busy 2-vCPU machine they took 255 ms per
-path against 5 ms with one, so run it with one BLAS thread, as the
-benchmark's worker does. Informational, not a gate:
+run no thinning stages. Then, per point, the share of the path's
+innovation draws and of its thinned entries that drew a completion word:
+their guide bucket held a CDF value (or lay past the innovation table), so
+they took the rest of their uniform from one more raw word. The library is
+called as it is, never patched. run_all_checks forms its centred sums
+without BLAS, so its time should not depend on the BLAS thread count; the
+benchmark's worker runs with one BLAS thread, and so does CI. Informational,
+not a gate:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/simulate_stages.py [--n N] [--passes P]
 """
@@ -38,6 +42,29 @@ from grids import CANONICAL
 STAGES = ("innovation draws", "generation-0 gather", "thin: table lookup (counts <= CAP)",
           "thin: counts > CAP (draw)", "thin: whole _thin", "keep + np.add.at",
           "simulate_series (whole)", "run_all_checks")
+SHARES = ("innovation draws", "thinned entries")
+
+
+class _Counting:
+    """Stands in for the generator, and for its bit generator, and counts the
+    raw words drawn; every draw is the generator's own."""
+
+    def __init__(self, gen):
+        self.gen, self.bit_generator, self.words = gen, self, 0
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def random_raw(self, size):
+        self.words += size
+        return self.gen.bit_generator.random_raw(size)
+
+
+def _bucket_words(size: int, per: int) -> int:
+    """The raw words that carry the guide buckets of size draws, per buckets
+    each: one per 64 / log2(per) draws. The rest of a call's words complete
+    uniforms."""
+    return -(-size * (per.bit_length() - 1) // 64)
 
 
 class _Recording:
@@ -57,9 +84,11 @@ class _Recording:
 
 def _generations(model, n: int, seed: RngStream):
     """simulate_series's loop, recording each generation: (positions, counts
-    before and after thinning); with generation 0's array and the recorder."""
-    gen = seed.generator()
+    before and after thinning); with generation 0's array, the recorder and
+    the completion words of the innovations and of the thinning."""
+    gen = _Counting(seed.generator())
     out = simulate._innovation_draws(model.innovation, gen, n)
+    completions = {"innovations": gen.words - _bucket_words(n, simulate.GUIDE_MAX), "thinned": 0}
     out[0] = simulate._sample_marginal(model, gen)
     first = out.copy()
     recorder = _Recording(model.spec.thinning)
@@ -70,7 +99,9 @@ def _generations(model, n: int, seed: RngStream):
         while idx.size:
             idx += 1
             before = cnt.copy()
+            words = gen.words
             simulate._thin(recorder, gen, cnt)
+            completions["thinned"] += gen.words - words - _bucket_words(cnt.size, simulate.PER)
             generations.append((idx.copy(), before, cnt.copy()))
             kept = (cnt > 0).nonzero()[0]
             idx = idx[kept]
@@ -80,14 +111,18 @@ def _generations(model, n: int, seed: RngStream):
                 idx, cnt = idx[:-1], cnt[:-1]
     if not np.array_equal(out, simulate_series(model, n, seed).values):
         raise RuntimeError("the recorded loop no longer draws simulate_series's path")
-    return first, generations, recorder
+    return first, generations, recorder, completions
 
 
 def _stages(name: str, params: dict, n: int) -> dict:
-    """Per stage, one call that does that stage's work for one whole path."""
+    """Per stage, one call that does that stage's work for one whole path;
+    and per SHARES row, the share of its draws that took a completion word."""
     model = build_model(name, **params)
     seed = RngStream(1)
-    first, generations, rec = _generations(model, n, seed)
+    first, generations, rec, completions = _generations(model, n, seed)
+    thinned = sum(before.size for _, before, _ in generations)
+    shares = {SHARES[0]: completions["innovations"] / n,
+              SHARES[1]: completions["thinned"] / thinned if thinned else float("nan")}
     sample = simulate_series(model, n, seed)
     thinning = model.spec.thinning
     gen = RngStream(2).generator()
@@ -116,7 +151,7 @@ def _stages(name: str, params: dict, n: int) -> dict:
             kept = (after > 0).nonzero()[0]
             np.add.at(scratch, idx[kept], after[kept])
 
-    return {
+    return shares, {
         "innovation draws": lambda: simulate._innovation_draws(model.innovation, gen, n),
         "generation-0 gather": gather,
         "thin: table lookup (counts <= CAP)": lookup,
@@ -130,9 +165,11 @@ def _stages(name: str, params: dict, n: int) -> dict:
 
 def report(n: int, passes: int) -> None:
     best = {(point, stage): float("inf") for point in CANONICAL for stage in STAGES}
+    shares = {}
     # one point's inputs at a time: together they would hold about 35 MB per point
     for point, params in CANONICAL.items():
-        stages = _stages(point, params, n)
+        point_shares, stages = _stages(point, params, n)
+        shares.update({(point, row): v for row, v in point_shares.items()})
         for _ in range(passes):
             for stage in STAGES:
                 start = time.perf_counter()
@@ -144,6 +181,9 @@ def report(n: int, passes: int) -> None:
     for stage in STAGES:
         print(f"{stage:{width}s} "
               + " ".join(f"{best[point, stage] * 1e6:14.1f}" for point in CANONICAL))
+    print("share of draws that took a completion word (the rest of their uniform)")
+    for row in SHARES:
+        print(f"{row:{width}s} " + " ".join(f"{shares[point, row]:14.6f}" for point in CANONICAL))
 
 
 if __name__ == "__main__":

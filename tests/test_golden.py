@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.5.0.
+"""Golden digests pinning the seeded and printed output of version 0.6.0.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -52,7 +52,19 @@ w1 >= 0`, implied by `innovation pmf nonnegative`, was dropped: it left
 the constraint lists of the rho and hurdle families, the 24 REFUSAL runs
 that it refused first are now refused by `innovation pmf nonnegative`
 with the same margin, and no exit code, pmf row or other printed byte
-moved. CATALOG pins the `geominar catalog` listing.
+moved. The 0.6.0 sampler reads each draw's guide bucket from 8 (thinning) or
+16 (innovations) bits of a raw word shared with other draws, and draws the
+rest of the uniform from one more word only where the bucket holds a CDF
+value or lies past the innovation table, after all the buckets; the law is
+unchanged, but every seeded path with a draw moved, those with alpha = 0
+too: all of SERIES but the two one-step paths without burn-in, whose one
+value is the stationary start, still drawn from the stream's second word,
+ACROSS_BLOCKS, ACROSS_THIN_BLOCKS, WIDE_TABLE, SHORT_TABLE and all
+eight VERIFY digests were re-recorded, and only the four empirical lines of
+each VERIFY run moved, with no pass/fail flag changed. SHORT_TABLE no longer
+equals ACROSS_BLOCKS ginar: a draw past the short table takes a completion
+word where the full table's guide may not. DERIVE, REFUSAL and CATALOG pass
+unedited. CATALOG pins the `geominar catalog` listing.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -78,67 +90,68 @@ from oracles import oracle_pmf
 
 # (model, n, burn_in) -> sha256 of simulate_series(...).values.tobytes(), seed 5
 SERIES = {
-    ("ginar", 20000, 0): "2c06c380b55f73fb340875c018802bbbfba94e8701a92399f74b6aeac34322c8",
-    ("nginar", 20000, 0): "506ce3000a7ab0e0dc2dd2641e09223e22da94a2ee9e8bfd68bc787ccdc50535",
-    ("zmg", 20000, 0): "68a4ec6aa31ac78c0f8aef3a352f3cf27e84155c05a8682cfb09f272276b6f7b",
-    ("two-param", 20000, 0): "67e8133990fa54911991167648042c7a863e8f1292f7d96277bb181834458747",
-    ("rho-geo-bin", 20000, 0): "c3346444131db46cf9efc15bb5a2ab4b69a7225dc94745840e47881f74f8692a",
-    ("hurdle-geo-bin", 20000, 0): "0513252e4b411979ca722be04631ac1352e8ba334e5925692d8a54b314f4f367",
-    ("rho-geo-nb", 20000, 0): "2f3fa184d9a846014d6eed61079f03f1e153e71768d6fac5ff88144c70c89b9a",
-    ("hurdle-geo-nb", 20000, 0): "2383287b1c7572b89867326b018ff84d9f20ca561651080ec059eb3cc01289ae",
+    ("ginar", 20000, 0): "63349ce395ce694d5817be6e699391e31241029643946ebd55b0ad37118f4ad4",
+    ("nginar", 20000, 0): "7c1fbcd79ca1c45f5e897d734c2081ae11ed304a8569b8ecd6ef69fe385956c7",
+    ("zmg", 20000, 0): "99a1d359bd4cf4773d74d5ebd2bcc38162ef30cfad5fcc889a6700bfbb24a6cf",
+    ("two-param", 20000, 0): "4e2dd68adb969057a502c7c88c8e0852345a4f388a3d77c970a4d1148d7d269d",
+    ("rho-geo-bin", 20000, 0): "c1c311f3a9629fce288e0e770a0eb490d96bdea0eb4ecaca7d83745f3441a6bf",
+    ("hurdle-geo-bin", 20000, 0): "39afcddec21f9f7ce89bd37ea936e97f6004e6d256370e511148ecab4aa30c7f",
+    ("rho-geo-nb", 20000, 0): "f6c91a8858c2b8f13e7e5c97a3650507ae65383d5af52d8b7a56073c82cd3926",
+    ("hurdle-geo-nb", 20000, 0): "dd1d1930689a31121420d95c333101c781bfd336a303e522aa591393a142c57e",
     ("ginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
-    ("ginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-    ("ginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
-    ("ginar", 2, 7): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ("ginar", 1, 7): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
+    ("ginar", 2, 0): "b1535c7783ea8829b6b0cf67704539798b4d16c39bf0bfe09494c5d9f12eee30",
+    ("ginar", 2, 7): "0fb84472ffe2b1591c692c9d25d94d8c28050b69e42dfc3823eb373446684311",
     ("nginar", 1, 0): "d86e8112f3c4c4442126f8e9f44f16867da487f29052bf91b810457db34209a4",
-    ("nginar", 1, 7): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
-    ("nginar", 2, 0): "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
-    ("nginar", 2, 7): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ("nginar", 1, 7): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    ("nginar", 2, 0): "b1535c7783ea8829b6b0cf67704539798b4d16c39bf0bfe09494c5d9f12eee30",
+    ("nginar", 2, 7): "8576369844afdb7e80fea2849c13f95a3aa34dcd953dd05b467b403690a5a884",
 }
 
 # Paths longer than one innovation block (BLOCK = 65,536 uniforms), burn_in 3,
 # seed 5: these pin the block boundaries, which the 20,000-step paths above
 # never cross. (model, n) -> sha256 of simulate_series(...).values.tobytes()
 ACROSS_BLOCKS = {
-    ("ginar", 2 * BLOCK + 3): "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854",
-    ("nginar", 2 * BLOCK + 3): "eba71e28d4d26cdbe65b3f3ede6a65831568e72543f51f5d0e047762eef5397c",
-    ("zmg", 2 * BLOCK + 3): "30cc48e7ac26531c5f7b98b9fc125287d81402072c2e776856d84f0af9d27eea",
-    ("two-param", 2 * BLOCK + 3): "caf7838c35d10ec41fe92ec9dc7959d24be210de3cb7c9706f3d7c39c9e6aedc",
-    ("rho-geo-bin", 2 * BLOCK + 3): "058a51f8590f07bc5b7dbfb239fd50ba6d8c51d20b1a733ad05b395307a9f2ac",
-    ("hurdle-geo-bin", 2 * BLOCK + 3): "46ae6764e7998fab076be4bbb62f0d16a27a5004995f2a32b814b0336d2b72c8",
-    ("rho-geo-nb", 2 * BLOCK + 3): "bd6048a5267017a3ff913aed4cd8e467bc3914b40953eedd59769bb755460665",
-    ("hurdle-geo-nb", 2 * BLOCK + 3): "81d016e82f84935d289020b226988b0e35dce160e6635399396871cc838c9c2d",
+    ("ginar", 2 * BLOCK + 3): "c89beed7f3b5ec245ebb5ed4891169718d116a44d89d55eb03057eff454fc99d",
+    ("nginar", 2 * BLOCK + 3): "373dbdca18de7c429839cef45781eebccbccf628768890d371888eebf8ebe99c",
+    ("zmg", 2 * BLOCK + 3): "f893fcf2f7daa555798faaec6519e23c3dd300fa48eef4171cbc4d3068b8d57b",
+    ("two-param", 2 * BLOCK + 3): "02191b9853341a66df2dc8688031a7ffaa57fa4f8d39e227a891acc53f12e5a9",
+    ("rho-geo-bin", 2 * BLOCK + 3): "dd33abc5d7af278f899b7ba24c3469a01b00fa9971741ad4efe7148a790664d8",
+    ("hurdle-geo-bin", 2 * BLOCK + 3): "3dfd6418af631360614cbe240b579496c1ad542ec46bcbed2160d2beed20e4b7",
+    ("rho-geo-nb", 2 * BLOCK + 3): "a250ea4b8af2147069c01025740694a45814bfe41a2884216475583662801461",
+    ("hurdle-geo-nb", 2 * BLOCK + 3): "274a2b3146bec82e26e403740f06345ad012fab62b5382a14e7faddc387396f1",
 }
 
 # ginar theta=1e-4 alpha=0.5: a 262,564-row table, where the guide leaves many
 # buckets to binary search; n = BLOCK + 1, burn_in 3, seed 5
-WIDE_TABLE = "779d331ce2478a9e5dfa14829f67fe2a95f2fd3c5fac1eb0b0677ceff3d4dd4c"
+WIDE_TABLE = "bfeee507a5d5b882bf9d9b0f8db7361e78bea0ba9244044b6e85a8d4b2ff4ed6"
 
 # canonical ginar with its table cut at mass 0.999, so that about one draw in
 # a thousand lands beyond the table and takes the geometric tail, in both
 # full blocks; n = 2 * BLOCK + 3, burn_in 3, seed 5. The tail continues the
-# law exactly, so the path equals the full-table one (ACROSS_BLOCKS ginar).
-SHORT_TABLE = "fed6b453b9ab4961bf901bb8f70b0f697a4539b64798aeb8f66d55287e6ae854"
+# law exactly, but a draw past the table completes its uniform from one more
+# word, so the path is not the full-table one (ACROSS_BLOCKS ginar).
+SHORT_TABLE = "04fe0b7a27f49e5ad5ae70e437f5eade9bd5acbd8e9c7ece25728742289c2435"
 
 # Paths whose first generation of thinning draws holds more than one block
 # of THIN_BLOCK = 65,536 entries (about 130k for ginar, 101k for nginar, so
 # both thinnings cross a block boundary), burn_in 3, seed 5.
 # (model, n) -> sha256 of simulate_series(...).values.tobytes()
 ACROSS_THIN_BLOCKS = {
-    ("ginar", 8 * THIN_BLOCK + 3): "8bf6786bd72a04d22cc7813d3cca8c9cdda4cdc636280ce1fa4352895d3a89b8",
-    ("nginar", 4 * THIN_BLOCK + 3): "a71bb6a9b81673965e1edb45d620c734edcdb61c8a68a094f1552adf12cbbfd5",
+    ("ginar", 8 * THIN_BLOCK + 3): "cbdc75e7566ec939a296cc4739b2260b051e33e52360ca38e77cfe70f7912386",
+    ("nginar", 4 * THIN_BLOCK + 3): "cbbebb727315e0cdc83bba0be78d4cb43443af38e089de22cedfaa6a0dbbf6b6",
 }
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
-    "ginar": "9a228d5403fb37efec3f8a8cda2cadc77b4fdab76d6c3318f4d8c7a866383bea",
-    "nginar": "4fbb1c23053c8e7fb8fa5b5b92c83952839d7b0b95dc19bc5167f19d9c36cdc3",
-    "zmg": "c351e4cbfb87f05e0aa2a93c5cc0569ea71aba5f250c64a7ed76f3e560b294d1",
-    "two-param": "5c78f929e36c2e6f1c7387542dd9c2079eeb676fddf428befb8b51fa422306ac",
-    "rho-geo-bin": "ef32b2a199c9032ee4ae4bd4edd6640a8be9f543c45a41082226ca76eeed34d1",
-    "hurdle-geo-bin": "50b5ac0fd803a7cffef1674d50ff51e9e9f528190a481cfc4b14b7b9c6b17fd6",
-    "rho-geo-nb": "bfb09b1e6bd450425d168aebcfdf581c34ec945014f9bcd50addef4d285ed3d7",
-    "hurdle-geo-nb": "4ab68ee4d5f8127da95a697877e6e2492e9f2b2ab30461886d35793f9b6bb04b",
+    "ginar": "272578156f71c07cb98269f646ddfabc510d18a7dd6cf5b881b82f1b10c0472f",
+    "nginar": "437a5a3dac9dd9cc35f1313d36b7db2618831ced0550864cc568b1880114ec1c",
+    "zmg": "39fc48ec1e556127f2ea79cea1391aa13966c47cf6fe11367be1fe0a772a3692",
+    "two-param": "836f0d0556e11e3a664410af9c0162f8cf8317a7634065f00228ace4afd7f350",
+    "rho-geo-bin": "bc0838872cf367dce4be869c35f90557fe2588b5feec1b3397caae4571793d8b",
+    "hurdle-geo-bin": "8e1c314f437d8a0508e318d44c8235663b222caefa9cf46e59a3ea9e42b23063",
+    "rho-geo-nb": "c9228495df97fde47de55def1936a6f7813ab0e06750271842889a95c71a3928",
+    "hurdle-geo-nb": "92322aac60473f27c6092496eabead5fb33eb0736d2cf854c5f6de259306fa1e",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
@@ -223,7 +236,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.5.0"
+    assert __version__ == "0.6.0"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))

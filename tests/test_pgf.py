@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from geominar.errors import InvalidParameterError
@@ -111,6 +114,17 @@ class TestCountingPgf:
         assert domain(BinomialThinning, 0.0) == ((label, True, 1.0),)
         assert domain(NegativeBinomialThinning, -0.5) == ((label, False, -0.5),)
         assert domain(NegativeBinomialThinning, 1.5) == ((label, False, -0.5),)
+
+    @pytest.mark.parametrize("alpha, width", [(0.3, 58), (0.5, 81), (0.85, 119), (0.9999, 136),
+                                              (1.0 - 1e-16, 136)])
+    def test_negative_binomial_count_width_is_the_least_below_the_tail_bound(self, alpha, width):
+        # the thinned count of 32 units is NB(32, 1 - q), q = alpha/(1+alpha), at the
+        # float alpha: columns 0..width-1 leave less than 2^-54 and one fewer does not
+        assert NegativeBinomialThinning(alpha).count_width(32) == width
+        q = Fraction(alpha) / (1 + Fraction(alpha))
+        cells = [math.comb(31 + k, k) * q**k * (1 - q) ** 32 for k in range(width)]
+        tail = 1 - sum(cells)
+        assert tail < Fraction(1, 2**54) <= tail + cells[-1]
 
 
 SPECS = [

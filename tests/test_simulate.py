@@ -70,31 +70,63 @@ GUIDE_POINTS = {name: (name, p) for name, p in CANONICAL.items()}
 GUIDE_POINTS["ginar-theta-1e-4"] = ("ginar", {"theta": 1e-4, "alpha": 0.5})
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose random() returns the given uniforms."""
+class _RawWords:
+    """Stands in for a Generator (and its bit generator) whose raw words encode
+    the uniforms u, each on the 53-bit grid, as the sampler reads them: first
+    the top log2(per) bits of every u, packed 64 / log2(per) to a word from
+    its lowest bits up, then one word for each u flagged in completes, in
+    order, whose top bits are the rest of u and whose other bits are all
+    ones, which the sampler must not read."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
+    def __init__(self, u, per: int, completes):
+        bits = per.bit_length() - 1
+        grid = np.asarray(u, dtype=float) * 2.0**53
+        assert (grid == np.floor(grid)).all()  # each u is a multiple of 2^-53
+        grid = grid.astype(np.uint64)
+        top, rest = grid >> (53 - bits), grid & ((1 << (53 - bits)) - 1)
+        lanes = 64 // bits
+        top = np.concatenate([top, np.zeros(-len(top) % lanes, np.uint64)]).reshape(-1, lanes)
+        shifts = bits * np.arange(lanes, dtype=np.uint64)
+        words = np.bitwise_or.reduce(top << shifts, axis=1)
+        fill = (1 << (11 + bits)) - 1
+        self.words = np.concatenate([words, (rest[completes] << (11 + bits)) | fill])
+        self.bit_generator = self
 
-    def random(self, out):
-        out[:], self.u = self.u[:len(out)], self.u[len(out):]
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        assert len(out) == size
         return out
 
 
 def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
-    """0, every bucket edge, every CDF value and its float neighbours, and
-    values from the table mass up to the largest double below one."""
-    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
-    above = np.linspace(cdf[-1], 1.0, 64, endpoint=False)
+    """0, every bucket edge, every CDF value's grid point of the sampler's
+    53-bit uniforms (the value itself where it lies on the grid, as every
+    value above 1/2 does) and the grid points either side of it, points from
+    the table mass up, and 1 - 2^-53, the largest uniform below one."""
+    at = np.floor(cdf * 2.0**53)
+    near = np.concatenate([at - 1.0, at, at + 1.0]) * 2.0**-53
+    above = np.floor(np.linspace(cdf[-1], 1.0, 64, endpoint=False) * 2.0**53) * 2.0**-53
     u = np.concatenate([[0.0], np.arange(buckets) / buckets, near, above,
                         [np.nextafter(1.0, 0.0)]])
-    return u[u < 1.0]
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _innovation_words(d, u: np.ndarray) -> _RawWords:
+    """The raw words that make _innovation_draws(d, ., len(u)) read the
+    uniforms u: a completion word where the bucket holds a CDF value (-1)
+    or lies past the table."""
+    guide = d.sampling_table[1]
+    index = guide[(u * len(guide)).astype(int)]
+    return _RawWords(u, len(guide), (index < 0) | (index > d.truncation))
 
 
 def _lookup(d, u: np.ndarray) -> np.ndarray:
     """The sampler's table index of each u: its innovation draw, with a draw
     from the tail beyond the table read as T + 1, where a search puts it."""
-    return np.minimum(simulate._innovation_draws(d, _FixedUniforms(u), len(u)), d.truncation + 1)
+    gen = _innovation_words(d, u)
+    k = simulate._innovation_draws(d, gen, len(u))
+    assert gen.words.size == 0  # every word read, and no more
+    return np.minimum(k, d.truncation + 1)
 
 
 class TestGuideTable:
@@ -108,9 +140,7 @@ class TestGuideTable:
         cdf, guide, keys = dist.sampling_table
         assert cdf.shape == (1, len(dist.pmf_table))
         assert np.array_equal(cdf[0], np.cumsum(dist.pmf_table))
-        m = len(guide)
-        assert m & (m - 1) == 0
-        assert m == GUIDE_MAX or m // 2 < 4 * cdf.size <= m
+        assert len(guide) == GUIDE_MAX
         assert not (cdf.flags.writeable or guide.flags.writeable or keys.flags.writeable)
 
     def test_lookup_equals_binary_search(self, dist):
@@ -123,9 +153,10 @@ class TestGuideTable:
         u = np.concatenate([[total, np.nextafter(total, 1.0)],
                             np.linspace(total, 1.0, 16, endpoint=False)[1:],
                             [np.nextafter(1.0, 0.0)]])
-        u = u[u < 1.0]
-        draws = simulate._innovation_draws(dist, _FixedUniforms(u), len(u))
-        assert (draws > dist.truncation).all()
+        u = np.ceil(u[u < 1.0] * 2.0**53) * 2.0**-53  # on the sampler's grid, at or above
+        gen = _innovation_words(dist, u)
+        draws = simulate._innovation_draws(dist, gen, len(u))
+        assert (draws > dist.truncation).all() and gen.words.size == 0
 
     def test_built_once_per_distribution(self, monkeypatch):
         d = pmf_from_decomposition(FractionalDecomposition(Polynomial((0.3,)), ((0.7 * 0.6, 1.6),)))
@@ -156,6 +187,31 @@ class TestGuideTable:
             assert np.array_equal(_lookup(d, u), np.searchsorted(cdf[0], u, side="right"))
             del model, d, cdf, guide
             gc.collect()
+
+    @pytest.mark.parametrize("per", [simulate.PER, GUIDE_MAX])
+    def test_bucket_bits_read_each_word_from_its_low_bits_up(self, per):
+        bits = per.bit_length() - 1
+        got = simulate._bucket_bits(RngStream(3).generator(), 37, per)
+        words = RngStream(3).generator().bit_generator.random_raw(-(-37 * bits // 64))
+        expect = [(int(w) >> (bits * j)) & (per - 1) for w in words for j in range(64 // bits)]
+        assert got.tolist() == expect[:37]
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_completion_shift_off_by_one_is_caught(self, off, monkeypatch):
+        # the exactness check above fails for a completion that reads one bit
+        # too many or too few of its word
+        def mutant(gen, top, per):
+            bits = per.bit_length() - 1
+            w = gen.bit_generator.random_raw(top.size)
+            return ((top.astype(np.uint64) << (53 - bits)) | (w >> (11 + bits + off))) * 2.0**-53
+
+        d = build_model("ginar", **CANONICAL["ginar"]).innovation
+        cdf, guide, _ = d.sampling_table
+        u = _adversarial_uniforms(cdf[0], len(guide))
+        expect = np.searchsorted(cdf[0], u, side="right")
+        assert np.array_equal(_lookup(d, u), expect)
+        monkeypatch.setattr(simulate, "_uniforms", mutant)
+        assert not np.array_equal(_lookup(d, u), expect)
 
 
 class TestApplyThinning:
@@ -295,7 +351,10 @@ def _guided_source(source):
     def thin(counts, u):
         assert len(u) < simulate.THIN_BLOCK
         cnt = counts.copy()
-        simulate._thin(source, _FixedUniforms(u), cnt)
+        guide = source.count_table[1]
+        gen = _RawWords(u, simulate.PER, guide[counts * simulate.PER + (u * simulate.PER).astype(int)] < 0)
+        simulate._thin(source, gen, cnt)
+        assert gen.words.size == 0
         return cnt
 
     return source.count_table, np.arange(1, simulate.CAP + 1), thin
@@ -325,8 +384,11 @@ class TestGuidedThinning:
             assert stat < gate, (i, stat, gate)
 
     def test_chi_square_rejects_a_wrong_alpha(self):
+        # 200,000 draws per count: under NB thinning the wrong alpha shifts the
+        # count-1 statistic by about 108 against a gate of about 30 (at 50,000
+        # draws by 27, where about one seed in three stays under the gate)
         for t in (BinomialThinning(0.3), NegativeBinomialThinning(0.3)):
-            before, drawn = _thinned(t, (1, 2, self.CAP, self.CAP + 1), 4 * 50_000)
+            before, drawn = _thinned(t, (1, 2, self.CAP, self.CAP + 1), 4 * 200_000)
             wrong = type(t)(0.3 * 1.05)
             stats = _count_stats(t, before, drawn, model=wrong)
             for i, (stat, gate) in stats.items():
@@ -445,8 +507,9 @@ class TestGuidedThinning:
             assert stat < _gate(1, cells), (i, stat, cells)
 
     def test_only_counts_above_cap_reach_draw(self, monkeypatch):
-        # counts up to CAP never call draw; above it, one draw per block with
-        # exactly that block's larger counts, after the block's uniforms
+        # counts up to CAP never call draw; above it, one draw per generation
+        # with exactly its larger counts, in position order, after every bucket
+        # and completion word, and a count above CAP takes no completion word
         calls = []
         draw = BinomialThinning.draw
 
@@ -464,7 +527,10 @@ class TestGuidedThinning:
         simulate._thin(t, gen, cnt)
         assert calls == [[self.CAP + 1, 1000]]
         replay = RngStream(1).generator()
-        replay.random(6)
+        top = simulate._bucket_bits(replay, 6, simulate.PER)
+        rows = np.array([3, 0, 7, 1, 0, self.CAP])  # a count above CAP reads row 0
+        misses = (t.count_table[1][rows * simulate.PER + top] < 0).sum()
+        replay.bit_generator.random_raw(misses)
         assert np.array_equal(cnt[[1, 4]], draw(t, replay, np.array([self.CAP + 1, 1000])))
 
 
@@ -499,6 +565,24 @@ def _gate(rows: int, cells: int) -> float:
     return df + 6.0 * math.sqrt(2.0 * df)
 
 
+def _long_table_path(monkeypatch):
+    """A 4,000-step path (seed 5) of ginar at theta 1e-3, alpha 0.4, its table
+    cut at mass 0.99 (4,093 rows): about one innovation in 16 misses the guide
+    and one in 100 lands past the table. Returns the model, the completed
+    uniforms by guide width (GUIDE_MAX: innovations, PER: thinning) and the path."""
+    model = build_model("ginar", theta=1e-3, alpha=0.4)
+    vars(model)["innovation"] = pmf_from_decomposition(model.decomposition, 0.99)
+    completed = {GUIDE_MAX: [], simulate.PER: []}
+    uniforms = simulate._uniforms
+
+    def recording(gen, top, per):
+        completed[per].append(uniforms(gen, top, per))
+        return completed[per][-1]
+
+    monkeypatch.setattr(simulate, "_uniforms", recording)
+    return model, completed, simulate_series(model, 4000, RngStream(5)).values
+
+
 class TestTransitionLaw:
     """The sampler's exact oracle: pair counts of one long path against the
     one-step kernel."""
@@ -530,12 +614,24 @@ class TestTransitionLaw:
         assert stat > self.GATE, stat
 
     def test_innovation_blocks_do_not_change_the_path(self, monkeypatch):
-        # innovations are drawn a block of uniforms at a time; the block size
-        # must not change a seeded path
-        model = build_model("ginar", **CANONICAL["ginar"])
-        whole = simulate_series(model, 1000, RngStream(5)).values
+        # innovations are drawn a block at a time, and the completion words of
+        # every block come after all the buckets: the block size must not change
+        # a seeded path, also where draws miss the guide or land past the table
+        model, completed, whole = _long_table_path(monkeypatch)
+        total = model.innovation.sampling_table[0][0, -1]
+        u = np.concatenate(completed[GUIDE_MAX])
+        assert (u < total).sum() > 100 and (u >= total).sum() > 10
         monkeypatch.setattr(simulate, "BLOCK", 16)
-        assert (simulate_series(model, 1000, RngStream(5)).values == whole).all()
+        assert (simulate_series(model, len(whole), RngStream(5)).values == whole).all()
+
+    def test_thin_blocks_do_not_change_the_path(self, monkeypatch):
+        # the same for a generation's thinning blocks, with guide misses and
+        # counts above CAP
+        model, completed, whole = _long_table_path(monkeypatch)
+        assert sum(map(len, completed[simulate.PER])) > 100
+        assert whole.max() > 10 * simulate.CAP
+        monkeypatch.setattr(simulate, "THIN_BLOCK", 16)
+        assert (simulate_series(model, len(whole), RngStream(5)).values == whole).all()
 
     def test_burn_in_returns_exactly_n_values(self):
         for name in ("ginar", "nginar"):
