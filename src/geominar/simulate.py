@@ -194,19 +194,16 @@ def _guided(cdf: np.ndarray, per: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     rows, width = cdf.shape
     c = np.arange(rows)[:, None]
-    # per row, #{cdf < (b+1)/per} for b = 0..per over the flat buckets
-    # floor(cdf * per) (cdf >= 0), less the cells of the rows before
+    # bucket[c, k] = floor(cdf[c, k] * per) (cdf >= 0): row c gives k on the
+    # buckets from bucket[c, k - 1] (0 for k = 0) up to bucket[c, k] (per for
+    # k = width), one run of each k, so every row has per entries
     scaled = cdf * per
     bucket = scaled.astype(np.intp)
-    flat = (bucket + c * (per + 1)).ravel()
-    # in place: the temporaries of a 2^16-bucket guide, each as large as it,
-    # left glibc trimming the heap after every `verify --n 1000000` command
-    guide = np.bincount(flat, minlength=rows * (per + 1))
-    np.cumsum(guide, out=guide)
-    by_row = guide.reshape(rows, per + 1)
-    by_row -= c * width
-    guide[flat[(scaled != bucket).ravel()]] = -1  # a value inside bucket b
-    guide = by_row[:, :per].ravel()  # a view for one row
+    runs = np.diff(bucket, prepend=0, append=per, axis=1)
+    guide = np.repeat(np.tile(np.arange(width + 1), rows), runs.ravel())
+    # a value inside bucket b (bucket == per only past a row's end, 1.0 or above)
+    inside = (scaled != bucket) & (bucket < per)
+    guide[(bucket + c * per)[inside]] = -1
     keys = (c + 1j * cdf).ravel()  # exact: 1j * x is 0 + x j
     cdf.flags.writeable = guide.flags.writeable = keys.flags.writeable = False
     return cdf, guide, keys

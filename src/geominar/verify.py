@@ -8,6 +8,7 @@ correct model makes it fail (the test suite injects such faults).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,10 @@ def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationRepo
                                _check("recursion_vs_hurdle_form", worst_h, 0.0, tol)))
 
 
-MOMENT_BLOCK = 1 << 16  # samples per block of check_moments' centered sums
+# steps per block of check_moments' exact path sums (_path_sums): 512 KB of
+# int64, which stays in cache for the block's four reductions
+MOMENT_BLOCK = 1 << 16
+INT64_MAX = (1 << 63) - 1
 MOMENT_REL_TOL = 1e-7  # check_moments: closed forms vs pmf sums, relative
 MOMENT_N_SE = 4.0  # check_moments: empirical vs closed forms, in standard errors
 TAIL_MS = (5, 10, 20)  # the m at which check_tail_quality compares the tail
@@ -121,12 +125,44 @@ def _marginal_central_moments(model: INARModel) -> tuple[float, float, float, fl
     return mu, m2, m3, m4
 
 
+def _path_sums(xs: np.ndarray) -> tuple[int, int, int]:
+    """Exact sums of the nonnegative int64 path xs, as Python ints:
+    sum x_t, sum x_t^2 and the lag-1 sum sum x_t x_{t+1}.
+
+    They are summed MOMENT_BLOCK steps at a time, each block with the step
+    after it for the product that spans the boundary: by int64 einsums where
+    the block's maximum m keeps every sum below 2^63 (len * m^2 < 2^63, so
+    none can wrap), else in Python ints. Taking m block by block reads each
+    block from cache for its sums, which a pass over the whole path for its
+    maximum would not.
+    """
+    s1 = s2 = lag = 0
+    for start in range(0, len(xs), MOMENT_BLOCK):
+        c = xs[start:start + MOMENT_BLOCK + 1]
+        b = c[:MOMENT_BLOCK]
+        top = int(c.max())
+        if top * top * b.size <= INT64_MAX:
+            s1 += int(np.add.reduce(b))
+            s2 += int(np.einsum("i,i->", b, b))
+            lag += int(np.einsum("i,i->", c[1:], c[:-1]))
+        else:
+            v = c.tolist()
+            w = v[:b.size]
+            s1 += sum(w)
+            s2 += sum(map(operator.mul, w, w))
+            lag += sum(map(operator.mul, v, v[1:]))
+    return s1, s2, lag
+
+
 def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     """Three-way moment comparison.
 
     Closed forms vs pmf sums at MOMENT_REL_TOL; empirical values from the sample
     vs closed forms within MOMENT_N_SE standard errors, inflated by the effective
-    sample size factor (1+alpha)/(1-alpha) for the autocorrelated series.
+    sample size factor (1+alpha)/(1-alpha) for the autocorrelated series. The
+    empirical mean, variance, dispersion and lag-1 autocorrelation are each one
+    division of exact integer sums of the path (_path_sums), so each is the
+    correctly rounded value of its exact sample statistic.
     """
     checks = []
     mom = model.moments
@@ -147,15 +183,11 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     n = len(xs)
     alpha = model.alpha
     ess = _ess_factor(alpha)
-    emp_mean = float(xs.mean())
-    # centered sums of squares and lag-1 products by blocks, each one step into the
-    # next, by einsum: a BLAS dot product may wait on threads a busy machine lacks
-    ss = lag = 0.0
-    for start in range(0, n, MOMENT_BLOCK):
-        c = xs[start:start + MOMENT_BLOCK + 1] - emp_mean
-        ss += float(np.einsum("i,i->", c[:MOMENT_BLOCK], c[:MOMENT_BLOCK]))
-        lag += float(np.einsum("i,i->", c[1:], c[:-1]))
-    emp_var = ss / n
+    s1, s2, lag = _path_sums(xs)
+    # each statistic is one int / int division of exact sums, so correctly rounded
+    emp_mean = s1 / n
+    spread = n * s2 - s1 * s1  # n^2 times the sample variance
+    emp_var = spread / (n * n)
     # separate roots: a subnormal variance times ess / n would underflow to 0
     root_ess_n = math.sqrt(ess / n)
     se_mean = math.sqrt(mom.marginal_var) * root_ess_n
@@ -168,7 +200,7 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
                          MOMENT_N_SE * se_var + (MOMENT_N_SE * se_mean) ** 2))
     # an all-zero sample (expected at a tiny mean) has no empirical dispersion or
     # autocorrelation: omit both, as lag-1 is for n <= 2; the mean check still runs
-    if emp_mean == 0.0:
+    if s1 == 0:
         return VerificationReport(tuple(checks))
     disp = mom.marginal_dispersion
     mean, var = mom.marginal_mean, mom.marginal_var
@@ -176,12 +208,15 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     g_var = (se_var / mean) ** 2 + (var * se_mean / mean**2) ** 2 \
         - 2.0 * var / mean**3 * mg_m3 * ess / n
     se_disp = math.sqrt(max(g_var, 1e-30))
-    checks.append(_check("marginal_dispersion_empirical", emp_var / emp_mean, disp,
+    checks.append(_check("marginal_dispersion_empirical", spread / (n * s1), disp,
                          MOMENT_N_SE * se_disp))
-    # a constant sample has ss = 0 and no autocorrelation: omit it there too
-    if n > 2 and ss > 0.0:
-        checks.append(_check("lag1_autocorrelation_empirical", lag / ss, alpha,
-                             MOMENT_N_SE * (1.0 + 2.0 * alpha) / math.sqrt(n)))
+    # a constant sample has no spread and no autocorrelation: omit it there too
+    if n > 2 and spread > 0:
+        # n^2 times the centred lag-1 sum over n times the centred sum of squares
+        ends = int(xs[0]) + int(xs[-1])
+        centred_lag = n * n * lag - n * s1 * (2 * s1 - ends) + (n - 1) * s1 * s1
+        checks.append(_check("lag1_autocorrelation_empirical", centred_lag / (n * spread),
+                             alpha, MOMENT_N_SE * (1.0 + 2.0 * alpha) / math.sqrt(n)))
     return VerificationReport(tuple(checks))
 
 

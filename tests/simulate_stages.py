@@ -13,17 +13,20 @@ generations of one path: the innovation draws
 positions and their counts), the table lookup (simulate._thin on a copy of
 each generation's counts up to CAP), the counts above CAP (draw), the
 whole of simulate._thin (on a copy of each generation's counts), the keep
-and np.add.at of the survivors,
-simulate_series itself and verify.run_all_checks on the path. Each cell is
+and np.add.at of the survivors, simulate_series itself, the guide builds
+(simulate._guided of the innovation row, GUIDE_MAX buckets, and of the
+count rows, PER buckets each, from their CDFs made beforehand, each cell
+the mean of REPEATS back-to-back builds),
+verify.check_moments and verify.run_all_checks on the path. Each cell is
 us per path in the fastest of --passes passes; the points with alpha = 0
-run no thinning stages. Then, per point, the share of the path's
+run no thinning stages and build no count rows. Then, per point, the share of the path's
 innovation draws and of its thinned entries that drew a completion word:
 their guide bucket held a CDF value (or lay past the innovation table), so
 they took the rest of their uniform from one more raw word. The library is
-called as it is, never patched. run_all_checks forms its centred sums
-without BLAS, so its time should not depend on the BLAS thread count; the
-benchmark's worker runs with one BLAS thread, and so does CI. Informational,
-not a gate:
+called as it is, never patched. check_moments forms exact int64 sums of
+the path, without BLAS, so its time and run_all_checks' should not depend
+on the BLAS thread count; the benchmark's worker runs with one BLAS thread,
+and so does CI. Informational, not a gate:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/simulate_stages.py [--n N] [--passes P]
 """
@@ -35,14 +38,19 @@ import numpy as np
 from geominar import simulate
 from geominar.catalog import build_model
 from geominar.simulate import RngStream, simulate_series
-from geominar.verify import run_all_checks
+from geominar.verify import check_moments, run_all_checks
 
 from grids import CANONICAL
 
 STAGES = ("innovation draws", "generation-0 gather", "thin: table lookup (counts <= CAP)",
           "thin: counts > CAP (draw)", "thin: whole _thin", "keep + np.add.at",
-          "simulate_series (whole)", "run_all_checks")
+          "simulate_series (whole)", "guide build: innovation row", "guide build: count rows",
+          "check_moments", "run_all_checks")
 SHARES = ("innovation draws", "thinned entries")
+# builds per timed call of the guide stages, each cell the mean per build: one
+# build, tens of us, right after simulate_series would mostly time the cold
+# caches that stage leaves (a few small numpy calls took about 100 us there)
+REPEATS = {"guide build: innovation row": 20, "guide build: count rows": 20}
 
 
 class _Counting:
@@ -133,6 +141,12 @@ def _stages(name: str, params: dict, n: int) -> dict:
         return first[idx]
 
     small = [before[before <= simulate.CAP] for _, before, _ in generations]
+    innovation_cdf = model.innovation.sampling_table[0]
+    count_cdf = thinning.count_table[0] if generations else None
+
+    def count_guide():
+        if count_cdf is not None:
+            simulate._guided(count_cdf, simulate.PER)
 
     def lookup():
         for counts in small:
@@ -159,6 +173,10 @@ def _stages(name: str, params: dict, n: int) -> dict:
         "thin: whole _thin": whole_thin,
         "keep + np.add.at": keep,
         "simulate_series (whole)": lambda: simulate_series(model, n, seed),
+        "guide build: innovation row":
+            lambda: simulate._guided(innovation_cdf, simulate.GUIDE_MAX),
+        "guide build: count rows": count_guide,
+        "check_moments": lambda: check_moments(model, sample),
         "run_all_checks": lambda: run_all_checks(model, sample),
     }
 
@@ -172,9 +190,12 @@ def report(n: int, passes: int) -> None:
         shares.update({(point, row): v for row, v in point_shares.items()})
         for _ in range(passes):
             for stage in STAGES:
+                reps = REPEATS.get(stage, 1)
                 start = time.perf_counter()
-                stages[stage]()
-                best[point, stage] = min(best[point, stage], time.perf_counter() - start)
+                for _ in range(reps):
+                    stages[stage]()
+                best[point, stage] = min(best[point, stage],
+                                         (time.perf_counter() - start) / reps)
     print(f"simulate stages at n = {n}, us per path, fastest of {passes} passes")
     width = max(map(len, STAGES))
     print(f"{'stage':{width}s} " + " ".join(f"{point:>14s}" for point in CANONICAL))

@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.6.0.
+"""Golden digests pinning the seeded and printed output of version 0.6.1.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -64,7 +64,13 @@ eight VERIFY digests were re-recorded, and only the four empirical lines of
 each VERIFY run moved, with no pass/fail flag changed. SHORT_TABLE no longer
 equals ACROSS_BLOCKS ginar: a draw past the short table takes a completion
 word where the full table's guide may not. DERIVE, REFUSAL and CATALOG pass
-unedited. CATALOG pins the `geominar catalog` listing.
+unedited. In 0.6.1 verify forms the sample statistics from exact integer
+sums of the path, each correctly rounded, so all eight VERIFY digests were
+re-recorded: only the marginal_var_empirical,
+marginal_dispersion_empirical and lag1_autocorrelation_empirical lines
+moved, in their last digits (hurdle-geo-nb's lag-1 line did not), with no
+pass/fail flag changed; marginal_mean_empirical and every other digest did
+not move. CATALOG pins the `geominar catalog` listing.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -144,14 +150,14 @@ ACROSS_THIN_BLOCKS = {
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
-    "ginar": "272578156f71c07cb98269f646ddfabc510d18a7dd6cf5b881b82f1b10c0472f",
-    "nginar": "437a5a3dac9dd9cc35f1313d36b7db2618831ced0550864cc568b1880114ec1c",
-    "zmg": "39fc48ec1e556127f2ea79cea1391aa13966c47cf6fe11367be1fe0a772a3692",
-    "two-param": "836f0d0556e11e3a664410af9c0162f8cf8317a7634065f00228ace4afd7f350",
-    "rho-geo-bin": "bc0838872cf367dce4be869c35f90557fe2588b5feec1b3397caae4571793d8b",
-    "hurdle-geo-bin": "8e1c314f437d8a0508e318d44c8235663b222caefa9cf46e59a3ea9e42b23063",
-    "rho-geo-nb": "c9228495df97fde47de55def1936a6f7813ab0e06750271842889a95c71a3928",
-    "hurdle-geo-nb": "92322aac60473f27c6092496eabead5fb33eb0736d2cf854c5f6de259306fa1e",
+    "ginar": "d285223660f4be489e9e0092acf8f7673ddd1546cde89ddc0abe0df63fbb471f",
+    "nginar": "622e8bfd9be2927c3c012a72e731f3b9f988ef1ea4a3719c814abd806e3f2333",
+    "zmg": "89181c2961369dbf3a11586d4c2309f39f2f138491b76ddf2c569416be1fcd69",
+    "two-param": "283e7bfbdaa4789314283ee57172825b423d04234a10ee335e8a39c3fc20a1f5",
+    "rho-geo-bin": "71e7e3eeff9d369292ab7b751dc1377b8318df818ac98ec5f555f21d50920deb",
+    "hurdle-geo-bin": "cd32a749bc71d3442225b2a3b384dd1ecf3ddf095840f10e1c9f9c3e094cdf6e",
+    "rho-geo-nb": "7100d75c5f13ed2cef7ee0d23b4e06221147f1a0910bc8298f7ac25764b6dcda",
+    "hurdle-geo-nb": "1747a12d68008f6df78958b5aafaeabce113b87e1f7bef64c69f2c38d39fc24c",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
@@ -236,7 +242,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.6.0"
+    assert __version__ == "0.6.1"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))

@@ -22,7 +22,7 @@ from geominar.simulate import (
     simulate_series,
 )
 
-from grids import CANONICAL
+from grids import CANONICAL, GRIDS, WIDE
 
 
 class TestSampleInnovation:
@@ -338,6 +338,19 @@ def _moved_cell(cdf: np.ndarray, c: int) -> np.ndarray:
     return np.cumsum(pmf, axis=1)
 
 
+def _row_search_guide(cdf: np.ndarray, per: int) -> np.ndarray:
+    """The guide of the rows cdf with per buckets, bucket by bucket: the row
+    search of both ends of bucket b, b/per and the largest double below
+    (b+1)/per, where the two agree (and so does every u between), else -1."""
+    lo = np.arange(per) / per
+    hi = np.nextafter(np.arange(1, per + 1) / per, 0.0)
+    guide = []
+    for row in cdf:
+        at_lo = row.searchsorted(lo, side="right")
+        guide.append(np.where(at_lo == row.searchsorted(hi, side="right"), at_lo, -1))
+    return np.concatenate(guide)
+
+
 def _guided_source(source):
     """(table, rows, draw) for a thinning or a GUIDE_POINTS key: the guided
     table, the rows the sampler reads (the counts 1..CAP, or the one row of
@@ -463,12 +476,35 @@ class TestGuidedThinning:
     @pytest.mark.parametrize("source", GUIDED, ids=GUIDED_IDS)
     def test_guide_bucket_is_row_search_at_both_ends(self, source):
         cdf, guide, _ = _guided_source(source)[0]
-        per = len(guide) // len(cdf)
-        for c in range(len(cdf)):
-            lo = np.searchsorted(cdf[c], np.arange(per) / per, side="right")
-            hi = np.searchsorted(cdf[c], np.nextafter(np.arange(1, per + 1) / per, 0.0),
-                                 side="right")
-            assert np.array_equal(guide[c * per:(c + 1) * per], np.where(lo == hi, lo, -1)), c
+        assert np.array_equal(guide, _row_search_guide(cdf, len(guide) // len(cdf)))
+
+    @pytest.mark.parametrize("family", [*GRIDS, "wide"])
+    def test_guides_are_row_search_at_grid_and_wide_points(self, family):
+        # every innovation row, and every count row where the path thins (alpha > 0)
+        points = WIDE if family == "wide" else [(family, p) for p in GRIDS[family]]
+        for name, p in points:
+            model = build_model(name, **p)
+            tables = [(model.innovation.sampling_table, GUIDE_MAX)]
+            if model.alpha > 0.0:
+                tables.append((model.spec.thinning.count_table, simulate.PER))
+            for (cdf, guide, _), per in tables:
+                assert np.array_equal(guide, _row_search_guide(cdf, per)), (name, p, per)
+
+    @pytest.mark.parametrize("per", [4, simulate.PER])
+    def test_guide_at_bucket_edges_and_row_ends(self, per):
+        # values on bucket edges (no -1), a value inside a bucket (-1), rows
+        # ending at 1.0 (bucket == per) and an ulp above it, whose bucket is
+        # past the row: no -1 may land in the next row's first bucket
+        edge = 1.0 / per
+        cdf = np.array([[edge, 0.5, 0.5, 1.0],
+                        [0.0, 0.3, 0.5 + edge / 2, 1.0 + 2.0**-52],
+                        [0.25, 0.5, 1.0 - 2.0**-53, 1.0],
+                        [edge / 3, 0.5, 0.75, 1.0 - edge]])
+        _, guide, _ = simulate._guided(cdf, per)
+        assert guide.shape == (len(cdf) * per,)
+        assert np.array_equal(guide, _row_search_guide(cdf, per))
+        # row 2's first bucket, after row 1 ends past its last, and row 3's, with edge / 3
+        assert guide[2 * per] == 0 and guide[3 * per] == -1
 
     @pytest.mark.parametrize("source", GUIDED, ids=GUIDED_IDS)
     def test_lookup_equals_row_search(self, source):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -34,6 +36,27 @@ def perturb_root(model, factor=1.05, index=0):
     rho, s = terms[index]
     terms[index] = (rho, s * factor)
     return _with_terms(model, tuple(terms))
+
+
+def _exact_statistics(values) -> dict[str, float]:
+    """The sample mean, variance (centred on the sample mean, over n), dispersion
+    and lag-1 autocorrelation of values, formed exactly in Fractions and then
+    rounded once, as check_moments reports them (the last two where defined)."""
+    xs = [int(v) for v in values]
+    n = len(xs)
+    mean = Fraction(sum(xs), n)
+    c = [x - mean for x in xs]
+    ss = sum(d * d for d in c)
+    exact = {"marginal_mean_empirical": mean, "marginal_var_empirical": ss / n}
+    if mean:
+        exact["marginal_dispersion_empirical"] = ss / n / mean
+        if n > 2 and ss:
+            exact["lag1_autocorrelation_empirical"] = sum(map(mul, c, c[1:])) / ss
+    return {name: float(v) for name, v in exact.items()}  # correctly rounded
+
+
+def _empirical(report) -> dict[str, float]:
+    return {c.name: c.observed for c in report.checks if c.name.endswith("_empirical")}
 
 
 @pytest.fixture(scope="module")
@@ -146,16 +169,44 @@ class TestMoments:
         assert "innovation_mean_pmf_vs_closed" in failed
 
     def test_block_sums_match_whole_sample(self, monkeypatch, rho_geo_bin):
-        # the centered sums run a block at a time; 7-step blocks put a block
-        # boundary every 7 steps, and the result must equal the whole-array values
-        sample = simulate_series(rho_geo_bin, 10_001, RngStream(4))
+        # the path sums run a block at a time; 7-step blocks put a block
+        # boundary every 7 steps, and every statistic must equal the correctly
+        # rounded exact value of the whole sample. The last block holds 5
+        # steps at n = 10,001, and one step, with no product, at n = 10,004
         monkeypatch.setattr(verify, "MOMENT_BLOCK", 7)
-        observed = {c.name: c.observed for c in check_moments(rho_geo_bin, sample).checks}
-        xs = sample.values.astype(float)
-        c = xs - xs.mean()
-        assert observed["marginal_var_empirical"] == pytest.approx(xs.var(), rel=1e-12)
-        assert observed["lag1_autocorrelation_empirical"] == pytest.approx(
-            (c[1:] @ c[:-1]) / (c @ c), rel=1e-12)
+        for n in (10_001, 10_004):
+            sample = simulate_series(rho_geo_bin, n, RngStream(4))
+            assert _empirical(check_moments(rho_geo_bin, sample)) == \
+                _exact_statistics(sample.values), n
+
+    @pytest.mark.parametrize("values", [[3], [0], [2, 5], [4, 4], [0, 7, 0]])
+    def test_shortest_paths_are_exact(self, ginar, values):
+        # n = 1 and n = 2 have no lag-1 check, n = 3 has; a variance of 0 is exact
+        sample = SeriesSample(np.array(values, dtype=np.int64), ginar, RngStream(0), 0)
+        assert _empirical(check_moments(ginar, sample)) == _exact_statistics(values)
+
+    @pytest.mark.parametrize("values", [
+        # one square, 3.04e9^2 > 2^63 - 1, would overflow int64
+        [3_040_000_000, 3_039_999_999, 1, 3_040_000_001, 0, 2_999_999_999, 3_040_000_000],
+        # 3.0e9^2 fits, but the sum of any two such squares would wrap
+        [3_000_000_000, 2_999_999_999, 1, 3_000_000_000, 0, 2_999_999_998],
+        # 2^28: the squares of 2,003 steps sum past 2^63, those of 127 do not
+        [1 << 28] * 1000 + [(1 << 28) - 1] * 1000 + [5] * 3,
+        # large steps, then small: at 7 steps a block, the first block is
+        # summed in Python ints and the rest in int64
+        [3_040_000_000] * 3 + [2, 9, 0, 4] * 6,
+        # at 7 steps a block, the first block's squares fit in int64, but
+        # not its lag-1 sum, whose last product takes the next block's first step
+        [1_100_000_000] * 7 + [3_000_000_000] * 2,
+    ])
+    @pytest.mark.parametrize("block", [7, verify.MOMENT_BLOCK])
+    def test_sums_of_large_counts_do_not_wrap(self, monkeypatch, ginar, values, block):
+        monkeypatch.setattr(verify, "MOMENT_BLOCK", block)
+        xs = np.array(values, dtype=np.int64)
+        assert verify._path_sums(xs) == (sum(values), sum(v * v for v in values),
+                                         sum(a * b for a, b in zip(values, values[1:])))
+        sample = SeriesSample(xs, ginar, RngStream(0), 0)
+        assert _empirical(check_moments(ginar, sample)) == _exact_statistics(values)
 
     def test_all_zero_sample_omits_undefined_checks(self):
         # mean 1e-6: a 2000-step path is all zeros, so var/mean and the lag-1
