@@ -38,7 +38,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
-from operator import add
 from typing import Callable, Mapping
 
 from .decompose import (
@@ -226,14 +225,8 @@ def build_model(name: str, **params: float) -> INARModel:
 def _cross_check(recursive: list[float], dec: FractionalDecomposition) -> None:
     """The law, clamped at zero as its table is, against the recursion (m = 0..32), to 1e-9.
 
-    Each value is the float dec.pmf(m) gives, formed as pmf_from_decomposition
-    forms its rows: each term's column added to the atom column in turn."""
-    n = len(recursive)
-    values = list(dec.atom_poly.coeffs[:n])
-    values += [0.0] * (n - len(values))
-    for rho, s in dec.terms:
-        values = list(map(add, values, [rho * s ** e for e in range(-1, -n - 1, -1)]))
-    for m, (v, expected) in enumerate(zip(values, recursive)):
+    Each value is the float dec.pmf(m) gives (dec.pmf_column)."""
+    for m, (v, expected) in enumerate(zip(dec.pmf_column(0, len(recursive)), recursive)):
         v = v if v >= 0.0 else 0.0
         if abs(v - expected) > 1e-9:
             raise GeominarError(f"innovation construction mismatch at m={m}: "

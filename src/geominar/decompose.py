@@ -72,6 +72,15 @@ class FractionalDecomposition:
             v += rho * s ** (-(m + 1))  # negative power underflows to 0, never overflows
         return v
 
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """[pmf(m) for m in range(lo, hi)], 0 <= lo, the floats pmf gives, formed
+        a column at a time: each term's column added to the atom column in turn."""
+        values = list(self.atom_poly.coeffs[lo:hi])
+        values += [0.0] * (hi - lo - len(values))
+        for rho, s in self.terms:
+            values = list(map(add, values, [rho * s ** e for e in range(-lo - 1, -hi - 1, -1)]))
+        return values
+
     def pgf_value(self, s: float) -> float:
         """Evaluate atom_poly(s) + sum rho_i / (s_i - s)."""
         v = self.atom_poly(s)
@@ -115,6 +124,11 @@ class InnovationDistribution:
         if m <= self.truncation:
             return self.pmf_table[m]
         return max(self.decomposition.pmf(m), 0.0)
+
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """[pmf(m) for m in range(lo, hi)], 0 <= lo, the floats pmf gives."""
+        beyond = self.decomposition.pmf_column(max(lo, self.truncation + 1), hi)
+        return [*self.pmf_table[lo:hi], *(max(v, 0.0) for v in beyond)]
 
     @functools.cached_property
     def sampling_table(self):
@@ -201,6 +215,15 @@ def hurdle_pmf(h: HurdleForm, m: int) -> float:
     t1 = h.w1 * (1.0 - h.p1) * h.p1 ** (m - 1)
     t2 = h.w2 * (1.0 - h.p2) * h.p2 ** (m - 1)
     return (1.0 - h.pi) * (t1 + t2)
+
+
+def hurdle_pmf_column(h: HurdleForm, n: int) -> list[float]:
+    """[hurdle_pmf(h, m) for m in range(n)], the floats hurdle_pmf gives, formed
+    a column at a time."""
+    c1, c2 = h.w1 * (1.0 - h.p1), h.w2 * (1.0 - h.p2)
+    t1 = [c1 * h.p1 ** e for e in range(n - 1)]
+    t2 = [c2 * h.p2 ** e for e in range(n - 1)]
+    return [h.pi, *map((1.0 - h.pi).__mul__, map(add, t1, t2))][:n]
 
 
 def partial_fractions(rf: RationalFunction) -> FractionalDecomposition:

@@ -8,9 +8,10 @@ carries them as offsets t = s - 1 computed from the parameters.
 
 Each marginal family is one dataclass holding its closed forms: mobius()
 (the coefficients a, b, c, d of (a s + b) / (c s + d)), mean(), variance(),
-pmf(k), and geometric_form() = (atom, body, shift, ratio), which says that
-the law is an atom at zero plus, with probability body = 1 - atom, shift
-plus a geometric on {0,1,...} with failure ratio ratio. The sampler inverts
+pmf_column(lo, hi) (the pmf over a range of k, which pmf(k) reads), and
+geometric_form() = (atom, body, shift, ratio), which says that the law is
+an atom at zero plus, with probability body = 1 - atom, shift plus a
+geometric on {0,1,...} with failure ratio ratio. The sampler inverts
 that form. Each thinning holds its counting pgf, variance identity, draw
 and the law of the thinned count of c units (count_ratio, count_width).
 Both declare their parameter bounds once, as DOMAIN: (label, test) pairs,
@@ -68,6 +69,9 @@ class _Moebius(_Declared):
         a, b, c, _ = self.mobius()
         return offset_div(-(a + b), a), offset_div(-(a + b), c)
 
+    def pmf(self, k: int) -> float:
+        return self.pmf_column(k, k + 1)[0] if k >= 0 else 0.0
+
 
 @dataclass(frozen=True)
 class Geometric(_Moebius):
@@ -87,10 +91,10 @@ class Geometric(_Moebius):
         t2 = self.theta * self.theta  # 0 below theta ~ 1.5e-162: the variance overflows
         return (1.0 - self.theta) / t2 if t2 else math.inf
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        return (1.0 - self.theta) ** k * self.theta
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
+        q = 1.0 - self.theta
+        return [q ** k * self.theta for k in range(lo, hi)]
 
     def geometric_form(self) -> tuple[float, float, int, float]:
         return 0.0, 1.0, 0, 1.0 - self.theta
@@ -113,11 +117,10 @@ class GeometricMean(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.mu)
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        r = self.mu / (1.0 + self.mu)
-        return r ** k / (1.0 + self.mu)
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
+        r, d = self.mu / (1.0 + self.mu), 1.0 + self.mu
+        return [r ** k / d for k in range(lo, hi)]
 
     def geometric_form(self) -> tuple[float, float, int, float]:
         return 0.0, 1.0, 0, self.mu / (1.0 + self.mu)
@@ -146,13 +149,15 @@ class RhoGeometric(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.mu + self.rho) / (1.0 - self.rho) ** 2
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """Pr[X = k] for k in range(lo, hi), 0 <= lo: the body, plus the atom at 0."""
         atom = self.rho / (self.mu + self.rho)
         r = (self.mu + self.rho) / (1.0 + self.mu)
-        body = (1.0 - atom) * r ** k * (1.0 - self.rho) / (1.0 + self.mu)
-        return body + (atom if k == 0 else 0.0)
+        w, c, d = 1.0 - atom, 1.0 - self.rho, 1.0 + self.mu
+        col = [w * r ** k * c / d for k in range(lo, hi)]
+        if lo == 0 < hi:
+            col[0] += atom
+        return col
 
     def geometric_form(self) -> tuple[float, float, int, float]:
         atom = self.rho / (self.mu + self.rho)
@@ -182,13 +187,11 @@ class HurdleGeometric(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.rho) * (self.rho + (1.0 + self.rho) * (1.0 - self.mu))
 
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if k == 0:
-            return 1.0 - self.mu
-        r = self.rho / (1.0 + self.rho)
-        return self.mu * r ** (k - 1) / (1.0 + self.rho)
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
+        r, d = self.rho / (1.0 + self.rho), 1.0 + self.rho
+        col = [self.mu * r ** (k - 1) / d for k in range(max(lo, 1), hi)]
+        return [1.0 - self.mu, *col] if lo == 0 < hi else col
 
     def geometric_form(self) -> tuple[float, float, int, float]:
         return 1.0 - self.mu, self.mu, 1, self.rho / (1.0 + self.rho)

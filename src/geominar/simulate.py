@@ -20,7 +20,12 @@ the rest of u from one more word (_uniforms) and search its row. One call
 draws every bucket word, then the completion words, then (thinning) the
 counts above CAP, each in position order: BLOCK and THIN_BLOCK bound the
 temporaries and split no word, so they are not part of the seeded stream.
-Seeded paths changed in 0.4.0, 0.5.0 and 0.6.0; the law did not.
+Seeded paths changed in 0.4.0, 0.5.0 and 0.6.0; the law did not. The
+generation loop keeps each lineage's origin, the step of its generation-0
+count: generation g lives g steps later, so it is added to out[g:] at the
+origins and no index is shifted per generation. The sampler's paths are
+nonnegative by construction, so simulate_series builds its SeriesSample
+without the check that a SeriesSample built by a caller gets.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -51,7 +56,12 @@ class RngStream:
 
 @dataclass(frozen=True)
 class SeriesSample:
-    """A simulated trajectory with everything needed to reproduce it."""
+    """A simulated trajectory with everything needed to reproduce it.
+
+    A SeriesSample built by a caller is checked: a negative count raises
+    ValueError. simulate_series builds its own through _drawn, without that
+    pass over the path, whose counts are nonnegative by construction.
+    """
 
     values: np.ndarray
     model: INARModel
@@ -61,6 +71,13 @@ class SeriesSample:
     def __post_init__(self):
         if len(self.values) and self.values.min() < 0:
             raise ValueError("series contains negative counts")
+
+
+def _drawn(values: np.ndarray, model: INARModel, seed: RngStream, burn_in: int) -> SeriesSample:
+    """The SeriesSample of a path this module drew, without __post_init__'s min() pass."""
+    sample = object.__new__(SeriesSample)
+    vars(sample).update(values=values, model=model, seed=seed, burn_in=burn_in)
+    return sample
 
 
 # innovation draws per block, bounding their temporaries whatever n, and the
@@ -104,10 +121,13 @@ def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size:
     value or lies past the table, the rest of its uniform after all buckets."""
     cdf, guide, _ = d.sampling_table
     out = np.empty(size, dtype=np.int64)
+    bbuf = np.empty(min(BLOCK, size), dtype=np.intp)
     miss, top = [], []
     for start in range(0, size, BLOCK):
         k = out[start:start + BLOCK]
-        b = _bucket_bits(gen, k.size, GUIDE_MAX)
+        # take casts 16-bit indices more slowly than one copy into intp does
+        b = bbuf[:k.size]
+        b[...] = _bucket_bits(gen, k.size, GUIDE_MAX)
         # "clip" writes into k without the intermediate buffer of "raise"
         np.take(guide, b, out=k, mode="clip")
         # a miss (-1) and an index past the table (T + 1) both exceed T unsigned
@@ -254,21 +274,23 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
     out[0] = _sample_marginal(model, gen)
     if model.alpha == 0.0:
         # thinning by zero leaves no offspring: the path is X_0 and iid innovations
-        return SeriesSample(out[burn_in:], model, seed, burn_in)
-    # generation 0 is out itself; the last step has no successor
+        return _drawn(out[burn_in:], model, seed, burn_in)
+    # generation 0 is out itself; the last step has no successor. idx holds
+    # each lineage's origin, and generation g sits at idx + g, in out[g:]
     idx = np.flatnonzero(out[:-1] != 0)  # faster than on the int64 values
     cnt = out[idx]
+    g = 0
     while idx.size:
-        idx += 1
+        g += 1
         _thin(model.spec.thinning, gen, cnt)
         # positions once, then one gather each: faster than a boolean mask at
         # every size; rebinding idx before cnt[kept] frees the old idx first
         kept = (cnt > 0).nonzero()[0]
         idx = idx[kept]
         cnt = cnt[kept]
-        # indices are unique within a generation, so this equals out[idx] += cnt
-        np.add.at(out, idx, cnt)
-        if idx.size and idx[-1] == total - 1:
+        # origins are unique within a generation, so this equals out[g:][idx] += cnt
+        np.add.at(out[g:], idx, cnt)
+        if idx.size and idx[-1] == total - 1 - g:
             # idx is sorted, so only its last entry can sit on the last step
             idx, cnt = idx[:-1], cnt[:-1]
-    return SeriesSample(out[burn_in:], model, seed, burn_in)
+    return _drawn(out[burn_in:], model, seed, burn_in)

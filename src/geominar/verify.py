@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import INARModel
-from .decompose import (CLAMP_TOL, InnovationDistribution, hurdle_pmf, pmf_recursive,
+from .decompose import (CLAMP_TOL, InnovationDistribution, hurdle_pmf_column, pmf_recursive,
                         tail_dominance_margin, tail_geometric_approx)
 from .simulate import SeriesSample
 
@@ -55,16 +55,30 @@ def check_pgf_identity(model: INARModel, grid_points: int = 50,
 
     phi_X and phi_N are the spec's (an iid model's phi_X is its law's rf), and
     phi_e is evaluated from the derived decomposition (atoms plus residue
-    terms), so a perturbed residue or root shows up as a deviation."""
-    spec = model.spec
-    phi_x = model.law.rf if spec.marginal is None else spec.marginal.pgf
-    worst = 0.0
-    for i in range(grid_points):
-        s = 0.99 * i / (grid_points - 1) if grid_points > 1 else 0.0
-        lhs = phi_x(s)
-        rhs = phi_x(spec.thinning.pgf(s)) * model.decomposition.pgf_value(s)
-        worst = max(worst, abs(lhs - rhs))
+    terms), so a perturbed residue or root shows up as a deviation. The worst
+    deviation skips a nan one, as max over the points one at a time did."""
+    worst = np.fmax.reduce(_pgf_deviations(model, grid_points), initial=0.0)
     return VerificationReport((_check("pgf_identity_max_abs_deviation", worst, 0.0, tol),))
+
+
+def _pgf_deviations(model: INARModel, grid_points: int) -> np.ndarray:
+    """|phi_X(s) - phi_X(phi_N(s)) phi_e(s)| at s = 0.99 i / (grid_points - 1)
+    (s = 0 alone for one point), each the float that the same operations give
+    at one point: the pgfs are evaluated on the whole grid at once."""
+    spec = model.spec
+    i = np.arange(grid_points)
+    s = 0.99 * i / (grid_points - 1) if grid_points > 1 else np.zeros(i.size)
+    thinned = spec.thinning.pgf(s)
+    if spec.marginal is None:
+        rf = model.law.rf
+        reach = max(np.abs(s).max(initial=0.0), np.abs(thinned).max(initial=0.0))
+        rf(float(reach))  # the radius check of rf(s) at every point: it raises past it
+
+        def phi_x(x):
+            return rf.num(x) / rf.den(x)
+    else:
+        phi_x = spec.marginal.pgf
+    return np.abs(phi_x(s) - phi_x(thinned) * model.decomposition.pgf_value(s))
 
 
 def check_pmf_validity(d: InnovationDistribution, tol: float = 1e-10) -> VerificationReport:
@@ -86,9 +100,11 @@ def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationRepo
     and with its hurdle view, for m <= CROSS_METHOD_TERMS."""
     n = CROSS_METHOD_TERMS
     recursive = pmf_recursive(model.law.rf, n)
-    dec = model.decomposition
-    worst_rd = max(abs(dec.pmf(m) - recursive[m]) for m in range(n + 1))
-    worst_h = max(abs(hurdle_pmf(model.hurdle, m) - recursive[m]) for m in range(n + 1))
+    # the floats of dec.pmf(m) and hurdle_pmf(model.hurdle, m), formed in columns
+    dec = model.decomposition.pmf_column(0, n + 1)
+    hurdle = hurdle_pmf_column(model.hurdle, n + 1)
+    worst_rd = max(map(abs, map(operator.sub, dec, recursive)))
+    worst_h = max(map(abs, map(operator.sub, hurdle, recursive)))
     return VerificationReport((_check("recursion_vs_decomposition", worst_rd, 0.0, tol),
                                _check("recursion_vs_hurdle_form", worst_h, 0.0, tol)))
 
@@ -101,6 +117,7 @@ MOMENT_REL_TOL = 1e-7  # check_moments: closed forms vs pmf sums, relative
 MOMENT_N_SE = 4.0  # check_moments: empirical vs closed forms, in standard errors
 TAIL_MS = (5, 10, 20)  # the m at which check_tail_quality compares the tail
 CROSS_METHOD_TERMS = 200  # check_cross_method compares pmf values m = 0..this
+MARGINAL_ROWS = 1_000_000  # _marginal_central_moments sums at most this many pmf rows
 
 
 def _ess_factor(alpha: float) -> float:
@@ -108,20 +125,48 @@ def _ess_factor(alpha: float) -> float:
 
 
 def _marginal_central_moments(model: INARModel) -> tuple[float, float, float, float]:
-    """mean, m2, m3, m4 of the marginal law, summed to mean + 40 sd + 60 and on
-    until the geometric tail, whose ratio is 1 / R for the pole R = 1 + t (the
-    marginal's, or an iid law's smallest), is below 1e-20: from k = log(1e20) / log1p(t)."""
+    """mean, m2, m3, m4 of the marginal law: its pmf rows k < K summed, then each
+    geometric tail past them exactly.
+
+    K - 1 reaches mean + 40 sd + 60 and on until the geometric tail, whose ratio
+    is 1 / R for the pole R = 1 + t (the marginal's, or an iid law's smallest),
+    is below 1e-20: to k = log(1e20) / log1p(t); but K is at most MARGINAL_ROWS.
+    Past row K the law is geometric: the marginal's row K on with its ratio q,
+    an iid law's terms rho s^-(k+1) with q = 1/s. A tail of mass w past K adds
+    w E[(K + G - mean)^j] to the j-th sum, G geometric on {0, 1, ...}, which
+    its central moments give in closed form.
+    """
     mean, var = model.moments.marginal_mean, model.moments.marginal_var
     marginal = model.spec.marginal
     t = marginal.offsets()[1] if marginal else min(model.law.poles, default=math.inf)
-    span = max(int(mean + 40.0 * math.sqrt(var) + 60), math.ceil(math.log(1e20) / math.log1p(t)))
-    ks = np.arange(span + 1)
-    ps = np.array([model.marginal_pmf(int(k)) for k in ks])
-    mu = float(ps @ ks)
+    span = max(int(min(mean + 40.0 * math.sqrt(var) + 60, MARGINAL_ROWS)),
+               math.ceil(min(math.log(1e20) / math.log1p(t), MARGINAL_ROWS)))
+    rows = min(span + 1, MARGINAL_ROWS)
+    # the floats of model.marginal_pmf(k), k <= K, formed in a column
+    ps = (marginal or model.innovation).pmf_column(0, rows + 1)
+    if marginal:  # (w, q, 1 - q) per tail, from row K on
+        # q = 1 / (1 + t), so 1 - q = 1 / (1 + 1/t) keeps t's digits, which 1.0 - q
+        # loses where t is below about 1e-9 (the law's mean would move by 1e-7)
+        q, p = marginal.geometric_form()[3], 1.0 / (1.0 + 1.0 / t)
+        tails = [(ps[rows] / p, q, p)]
+    else:
+        tails = [(rho * s ** -rows / (s - 1.0), 1.0 / s, (s - 1.0) / s)
+                 for rho, s in model.decomposition.terms]
+    ks = np.arange(rows)
+    ps = np.array(ps[:rows])
+    mu = float(ps @ ks) + sum(w * (rows + q / p) for w, q, p in tails)
     centered = ks - mu
     m2 = float(ps @ centered**2)
     m3 = float(ps @ centered**3)
     m4 = float(ps @ centered**4)
+    for w, q, p in tails:
+        d = rows + q / p - mu  # the tail's mean less mu, then G's central moments
+        k2 = q / p / p
+        k3 = k2 * (1.0 + q) / p
+        k4 = k2 * (1.0 + q * (7.0 + q)) / p / p
+        m2 += w * (d * d + k2)
+        m3 += w * (d * d * d + 3.0 * d * k2 + k3)
+        m4 += w * (d**4 + 6.0 * d * d * k2 + 4.0 * d * k3 + k4)
     return mu, m2, m3, m4
 
 

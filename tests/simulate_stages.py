@@ -2,7 +2,7 @@
 
 For each point of grids.CANONICAL it simulates one path of --n steps
 (seed 1) and keeps every stage's inputs: the innovation law, generation 0,
-and per generation the surviving positions and counts before and after
+and per generation the lineages' origins and counts before and after
 thinning, with each generation's counts above simulate.CAP as simulate._thin
 hands them to the thinning's draw. The loop that collects them is
 simulate_series's own, calling simulate._thin with a recording stand-in for
@@ -17,7 +17,11 @@ and np.add.at of the survivors, simulate_series itself, the guide builds
 (simulate._guided of the innovation row, GUIDE_MAX buckets, and of the
 count rows, PER buckets each, from their CDFs made beforehand, each cell
 the mean of REPEATS back-to-back builds),
-verify.check_moments and verify.run_all_checks on the path. Each cell is
+verify.check_moments and verify.run_all_checks on the path, and the parts
+of run_all_checks that every command pays: simulate_series's SeriesSample
+construction (simulate._drawn, no pass over the path), check_pgf_identity,
+check_cross_method and verify._marginal_central_moments (each the mean of
+REPEATS calls), and verify._path_sums, check_moments' exact sums. Each cell is
 us per path in the fastest of --passes passes; the points with alpha = 0
 run no thinning stages and build no count rows. Then, per point, the share of the path's
 innovation draws and of its thinned entries that drew a completion word:
@@ -38,19 +42,23 @@ import numpy as np
 from geominar import simulate
 from geominar.catalog import build_model
 from geominar.simulate import RngStream, simulate_series
-from geominar.verify import check_moments, run_all_checks
+from geominar import verify
+from geominar.verify import check_cross_method, check_moments, check_pgf_identity, run_all_checks
 
 from grids import CANONICAL
 
 STAGES = ("innovation draws", "generation-0 gather", "thin: table lookup (counts <= CAP)",
           "thin: counts > CAP (draw)", "thin: whole _thin", "keep + np.add.at",
           "simulate_series (whole)", "guide build: innovation row", "guide build: count rows",
-          "check_moments", "run_all_checks")
+          "check_moments", "run_all_checks", "SeriesSample construction", "check_pgf_identity",
+          "check_cross_method", "_marginal_central_moments", "_path_sums")
 SHARES = ("innovation draws", "thinned entries")
-# builds per timed call of the guide stages, each cell the mean per build: one
-# build, tens of us, right after simulate_series would mostly time the cold
-# caches that stage leaves (a few small numpy calls took about 100 us there)
-REPEATS = {"guide build: innovation row": 20, "guide build: count rows": 20}
+# calls per timed call of the stages of tens of us, each cell the mean per call:
+# one call right after simulate_series would mostly time the cold caches that
+# stage leaves (a few small numpy calls took about 100 us there)
+REPEATS = {"guide build: innovation row": 20, "guide build: count rows": 20,
+           "SeriesSample construction": 20, "check_pgf_identity": 20,
+           "check_cross_method": 20, "_marginal_central_moments": 20}
 
 
 class _Counting:
@@ -91,9 +99,10 @@ class _Recording:
 
 
 def _generations(model, n: int, seed: RngStream):
-    """simulate_series's loop, recording each generation: (positions, counts
-    before and after thinning); with generation 0's array, the recorder and
-    the completion words of the innovations and of the thinning."""
+    """simulate_series's loop, recording each generation g: (g, the lineages'
+    origins, counts before and after thinning); with generation 0's array,
+    the recorder and the completion words of the innovations and of the
+    thinning."""
     gen = _Counting(seed.generator())
     out = simulate._innovation_draws(model.innovation, gen, n)
     completions = {"innovations": gen.words - _bucket_words(n, simulate.GUIDE_MAX), "thinned": 0}
@@ -104,18 +113,19 @@ def _generations(model, n: int, seed: RngStream):
     if model.alpha != 0.0:
         idx = np.flatnonzero(out[:-1] != 0)
         cnt = out[idx]
+        g = 0
         while idx.size:
-            idx += 1
+            g += 1
             before = cnt.copy()
             words = gen.words
             simulate._thin(recorder, gen, cnt)
             completions["thinned"] += gen.words - words - _bucket_words(cnt.size, simulate.PER)
-            generations.append((idx.copy(), before, cnt.copy()))
+            generations.append((g, idx.copy(), before, cnt.copy()))
             kept = (cnt > 0).nonzero()[0]
             idx = idx[kept]
             cnt = cnt[kept]
-            np.add.at(out, idx, cnt)
-            if idx.size and idx[-1] == n - 1:
+            np.add.at(out[g:], idx, cnt)
+            if idx.size and idx[-1] == n - 1 - g:
                 idx, cnt = idx[:-1], cnt[:-1]
     if not np.array_equal(out, simulate_series(model, n, seed).values):
         raise RuntimeError("the recorded loop no longer draws simulate_series's path")
@@ -128,7 +138,7 @@ def _stages(name: str, params: dict, n: int) -> dict:
     model = build_model(name, **params)
     seed = RngStream(1)
     first, generations, rec, completions = _generations(model, n, seed)
-    thinned = sum(before.size for _, before, _ in generations)
+    thinned = sum(before.size for _, _, before, _ in generations)
     shares = {SHARES[0]: completions["innovations"] / n,
               SHARES[1]: completions["thinned"] / thinned if thinned else float("nan")}
     sample = simulate_series(model, n, seed)
@@ -140,7 +150,7 @@ def _stages(name: str, params: dict, n: int) -> dict:
         idx = np.flatnonzero(first[:-1] != 0)
         return first[idx]
 
-    small = [before[before <= simulate.CAP] for _, before, _ in generations]
+    small = [before[before <= simulate.CAP] for _, _, before, _ in generations]
     innovation_cdf = model.innovation.sampling_table[0]
     count_cdf = thinning.count_table[0] if generations else None
 
@@ -157,13 +167,13 @@ def _stages(name: str, params: dict, n: int) -> dict:
             thinning.draw(gen, x)
 
     def whole_thin():
-        for _, before, _ in generations:
+        for _, _, before, _ in generations:
             simulate._thin(thinning, gen, before.copy())
 
     def keep():
-        for idx, _, after in generations:
+        for g, idx, _, after in generations:
             kept = (after > 0).nonzero()[0]
-            np.add.at(scratch, idx[kept], after[kept])
+            np.add.at(scratch[g:], idx[kept], after[kept])
 
     return shares, {
         "innovation draws": lambda: simulate._innovation_draws(model.innovation, gen, n),
@@ -178,6 +188,11 @@ def _stages(name: str, params: dict, n: int) -> dict:
         "guide build: count rows": count_guide,
         "check_moments": lambda: check_moments(model, sample),
         "run_all_checks": lambda: run_all_checks(model, sample),
+        "SeriesSample construction": lambda: simulate._drawn(sample.values, model, seed, 0),
+        "check_pgf_identity": lambda: check_pgf_identity(model),
+        "check_cross_method": lambda: check_cross_method(model),
+        "_marginal_central_moments": lambda: verify._marginal_central_moments(model),
+        "_path_sums": lambda: verify._path_sums(sample.values),
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -18,6 +19,7 @@ from geominar.polyrat import Polynomial
 from geominar.simulate import (
     GUIDE_MAX,
     RngStream,
+    SeriesSample,
     sample_innovation,
     simulate_series,
 )
@@ -730,3 +732,27 @@ class TestSimulateSeries:
             simulate_series(model, 0, RngStream(0))
         with pytest.raises(ValueError):
             simulate_series(model, 10, RngStream(0), burn_in=-1)
+
+
+class TestSeriesSample:
+    def test_built_sample_with_a_negative_count_raises(self):
+        model = build_model("ginar", theta=0.5, alpha=0.5)
+        with pytest.raises(ValueError, match="negative"):
+            SeriesSample(np.array([3, -1, 2], dtype=np.int64), model, RngStream(0), 0)
+        for values in ([3, 0, 2], []):
+            SeriesSample(np.array(values, dtype=np.int64), model, RngStream(0), 0)
+
+    def test_drawn_sample_skips_the_check(self, monkeypatch):
+        # the sampler's paths are nonnegative by construction, so simulate_series
+        # builds its sample without the min() pass, thinned or iid
+        def checked(self):
+            raise AssertionError("a drawn path was checked")
+
+        monkeypatch.setattr(SeriesSample, "__post_init__", checked)
+        for name in ("ginar", "zmg"):
+            model = build_model(name, **CANONICAL[name])
+            s = simulate_series(model, 1000, RngStream(4, 2), burn_in=5)
+            assert type(s) is SeriesSample
+            assert (s.model, s.seed, s.burn_in, len(s.values)) == (model, RngStream(4, 2), 5, 1000)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.burn_in = 0

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -9,6 +12,8 @@ import pytest
 from geominar import verify
 from geominar.catalog import build_model
 from geominar.cli import main
+from geominar.decompose import hurdle_pmf, hurdle_pmf_column, pmf_recursive
+from geominar.errors import DomainViolationError
 from geominar.simulate import RngStream, SeriesSample, simulate_series
 from geominar.verify import (
     check_cross_method,
@@ -19,8 +24,12 @@ from geominar.verify import (
     run_all_checks,
 )
 
-from grids import CANONICAL
+from grids import CANONICAL, GRIDS, WIDE
 from test_acceptance import _with_terms
+
+# the 220 grid points, the WIDE points and the canonical points
+POINTS = [(name, params) for name in GRIDS for params in GRIDS[name]] + WIDE + \
+    list(CANONICAL.items())
 
 
 def perturb_residue(model, factor=1.01, index=0):
@@ -89,6 +98,79 @@ class TestPgfIdentity:
         assert not rep.overall
         # deviation magnitude is about 0.01 * rho_1 / (s_1 - s) on [0, 0.99]
         assert rep.checks[0].observed == pytest.approx(0.01 * 0.5 / (2.0 - 0.99), rel=0.05)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.fixture(scope="module")
+def models():
+    return [build_model(name, **params) for name, params in POINTS]
+
+
+class TestColumnForms:
+    """verify evaluates its pmfs and pgfs in columns; the scalar forms, one
+    value at a time, are the oracles, and every float must be theirs."""
+
+    def test_cross_method_columns_are_the_scalar_floats(self, models):
+        n = verify.CROSS_METHOD_TERMS
+        for model in models:
+            dec, h = model.decomposition, model.hurdle
+            scalar_dec = [dec.pmf(m) for m in range(n + 1)]
+            scalar_h = [hurdle_pmf(h, m) for m in range(n + 1)]
+            assert _hex(dec.pmf_column(0, n + 1)) == _hex(scalar_dec), model.name
+            assert _hex(hurdle_pmf_column(h, n + 1)) == _hex(scalar_h), model.name
+            # and the reported values are the per-m maxima the scalar loop gave
+            rec = pmf_recursive(model.law.rf, n)
+            worst = (max(abs(dec.pmf(m) - rec[m]) for m in range(n + 1)),
+                     max(abs(hurdle_pmf(h, m) - rec[m]) for m in range(n + 1)))
+            assert _hex(c.observed for c in check_cross_method(model).checks) == _hex(worst)
+
+    def test_pmf_columns_start_anywhere(self, models):
+        for model in models[::7]:
+            dec = model.decomposition
+            assert _hex(dec.pmf_column(5, 40)) == _hex(dec.pmf(m) for m in range(5, 40))
+            assert dec.pmf_column(40, 40) == []
+
+    def test_iid_columns_cross_the_table_end(self):
+        # the marginal of an iid model is its innovation law: table rows, then
+        # the clamped decomposition
+        for name in ("zmg", "two-param"):
+            law = build_model(name, **CANONICAL[name]).innovation
+            hi = law.truncation + 30
+            for lo in (0, law.truncation - 3, law.truncation + 1):
+                assert _hex(law.pmf_column(lo, hi)) == _hex(law.pmf(m) for m in range(lo, hi))
+
+    @staticmethod
+    def _scalar_deviations(model, grid_points: int) -> list[float]:
+        """check_pgf_identity's per-point loop of 0.6.1."""
+        spec = model.spec
+        phi_x = model.law.rf if spec.marginal is None else spec.marginal.pgf
+        out = []
+        for i in range(grid_points):
+            s = 0.99 * i / (grid_points - 1) if grid_points > 1 else 0.0
+            rhs = phi_x(spec.thinning.pgf(s)) * model.decomposition.pgf_value(s)
+            out.append(abs(phi_x(s) - rhs))
+        return out
+
+    @pytest.mark.parametrize("grid_points", [50, 2, 1])
+    def test_pgf_deviations_are_the_scalar_floats(self, models, grid_points):
+        # iid rows included: their phi_X is the law's rf, checked against its
+        # radius once instead of at each point
+        for model in models:
+            scalar = self._scalar_deviations(model, grid_points)
+            assert _hex(verify._pgf_deviations(model, grid_points)) == _hex(scalar), model.name
+            observed = check_pgf_identity(model, grid_points).checks[0].observed
+            assert observed.hex() == max([0.0, *scalar]).hex()
+
+    def test_iid_radius_is_still_checked(self):
+        # a radius below the grid's reach raises as rf(s) did at each point
+        model = build_model("zmg", **CANONICAL["zmg"])
+        law = dataclasses.replace(model.law)
+        vars(law)["rf"] = dataclasses.replace(model.law.rf, radius=0.5)
+        with pytest.raises(DomainViolationError):
+            check_pgf_identity(dataclasses.replace(model, law=law))
 
 
 class TestPmfValidity:
@@ -272,6 +354,54 @@ class TestMoments:
         line = next(x for x in capsys.readouterr().out.splitlines()
                     if "marginal_var_empirical" in x)
         assert float(line.split("tol=")[1]) > 0.0
+
+
+class TestMarginalMoments:
+    def test_bounded_rows_add_the_exact_geometric_tails(self, monkeypatch):
+        # 12 rows and the exact tails past them give the sums of the full rows
+        # (to where the tail is below 1e-20) to within rounding
+        points = list(CANONICAL.items()) + [(n, p) for n in GRIDS for p in GRIDS[n][::4]]
+        for name, params in points:
+            model = build_model(name, **params)
+            full = verify._marginal_central_moments(model)
+            monkeypatch.setattr(verify, "MARGINAL_ROWS", 12)
+            cut = verify._marginal_central_moments(model)
+            monkeypatch.undo()
+            sd = math.sqrt(full[1])
+            scales = (max(1.0, abs(full[0])), sd**2, sd**3, sd**4)
+            for j, (a, b, scale) in enumerate(zip(full, cut, scales)):
+                assert abs(a - b) <= 1e-12 * scale, (name, params, j, a, b)
+
+    @pytest.mark.parametrize("name, params", [
+        # marginal poles 1e-10, 3e-11 and 1e-9 from s = 1: nearly all of the mass
+        # lies past the 1e6 rows, in the tail, whose 1 - q must keep t's digits
+        ("ginar", {"theta": 1e-10, "alpha": 0.5}),
+        ("ginar", {"theta": 3e-11, "alpha": 0.9}),
+        ("nginar", {"mu": 1e9, "alpha": 0.5}),
+    ])
+    def test_tail_past_the_rows_gives_the_closed_moments(self, name, params):
+        model = build_model(name, **params)
+        mean, m2, _, _ = verify._marginal_central_moments(model)
+        assert mean == pytest.approx(model.moments.marginal_mean, rel=1e-9)
+        assert m2 == pytest.approx(model.moments.marginal_var, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        # marginal poles 1e-8 and 3e-10 from s = 1: summing the pmf until the
+        # tail is below 1e-20 took 4.6e9 and 1.5e11 rows (34.3 GiB, 1.12 TiB)
+        ["ginar", "--theta", "1e-8", "--alpha", "0.9999999999999999", "--n", "200"],
+        ["rho-geo-nb", "--mu", "1e-300", "--rho", "0.9999999997", "--alpha", "1e-16",
+         "--n", "200"],
+    ])
+    def test_pole_near_one_is_verified_in_bounded_memory(self, argv):
+        # a pass or a failed check, never an internal error; in a child whose
+        # address space is capped, so that a regression cannot take the machine
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+        proc = subprocess.run([sys.executable, "-m", "geominar", "verify", *argv],
+                              capture_output=True, text=True, preexec_fn=cap, timeout=120)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "marginal_var_pmf_vs_closed" in proc.stdout
 
 
 class TestTailQuality:
