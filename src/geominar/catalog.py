@@ -25,6 +25,7 @@ marginal and thinning (which declare their bounds and give the InnovationLaw)
 and its closed-form checks; an iid row declares bounds, factor and moments.
 Each bound and check is a (label, test) pair; validate_params reports its
 label with the test's result, and `geominar catalog` lists the same labels.
+Every row ends with _FINAL: poles s = 1 + t > 1 as doubles, pmf nonnegative.
 
 The innovation moments of a thinned family follow from its marginal's by
 the stationarity identity phi_X(s) = phi_X(phi_N(s)) phi_e(s) at s = 1
@@ -137,8 +138,8 @@ def validate_params(name: str, **params: float) -> tuple[Constraint, ...]:
     """Every applicable validity condition with a boolean and signed margin.
 
     The model is buildable iff all entries are satisfied, short of the build's
-    own refusals (a pole that rounds onto s = 1, a law that the recursion's
-    values contradict); its table's refusals come at first use. Each
+    two self-checks, where digits are lost (a law that the recursion contradicts,
+    a hurdle view outside its bounds); its table refuses at first use. Each
     entry is exact, pmf nonnegativity at every m too (_pmf_nonnegative).
     """
     entry = _entry(name)
@@ -161,7 +162,7 @@ def _validate(entry: _Entry, p: dict) -> tuple[tuple[Constraint, ...], ModelSpec
         c, b, diff = entry.factor(**p)
         law = InnovationLaw(((offset_div(1.0, c), offset_div(1.0, b),
                               offset_div(offset_div(diff, b), c)),))
-    out += [_constraint(label, *test(p, spec, law)) for label, test in entry.checks]
+    out += [_constraint(label, *test(p, spec, law)) for label, test in entry.checks + _FINAL]
     return tuple(out), spec, law
 
 
@@ -212,11 +213,7 @@ def build_model(name: str, **params: float) -> INARModel:
     p = _coerce_params(entry, params)
     constraints, spec, law = _validate(entry, p)
     _refuse(name, constraints)
-    marginal_pole = spec.marginal.offsets()[1:] if spec.marginal else ()
-    for t in law.poles + marginal_pole:  # the marginal's too: the law may drop its factor
-        if not 1.0 + t > 1.0:  # a named refusal, not a term at s = 1
-            raise GeominarError(f"{name}: pole s = 1 + {t!r} rounds onto 1 in double precision")
-    dec = law.decomposition()
+    dec = law.decomposition
     _cross_check(pmf_recursive(law.rf, 32), dec)
     return INARModel(name, dict(p), spec, law, dec, decomposition_to_hurdle(dec),
                      _moments(entry, spec, p), constraints)
@@ -257,7 +254,7 @@ class _Entry:
     @property
     def labels(self) -> tuple[str, ...]:
         """Every constraint name validate_params reports, in its order; nothing is evaluated."""
-        return tuple(label for label, _ in self.bounds + self.checks)
+        return tuple(label for label, _ in self.bounds + self.checks + _FINAL)
 
     def marginal_params(self, p: dict) -> dict:
         return {f.name: p[f.name] for f in fields(self.marginal)}
@@ -280,49 +277,53 @@ def _at_most_ratio(x: str, y: str) -> tuple[str, Callable]:
 
 
 def _roots_ordered(p, spec, law):
-    # t1: the marginal's pole (s1 = 1 + t1 > 1 as a float); t2: its zero's preimage
+    # t1: the marginal's pole (s1 = 1 + t1 > 1); t2: its zero's preimage
     z, t1 = spec.marginal.offsets()
     t2 = spec.thinning.preimage(z)[0]
-    s1_margin = t1 if 1.0 + t1 > 1.0 else min(t1, 0.0)  # s1 rounded onto 1 is 0 away
-    return 1.0 + t1 > 1.0 and t2 >= t1 - 1e-12, min(s1_margin, t2 - t1)
+    return t1 > 0.0 and t2 >= t1 - 1e-12, min(t1, t2 - t1)
+
+
+def _poles_above_one(p, spec, law):
+    # the marginal's pole too: the law may drop its factor. (1 + t) - 1, monotone in
+    # t, is 0 exactly where s rounds onto 1, which no term at s = 1 can stand for
+    t = min(law.poles + (spec.marginal.offsets()[1:] if spec.marginal else ()), default=math.inf)
+    margin = (1.0 + t) - 1.0
+    return margin > 0.0, margin
 
 
 def _pmf_nonnegative(p, spec, law):
     # Past its atoms (degree <= 1) the pmf is r1 x1^(m+1) + r2 x2^(m+1), x_j = 1/s_j and
     # 1 > x1 > x2, or x2^(m+1) (r1 (x1/x2)^(m+1) + r2), whose bracket is monotone in m: so
     # the rows to one past the atoms and, if a residue is negative, the dominant one settle
-    # every m. The offsets give the rows where s = 1 + t rounds onto 1: the build names that.
+    # every m. The rows are the floats of the law's one decomposition.
     try:
-        atoms, rho = law.atoms, law.residues
-    except GeominarError:  # poles not distinct
+        dec = law.decomposition
+    except GeominarError:  # poles not distinct, or one at or inside s = 1
         return False, -math.inf
-    if len(rho) > 2 or min(law.poles, default=1.0) <= 0.0:  # no such bracket
-        return False, -math.inf
-    values = [a + sum(r * (1.0 + t) ** -(m + 1) for r, t in zip(rho, law.poles))
-              for m, a in enumerate((*atoms, 0.0))]
-    values += [rho[0]] if min(rho, default=0.0) < 0.0 else []
-    if not math.isfinite(sum(values)):  # a nan or inf row has no sign to read
+    values = dec.pmf_column(0, dec.atom_poly.degree + 2)
+    values += [dec.terms[0][0]] if min((r for r, _ in dec.terms), default=0.0) < 0.0 else []
+    if len(dec.terms) > 2 or not math.isfinite(sum(values)):  # no such bracket, or a nan row
         return False, -math.inf
     return min(values) >= -CLAMP_TOL, min(values)
 
 
-_NONNEGATIVE = ("innovation pmf nonnegative", _pmf_nonnegative)
-_ROOTS_AND_SIGN = (("roots ordered s2 >= s1 > 1", _roots_ordered), _NONNEGATIVE)
+# the checks that end every row: the first decides whether the second can read the law
+_FINAL = (("poles s = 1 + t > 1 in double precision", _poles_above_one),
+          ("innovation pmf nonnegative", _pmf_nonnegative))
+_ROOTS_ORDERED = ("roots ordered s2 >= s1 > 1", _roots_ordered)
 
 _ENTRIES = {e.name: e for e in (
     _Entry("ginar", ("theta", "alpha"), Geometric, BinomialThinning,
-           "geometric marginal, binomial thinning; zero-inflated geometric innovations",
-           checks=(_NONNEGATIVE,)),
+           "geometric marginal, binomial thinning; zero-inflated geometric innovations"),
     _Entry("nginar", ("mu", "alpha"), GeometricMean, NegativeBinomialThinning,
            "geometric marginal (mean mu), negative binomial thinning",
-           checks=(_at_most_ratio("alpha", "mu"), _NONNEGATIVE)),
+           checks=(_at_most_ratio("alpha", "mu"),)),
     _Entry("zmg", ("mu", "k"), None, BinomialThinning,
            "zero-modified geometric innovation law (iid model, alpha = 0)",
            iid_bounds=(("mu > 0", lambda p: interval(p["mu"], 0.0)),
                        ("k >= -1/mu", lambda p: interval(p["k"], offset_div(-1.0, p["mu"]),
                                                          lo_closed=True, slack=1e-12)),
                        ("k < 1", lambda p: interval(p["k"], hi=1.0))),
-           checks=(_NONNEGATIVE,),
            factor=lambda mu, k: (k * mu, mu, mu * (k - 1.0)),
            moments=lambda mu, k: ((1.0 - k) * mu, (1.0 - k) * mu * (1.0 + mu + k * mu))),
     _Entry("two-param", ("r", "m"), None, BinomialThinning,
@@ -331,20 +332,19 @@ _ENTRIES = {e.name: e for e in (
                        ("m > 0", lambda p: interval(p["m"], 0.0)),
                        ("m <= 1 + r", lambda p: interval(p["m"], hi=1.0 + p["r"],
                                                          hi_closed=True, slack=1e-12))),
-           checks=(_NONNEGATIVE,),
            factor=lambda r, m: (r - m, r, -m),
            moments=lambda r, m: (m, m * (1.0 + 2.0 * r - m))),
     _Entry("rho-geo-bin", ("mu", "rho", "alpha"), RhoGeometric, BinomialThinning,
            "zero-inflated geometric marginal, binomial thinning; hurdle innovations",
-           checks=_ROOTS_AND_SIGN),
+           checks=(_ROOTS_ORDERED,)),
     _Entry("hurdle-geo-bin", ("mu", "rho", "alpha"), HurdleGeometric, BinomialThinning,
            "hurdle geometric marginal, binomial thinning; hurdle innovations",
-           checks=(_at_most_ratio("mu", "rho"), *_ROOTS_AND_SIGN)),
+           checks=(_at_most_ratio("mu", "rho"), _ROOTS_ORDERED)),
     _Entry("rho-geo-nb", ("mu", "rho", "alpha"), RhoGeometric, NegativeBinomialThinning,
            "zero-inflated geometric marginal, negative binomial thinning",
-           checks=_ROOTS_AND_SIGN),
+           checks=(_ROOTS_ORDERED,)),
     _Entry("hurdle-geo-nb", ("mu", "rho", "alpha"), HurdleGeometric, NegativeBinomialThinning,
-           "hurdle geometric marginal, negative binomial thinning", checks=_ROOTS_AND_SIGN),
+           "hurdle geometric marginal, negative binomial thinning", checks=(_ROOTS_ORDERED,)),
 )}
 
 MODEL_NAMES = tuple(_ENTRIES)

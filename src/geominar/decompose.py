@@ -67,14 +67,11 @@ class FractionalDecomposition:
         object.__setattr__(self, "terms", terms)
 
     def pmf(self, m: int) -> float:
-        v = self.atom_poly.coeff(m)
-        for rho, s in self.terms:
-            v += rho * s ** (-(m + 1))  # negative power underflows to 0, never overflows
-        return v
+        return self.pmf_column(m, m + 1)[0]
 
     def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """[pmf(m) for m in range(lo, hi)], 0 <= lo, the floats pmf gives, formed
-        a column at a time: each term's column added to the atom column in turn."""
+        """[pmf(m) for m in range(lo, hi)], 0 <= lo, formed a column at a time: each term's
+        column (s^-(m+1) underflows to 0, never overflows) added to the atoms' in turn."""
         values = list(self.atom_poly.coeffs[lo:hi])
         values += [0.0] * (hi - lo - len(values))
         for rho, s in self.terms:
@@ -119,14 +116,10 @@ class InnovationDistribution:
         return len(self.pmf_table) - 1
 
     def pmf(self, m: int) -> float:
-        if m < 0:
-            return 0.0
-        if m <= self.truncation:
-            return self.pmf_table[m]
-        return max(self.decomposition.pmf(m), 0.0)
+        return self.pmf_column(m, m + 1)[0] if m >= 0 else 0.0
 
     def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """[pmf(m) for m in range(lo, hi)], 0 <= lo, the floats pmf gives."""
+        """[pmf(m) for m in range(lo, hi)], 0 <= lo: the table's rows, then the law's >= 0."""
         beyond = self.decomposition.pmf_column(max(lo, self.truncation + 1), hi)
         return [*self.pmf_table[lo:hi], *(max(v, 0.0) for v in beyond)]
 

@@ -381,8 +381,9 @@ class InnovationLaw:
         const = 1.0 - sum(r / p for r, p in zip(self.residues, self.poles)) - gain
         return (const, gain) if excess else (gain,)
 
+    @functools.cached_property
     def decomposition(self) -> FractionalDecomposition:
-        """The atoms plus a term (rho_j, s_j = 1 + pole_j) per pole."""
+        """The atoms plus a term (rho_j, s_j = 1 + pole_j) per pole: every pmf value's source."""
         terms = tuple((r, 1.0 + p) for r, p in zip(self.residues, self.poles))
         return FractionalDecomposition(Polynomial(self.atoms), terms)
 

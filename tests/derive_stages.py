@@ -2,9 +2,10 @@
 
 Runs `derive <model> <flags>` at the 220 points of grids.GRIDS in process
 and times each stage on its own, from inputs prepared beforehand: argument
-parsing, catalog._validate (and, inside it, the `innovation pmf nonnegative`
-check on its own, with the law's residues formed already),
-law.decomposition(), pmf_from_decomposition (derive's only tabulation,
+parsing, catalog._validate (and, inside it, the pole check and the
+`innovation pmf nonnegative` check on their own, with the law's poles and
+decomposition formed already), the decomposition's formation (the cached
+law.decomposition, formed afresh), pmf_from_decomposition (derive's only tabulation,
 at its --truncation-mass: the build tabulates nothing), the cross-check's
 pmf_recursive(law.rf, 32), catalog._cross_check of the decomposition
 against those values, cli._derive_json and cli._emit to a fresh file;
@@ -21,9 +22,10 @@ import time
 from itertools import count
 from pathlib import Path
 
-from geominar.catalog import _coerce_params, _cross_check, _entry, _validate
+from geominar.catalog import _FINAL, _coerce_params, _cross_check, _entry, _validate
 from geominar.cli import _derive_json, _emit, build_parser, main
 from geominar.decompose import pmf_from_decomposition, pmf_recursive
+from geominar.pgf import InnovationLaw
 
 from grids import GRIDS
 
@@ -32,7 +34,8 @@ def _stages(out_dir: Path) -> dict[str, list]:
     """Per stage, one call per grid point, each with its inputs made already."""
     fresh = (str(out_dir / f"{i}.json") for i in count())
     stages = {name: [] for name in (
-        "argument parsing", "_validate", "  pmf nonnegative check", "law.decomposition",
+        "argument parsing", "_validate", "  pole check", "  pmf nonnegative check",
+        "law.decomposition",
         "pmf_from_decomposition", "pmf_recursive(rf, 32)", "_cross_check", "_derive_json",
         "_emit (fresh file)", "main (whole derive)")}
     parser = build_parser()
@@ -41,8 +44,8 @@ def _stages(out_dir: Path) -> dict[str, list]:
         entry = _entry(name)
         p = _coerce_params(entry, params)
         _, spec, law = _validate(entry, p)
-        nonnegative = dict(entry.checks)["innovation pmf nonnegative"]
-        dec = law.decomposition()
+        checks = dict(_FINAL)
+        dec = law.decomposition
         recursive = pmf_recursive(law.rf, 32)
         path = Path(next(fresh))
         main([*argv, "--output", str(path)])
@@ -51,9 +54,12 @@ def _stages(out_dir: Path) -> dict[str, list]:
         rows = tuple(v for _, v in doc.pop("pmf"))
         stages["argument parsing"].append(lambda argv=argv: parser.parse_args(argv))
         stages["_validate"].append(lambda entry=entry, p=p: _validate(entry, p))
-        stages["  pmf nonnegative check"].append(
-            lambda f=nonnegative, p=p, spec=spec, law=law: f(p, spec, law))
-        stages["law.decomposition"].append(law.decomposition)
+        for stage, label in (("  pole check", "poles s = 1 + t > 1 in double precision"),
+                             ("  pmf nonnegative check", "innovation pmf nonnegative")):
+            stages[stage].append(
+                lambda f=checks[label], p=p, spec=spec, law=law: f(p, spec, law))
+        stages["law.decomposition"].append(
+            lambda law=law: InnovationLaw.decomposition.func(law))
         stages["pmf_from_decomposition"].append(lambda dec=dec: pmf_from_decomposition(dec))
         stages["pmf_recursive(rf, 32)"].append(lambda rf=law.rf: pmf_recursive(rf, 32))
         stages["_cross_check"].append(lambda r=recursive, dec=dec: _cross_check(r, dec))

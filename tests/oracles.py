@@ -124,11 +124,31 @@ def oracle_moments(name: str, n: int = 6000, **p) -> tuple[float, float]:
     return m1, m2 - m1 * m1
 
 
+def scalar_pmf(dec, m: int) -> float:
+    """A FractionalDecomposition's pmf at m, one value at a time: the atom
+    coefficient, then rho * s^-(m+1) per term in the decomposition's order
+    (a negative power underflows to 0, never overflows)."""
+    v = dec.atom_poly.coeff(m)
+    for rho, s in dec.terms:
+        v += rho * s ** (-(m + 1))
+    return v
+
+
+def scalar_innovation_pmf(dist, m: int) -> float:
+    """An InnovationDistribution's pmf at m: 0 below 0, the table's row up to
+    its truncation, the decomposition's value clamped at 0 past it."""
+    if m < 0:
+        return 0.0
+    if m <= dist.truncation:
+        return dist.pmf_table[m]
+    return max(scalar_pmf(dist.decomposition, m), 0.0)
+
+
 def loop_pmf_table(dec, target_mass: float) -> tuple[float, ...]:
     """The pmf table tabulated one row at a time, as pmf_from_decomposition
-    did before it built blocks of columns: dec.pmf(m) and dec.remaining_mass(m)
-    per row, with the same clamp, stop rule, tail certificate, refusals and
-    1e6-row cap."""
+    did before it built blocks of columns: scalar_pmf(dec, m) and
+    dec.remaining_mass(m) per row, with the same clamp, stop rule, tail
+    certificate, refusals and 1e6-row cap."""
     from geominar.decompose import CLAMP_TOL, _tail_certified
     from geominar.errors import GeominarError, NegativeProbabilityError
 
@@ -140,7 +160,7 @@ def loop_pmf_table(dec, target_mass: float) -> tuple[float, ...]:
     cum = 0.0
     m = 0
     while True:
-        v = dec.pmf(m)
+        v = scalar_pmf(dec, m)
         if v < -CLAMP_TOL:
             raise NegativeProbabilityError(f"pmf entry at m={m} is {v!r}")
         v = max(v, 0.0)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -5,10 +6,13 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geominar import decompose, pgf, polyrat
 from geominar.catalog import (
     MODEL_NAMES,
+    _FINAL,
     _entry,
     _validate,
     build_model,
@@ -26,6 +30,8 @@ from geominar.errors import (
     ValidityViolationError,
 )
 from geominar.pgf import InnovationLaw
+from geominar.simulate import RngStream, simulate_series
+from geominar.verify import run_all_checks
 
 from grids import CANONICAL, GRIDS, WIDE
 from oracles import exact_moments, oracle_moments, oracle_pmf
@@ -110,17 +116,19 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_build_derives_pgf_and_recursion_once(self, name, monkeypatch, capsys):
-        # validation's innovation law serves the build, which decomposes it
-        # once and cross-checks the 33 values m = 0..32 of one recursion; the
+        # validation's innovation law serves the build: its cached decomposition
+        # is formed once, for the constraints, and the build cross-checks the 33 values m = 0..32 of one recursion; the
         # iid entries give their offsets directly. The build tabulates
         # nothing: derive tabulates once, at the mass it is given
         law_calls = count_calls(monkeypatch, pgf, "innovation_law")
         recursions = count_calls(monkeypatch, decompose, "pmf_recursive")
         tabulations = count_calls(monkeypatch, decompose, "pmf_from_decomposition")
         decompositions = []
-        decomposition = pgf.InnovationLaw.decomposition
-        monkeypatch.setattr(pgf.InnovationLaw, "decomposition",
-                            lambda law: decompositions.append(law) or decomposition(law))
+        decomposition = pgf.InnovationLaw.decomposition.func
+        counted = functools.cached_property(
+            lambda law: decompositions.append(law) or decomposition(law))
+        counted.__set_name__(pgf.InnovationLaw, "decomposition")
+        monkeypatch.setattr(pgf.InnovationLaw, "decomposition", counted)
         model = build_model(name, **CANONICAL[name])
         assert len(law_calls) == (0 if name in ("zmg", "two-param") else 1)
         assert [n for _, n in recursions] == [32]
@@ -164,15 +172,16 @@ class TestBuildModel:
 
     def test_extreme_inputs_raise_only_geominar_errors(self):
         # tiny, huge, subnormal and near-one parameters, signed zeros and the
-        # bounds themselves: every failure names its cause as a GeominarError
+        # bounds themselves: every failure names its cause as a GeominarError,
+        # and the build refuses exactly where the report does
         points = _fuzz_points()
         assert len(points) == 300
         for name, params in points:
-            for f in (build_model, closed_form_moments):
-                try:
-                    f(name, **params)
-                except GeominarError:
-                    pass
+            _verdict(name, params)
+            try:
+                closed_form_moments(name, **params)
+            except GeominarError:
+                pass
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_model_carries_its_validation_report(self, name):
@@ -204,16 +213,14 @@ class TestValidateParams:
 
     def test_violated_constraints_have_nonpositive_margins(self):
         # a negative alpha or rho once printed its distance to 1, and a pole
-        # rounding onto s = 1 its tiny positive offset (the last point)
+        # rounding onto s = 1 its tiny positive offset (the last point, where
+        # the declared pole check now reads (1 + t) - 1 = 0)
         points = _refusal_points() + REFUSAL_EDGES + [
             ("rho-geo-bin", {"mu": 1e6, "rho": 0.9999999999999999, "alpha": 0.5})]
         for name, params in points:
             violated = [c for c in validate_params(name, **params) if not c.satisfied]
             assert all(c.margin <= 0.0 for c in violated), (name, params, violated)
-            if violated:
-                first = re.escape(f"constraint '{violated[0].name}'")
-                with pytest.raises(ValidityViolationError, match=first):
-                    build_model(name, **params)
+            _verdict(name, params)
 
     def test_negative_pmf_detected_numerically(self):
         # inside the root-ordering region but with a negative early pmf value
@@ -238,7 +245,7 @@ class TestValidateParams:
         rows = pmf_recursive(law.rf, 800)
         assert min(rows[:401]) >= 0.0  # what the 400-row check saw
         assert next(m for m, v in enumerate(rows) if v < 0.0) == 693
-        test = dict(_entry("rho-geo-bin").checks)[NONNEGATIVE]
+        test = dict(_FINAL)[NONNEGATIVE]
         satisfied, margin = test({}, None, law)
         assert not satisfied
         assert margin == law.residues[0]
@@ -284,6 +291,113 @@ class TestValidateParams:
             assert report[-1].satisfied == (min(pmf_recursive(law.rf, 400)) >= -CLAMP_TOL)
             compared += 1
         assert compared == 220 + 8 + 5 + 526 + 360
+
+
+# the build's two numerical self-checks, which refuse valid laws where digits
+# are lost: the cross-check against the recursion (pmf(0) formed from atoms
+# and terms that cancel), and the hurdle view's bounds (its pi formed from an
+# s - 1 of a rounded s)
+SELF_CHECKS = ("innovation construction mismatch at m=", "hurdle atom pi=")
+
+# valid points that each self-check refuses, with the message
+SELF_CHECK_REFUSALS = [
+    ("ginar", {"theta": 9.823525488151555e-11, "alpha": 1.9836261990199575e-112},
+     "hurdle atom pi=-5.815372077222491e-07 outside [0, 1]"),
+    ("rho-geo-bin", {"mu": 1394088.884357953, "rho": 0.9999952066768222,
+                     "alpha": 0.9999999999600304},
+     "hurdle atom pi=1.0000000000000002 outside [0, 1]"),
+    ("hurdle-geo-nb", {"mu": 0.3771793209370715, "rho": 1.5303642979235622e-55,
+                       "alpha": 3.030816577471402e-102},
+     "innovation construction mismatch at m=0"),
+]
+
+
+class TestVerdict:
+    """The declared constraints are the build's verdict, short of its two
+    numerical self-checks, over each family's region and beyond it."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @settings(deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_report_is_the_build_verdict(self, name, data):
+        _verdict(name, data.draw(_points(name, top=300.0, rho_cap=1.0)))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @settings(deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_checks_never_raise_where_the_table_builds(self, name, data):
+        # means up to about 30 and rho to 0.97 keep every table short
+        model = _verdict(name, data.draw(_points(name, top=1.5, rho_cap=0.97)))
+        if model is None:
+            return
+        try:
+            model.innovation
+        except GeominarError:  # the table's own refusals, at first use
+            return
+        run_all_checks(model, simulate_series(model, 200, RngStream(3)))
+
+    @pytest.mark.parametrize("name, params, message", SELF_CHECK_REFUSALS)
+    def test_self_check_refuses_a_valid_point(self, capsys, name, params, message):
+        # each declared constraint holds, and the refusal names none
+        assert all(c.satisfied for c in validate_params(name, **params))
+        with pytest.raises(GeominarError, match=re.escape(message)):
+            build_model(name, **params)
+        assert main(["derive", name, *(f"--{k}={v!r}" for k, v in params.items())]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "constraint" not in err
+
+
+def _verdict(name: str, params: dict):
+    """Build (name, params) and assert that validate_params gave the verdict: the
+    build succeeds iff every constraint holds, and a refusal is a
+    ValidityViolationError naming the first violated one; where all hold, only
+    a self-check may refuse. Any error that is not a GeominarError propagates.
+    The model, or None where refused."""
+    report = validate_params(name, **params)
+    violated = [c for c in report if not c.satisfied]
+    try:
+        model = build_model(name, **params)
+    except GeominarError as exc:
+        if violated:
+            assert isinstance(exc, ValidityViolationError), (name, params, exc)
+            assert str(exc).startswith(f"{name}: constraint '{violated[0].name}' violated"), (
+                name, params, exc)
+        else:
+            assert str(exc).startswith(SELF_CHECKS), (name, params, exc)
+        return None
+    assert not violated, (name, params, violated)
+    return model
+
+
+def _scale(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _unit():
+    """[0, 1), with many values within a few ulps of either end."""
+    return st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     _scale(-16.0, 0.0).map(lambda d: 1.0 - d), _scale(-320.0, 0.0))
+
+
+def _points(name: str, top: float, rho_cap: float):
+    """Points of family name inside its declared bounds, many near a bound or a
+    check's edge, with means from 1e-320 to 10**top and rho at most rho_cap."""
+    mean, unit = _scale(-320.0, top), _unit()
+    rho = unit.map(rho_cap.__mul__)
+    share = st.one_of(st.just(1.0), unit)  # of a bound that a check sets
+    draw = {
+        "ginar": st.builds(lambda m, a: {"theta": 1.0 / (1.0 + m), "alpha": a}, mean, unit),
+        "nginar": st.builds(lambda m, u: {"mu": m, "alpha": u * m / (1.0 + m)}, mean, share),
+        "zmg": st.builds(lambda m, u: {"mu": m, "k": 1.0 - u * (1.0 + 1.0 / m)}, mean, share),
+        "two-param": st.builds(lambda r, u: {"r": r, "m": u * (1.0 + r)}, mean, share),
+        "rho-geo-bin": st.fixed_dictionaries({"mu": mean, "rho": rho, "alpha": unit}),
+        "hurdle-geo-bin": st.builds(lambda r, u, a: {"mu": u * r / (1.0 + r), "rho": r,
+                                                     "alpha": a}, rho, share, unit),
+        "rho-geo-nb": st.fixed_dictionaries({"mu": mean, "rho": rho, "alpha": unit}),
+        "hurdle-geo-nb": st.fixed_dictionaries({"mu": unit, "rho": rho, "alpha": unit}),
+    }[name]
+    entry = _entry(name)
+    return draw.filter(lambda p: all(c.satisfied for c in entry.domain(p)))
 
 
 NONNEGATIVE = "innovation pmf nonnegative"

@@ -79,10 +79,13 @@ class TestDerive:
         (("nginar", "--mu", "1e300", "--alpha", "0.5"), "1e-300"),
     ])
     def test_pole_rounding_onto_one_exit_2(self, capsys, argv, pole):
-        # every declared constraint holds, but s = 1 + t is 1 as a float
+        # s = 1 + t is 1 as a float at the pole t: the declared check refuses
+        # it with (1 + t) - 1 = 0 as its margin
+        assert 1.0 + float(pole) == 1.0
         code, out, err = run_cli(capsys, "derive", *argv)
         assert (code, out) == (2, "")
-        assert f"{argv[0]}: pole s = 1 + {pole} rounds onto 1 in double precision" in err
+        assert (f"{argv[0]}: constraint 'poles s = 1 + t > 1 in double precision' "
+                "violated (margin 0)") in err
 
     def test_validation_failure_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "derive", "nginar", "--mu", "1",

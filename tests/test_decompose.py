@@ -158,7 +158,7 @@ TRUNCATION_MASSES = (DEFAULT_TARGET_MASS, 0.5, 1.0 - 1e-15)
 
 def law_decomposition(name, params):
     """The decomposition of a catalog law, also where build_model refuses it."""
-    return _validate(_entry(name), params)[2].decomposition()
+    return _validate(_entry(name), params)[2].decomposition
 
 
 def raised(fn, *args):

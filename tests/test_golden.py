@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.6.1.
+"""Golden digests pinning the seeded and printed output of version 0.6.2.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -70,7 +70,15 @@ re-recorded: only the marginal_var_empirical,
 marginal_dispersion_empirical and lag1_autocorrelation_empirical lines
 moved, in their last digits (hurdle-geo-nb's lag-1 line did not), with no
 pass/fail flag changed; marginal_mean_empirical and every other digest did
-not move. CATALOG pins the `geominar catalog` listing.
+not move. DERIVE, REFUSAL and CATALOG were re-recorded in 0.6.2, where the
+pole-rounding refusal became the declared constraint `poles s = 1 + t > 1
+in double precision`: every family lists it before `innovation pmf
+nonnegative`, and every accepted run prints it; no golden point
+violates it. The nonnegativity margin now reads the decomposition's own
+rows, and moved in its last digits at four accepted points (hurdle-geo-nb
+at mu 0.8, rho 0.8, alpha 0.2 in DERIVE, and three in REFUSAL). No exit
+code, pmf row or stderr line moved. CATALOG pins the `geominar catalog`
+listing.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -162,19 +170,19 @@ VERIFY = {
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
 # json, csv and table format: per run, the exit code and a newline, then stdout
-DERIVE = "b595cd02784eff22cd5bf5ed8ac5ba10f53499cb4de71ff2add22e089ae0710a"
+DERIVE = "9bfb817f06005c462bfad7703da11bff80bdd263e803d3b5f6f8af83ac6e1967"
 
 # sha256 over `geominar derive --format json` at _refusal_points() and REFUSAL_EDGES: per
 # run, the exit code and a newline, then stdout, a NUL, stderr and a NUL. Most
 # of these points are refused (exit 2), so this pins the error paths and their
 # messages, which DERIVE (accepted points only) never reaches.
-REFUSAL = "6ea98fd93c84a267cb374af6406ccc39588c877001c6ee52fa5fcd38dbc79244"
+REFUSAL = "42f2c0c5c92096f6fec6110609723318977cac56a8b3474cbe97d78a59c9a674"
 
 # sha256 over `geominar catalog` in table and json format (CATALOG_FORMATS): per
 # run, the exit code and a newline, then stdout. Recorded where the listing
 # reads each constraint's label from its declaration; a changed label or
 # summary moves it.
-CATALOG = "c2030a63a4ae2ab4d6eb067cb45079603358c6b4e06eed6d8211428b1798f2e1"
+CATALOG = "fe9d49bf1a171b125b8d3d8fcb57d14081bf3f49aeb6594588cc53ec55a3475b"
 CATALOG_FORMATS = ("table", "json")
 
 
@@ -242,7 +250,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.6.1"
+    assert __version__ == "0.6.2"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))

@@ -25,6 +25,7 @@ from geominar.verify import (
 )
 
 from grids import CANONICAL, GRIDS, WIDE
+from oracles import scalar_innovation_pmf, scalar_pmf
 from test_acceptance import _with_terms
 
 # the 220 grid points, the WIDE points and the canonical points
@@ -111,26 +112,28 @@ def models():
 
 class TestColumnForms:
     """verify evaluates its pmfs and pgfs in columns; the scalar forms, one
-    value at a time, are the oracles, and every float must be theirs."""
+    value at a time (oracles.scalar_pmf, hurdle_pmf), are the oracles, and
+    every float must be theirs."""
 
     def test_cross_method_columns_are_the_scalar_floats(self, models):
         n = verify.CROSS_METHOD_TERMS
         for model in models:
             dec, h = model.decomposition, model.hurdle
-            scalar_dec = [dec.pmf(m) for m in range(n + 1)]
+            scalar_dec = [scalar_pmf(dec, m) for m in range(n + 1)]
             scalar_h = [hurdle_pmf(h, m) for m in range(n + 1)]
             assert _hex(dec.pmf_column(0, n + 1)) == _hex(scalar_dec), model.name
             assert _hex(hurdle_pmf_column(h, n + 1)) == _hex(scalar_h), model.name
             # and the reported values are the per-m maxima the scalar loop gave
             rec = pmf_recursive(model.law.rf, n)
-            worst = (max(abs(dec.pmf(m) - rec[m]) for m in range(n + 1)),
+            worst = (max(abs(scalar_pmf(dec, m) - rec[m]) for m in range(n + 1)),
                      max(abs(hurdle_pmf(h, m) - rec[m]) for m in range(n + 1)))
             assert _hex(c.observed for c in check_cross_method(model).checks) == _hex(worst)
 
     def test_pmf_columns_start_anywhere(self, models):
         for model in models[::7]:
             dec = model.decomposition
-            assert _hex(dec.pmf_column(5, 40)) == _hex(dec.pmf(m) for m in range(5, 40))
+            assert _hex(dec.pmf_column(5, 40)) == _hex(scalar_pmf(dec, m) for m in range(5, 40))
+            assert _hex(map(dec.pmf, range(5, 40))) == _hex(dec.pmf_column(5, 40))
             assert dec.pmf_column(40, 40) == []
 
     def test_iid_columns_cross_the_table_end(self):
@@ -140,7 +143,10 @@ class TestColumnForms:
             law = build_model(name, **CANONICAL[name]).innovation
             hi = law.truncation + 30
             for lo in (0, law.truncation - 3, law.truncation + 1):
-                assert _hex(law.pmf_column(lo, hi)) == _hex(law.pmf(m) for m in range(lo, hi))
+                scalar = _hex(scalar_innovation_pmf(law, m) for m in range(lo, hi))
+                assert _hex(law.pmf_column(lo, hi)) == scalar
+                assert _hex(map(law.pmf, range(lo, hi))) == scalar
+            assert law.pmf(-1) == scalar_innovation_pmf(law, -1) == 0.0
 
     @staticmethod
     def _scalar_deviations(model, grid_points: int) -> list[float]:
