@@ -5,6 +5,9 @@ rho_i / s_i^(m+1), which every catalog family gets from pgf.InnovationLaw.
 pmf_from_decomposition tabulates them where the table is read (derive, a
 model's innovation on first use) and decomposition_to_hurdle reads them
 as a hurdle form (atom pi at zero, signed two-geometric mixture above).
+central_moments gives, in closed form, the moments of a law written as
+weighted geometric parts: a decomposition's atoms and terms, or a
+marginal's geometric form.
 partial_fractions (the terms from a RationalFunction's coefficients),
 linear_closed_form, quadratic_closed_form (with hurdle_pmf) and the series
 recursion pmf_recursive stay as independent oracles for verify and the tests.
@@ -92,6 +95,12 @@ class FractionalDecomposition:
     def total_mass(self) -> float:
         return sum(self.atom_poly.coeffs) + sum(r / (s - 1.0) for r, s in self.terms)
 
+    def parts(self) -> tuple[tuple[float, int, float, float], ...]:
+        """The law as central_moments parts: each atom coefficient a point mass,
+        each term (rho, s) the weight rho / (s - 1) on a geometric with ratio 1 / s."""
+        atoms = tuple((c, m, 0.0, 1.0) for m, c in enumerate(self.atom_poly.coeffs))
+        return atoms + tuple((r / (s - 1.0), 0, 1.0 / s, (s - 1.0) / s) for r, s in self.terms)
+
     def mixture_components(self) -> tuple[tuple[float, float], ...]:
         """Geometric-mixture view: (weight c_i, mean mu_i) per term, with
         c_i = rho_i / (s_i - 1) and mu_i = 1 / (s_i - 1)."""
@@ -137,19 +146,29 @@ class InnovationDistribution:
     def total_mass(self) -> float:
         return self.table_mass() + self.decomposition.remaining_mass(self.truncation)
 
-    def mean(self) -> float:
-        """Exact series mean: atoms plus sum_i rho_i / (s_i - 1)^2; dividing one
-        factor at a time, a far root underflows instead of overflowing."""
-        atoms = sum(m * c for m, c in enumerate(self.decomposition.atom_poly.coeffs))
-        return atoms + sum(r / (s - 1.0) / (s - 1.0) for r, s in self.decomposition.terms)
 
-    def variance(self) -> float:
-        """Exact series variance via E[X^2] = atoms + sum rho_i (s_i+1)/(s_i-1)^3."""
-        atoms = sum(m * m * c for m, c in enumerate(self.decomposition.atom_poly.coeffs))
-        m2 = atoms + sum(r / (s - 1.0) * (s + 1.0) / (s - 1.0) / (s - 1.0)
-                         for r, s in self.decomposition.terms)
-        mu = self.mean()
-        return m2 - mu * mu
+def central_moments(parts) -> tuple[float, float, float, float]:
+    """The mean and the central moments m2, m3, m4 of the law sum_j w_j (h_j + G_j)
+    given as parts (w, h, q, p): weight w on the shift h plus G, a geometric on
+    {0, 1, ...} with ratio q and p = 1 - q (q = 0, p = 1 for a point mass).
+
+    Part j adds w_j E[(h_j + G_j - mean)^i] to the i-th moment, which G's
+    central moments q/p^2, q(1 + q)/p^3 and q(1 + 7q + q^2)/p^4 give in
+    closed form about d = h_j + q/p - mean. A pgf's marginal and a
+    FractionalDecomposition give their parts (parts()); a weight may be
+    negative, as a residue's is.
+    """
+    mean = sum(w * (h + q / p) for w, h, q, p in parts)
+    m2 = m3 = m4 = 0.0
+    for w, h, q, p in parts:
+        d = h + q / p - mean
+        k2 = q / p / p
+        k3 = k2 * (1.0 + q) / p
+        k4 = k2 * (1.0 + q * (7.0 + q)) / p / p
+        m2 += w * (d * d + k2)
+        m3 += w * (d * d * d + 3.0 * d * k2 + k3)
+        m4 += w * (d**4 + 6.0 * d * d * k2 + 4.0 * d * k3 + k4)
+    return mean, m2, m3, m4
 
 
 @dataclass(frozen=True)
@@ -447,11 +466,9 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
     numerator degree, where a term is present only when its index is >= 0
     and within the denominator degree q; identical to the staged triangular
     solves of the matrix formulation because those systems are
-    lower-triangular Toeplitz in the denominator coefficients. The first
-    max(deg num + 1, q) values skip each absent term; from there on every
-    term is present and the steps run without a branch, from 0.0 as the
-    absent a_l. Skipping a term rather than adding 0.0 * c, and starting
-    from 0.0, keeps the sign of zero. q > 2 raises.
+    lower-triangular Toeplitz in the denominator coefficients. An absent
+    term is skipped, not added as 0.0 * c, which keeps the sign of zero.
+    q > 2 raises.
     """
     b = rf.den.coeffs  # RationalFunction scales b[0] = den(0) to 1, so never 0
     q = len(b) - 1
@@ -463,10 +480,9 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
     from2 = 2 if q == 2 else n + 1
     a = rf.num.coeffs
     na = len(a)
-    head = min(n + 1, max(na, q))
     out = []
     c1 = c2 = 0.0
-    for el in range(head):
+    for el in range(n + 1):
         acc = a[el] if el < na else 0.0
         if el >= from2:
             acc -= c2 * b2
@@ -474,16 +490,6 @@ def pmf_recursive(rf: RationalFunction, n: int) -> list[float]:
             acc -= c1 * b1
         c2, c1 = c1, acc / b0
         out.append(c1)
-    if q == 2:
-        for _ in range(head, n + 1):
-            c2, c1 = c1, (0.0 - c2 * b2 - c1 * b1) / b0
-            out.append(c1)
-    elif q == 1:
-        for _ in range(head, n + 1):
-            c1 = (0.0 - c1 * b1) / b0
-            out.append(c1)
-    else:
-        out += [0.0 / b0] * (n + 1 - head)
     return out
 
 

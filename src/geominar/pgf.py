@@ -8,15 +8,17 @@ carries them as offsets t = s - 1 computed from the parameters.
 
 Each marginal family is one dataclass holding its closed forms: mobius()
 (the coefficients a, b, c, d of (a s + b) / (c s + d)), mean(), variance(),
-pmf_column(lo, hi) (the pmf over a range of k, which pmf(k) reads), and
-geometric_form() = (atom, body, shift, ratio), which says that the law is
-an atom at zero plus, with probability body = 1 - atom, shift plus a
-geometric on {0,1,...} with failure ratio ratio. The sampler inverts
-that form. Each thinning holds its counting pgf, variance identity, draw
-and the law of the thinned count of c units (count_ratio, count_width).
-Both declare their parameter bounds once, as DOMAIN: (label, test) pairs,
-where test(params) gives (inside, margin) and the label names the bound
-wherever it is checked, refused or listed.
+and geometric_form() = (atom, body, shift, ratio, complement), its one
+statement of its pmf: an atom at zero plus, with probability body, shift plus
+a geometric on {0,1,...} with ratio ratio, whose complement 1 - ratio is
+formed from the parameters, so that a small one keeps its digits.
+pmf_column(lo, hi) (which pmf(k) reads), the sampler and parts() (the law's
+moments, decompose.central_moments) all read that form. Each thinning holds
+its counting pgf, variance identity, draw and the law of the thinned count
+of c units (count_ratio, count_width). Both declare their parameter bounds
+once, as DOMAIN: (label, test) pairs, where test(params) gives (inside,
+margin) and the label names the bound wherever it is checked, refused or
+listed.
 """
 from __future__ import annotations
 
@@ -72,6 +74,21 @@ class _Moebius(_Declared):
     def pmf(self, k: int) -> float:
         return self.pmf_column(k, k + 1)[0] if k >= 0 else 0.0
 
+    def pmf_column(self, lo: int, hi: int) -> list[float]:
+        """Pr[X = k] for k in range(lo, hi), 0 <= lo, from geometric_form: the atom
+        at 0 plus body * complement * ratio^(k - shift) from k = shift on."""
+        atom, body, shift, ratio, complement = self.geometric_form()
+        w = body * complement
+        col = [w * ratio ** (k - shift) if k >= shift else 0.0 for k in range(lo, hi)]
+        if lo == 0 < hi:
+            col[0] += atom
+        return col
+
+    def parts(self) -> tuple[tuple[float, int, float, float], ...]:
+        """The law as decompose.central_moments parts: the atom at 0, then the body."""
+        atom, body, shift, ratio, complement = self.geometric_form()
+        return (atom, 0, 0.0, 1.0), (body, shift, ratio, complement)
+
 
 @dataclass(frozen=True)
 class Geometric(_Moebius):
@@ -91,13 +108,8 @@ class Geometric(_Moebius):
         t2 = self.theta * self.theta  # 0 below theta ~ 1.5e-162: the variance overflows
         return (1.0 - self.theta) / t2 if t2 else math.inf
 
-    def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
-        q = 1.0 - self.theta
-        return [q ** k * self.theta for k in range(lo, hi)]
-
-    def geometric_form(self) -> tuple[float, float, int, float]:
-        return 0.0, 1.0, 0, 1.0 - self.theta
+    def geometric_form(self) -> tuple[float, float, int, float, float]:
+        return 0.0, 1.0, 0, 1.0 - self.theta, self.theta
 
 
 @dataclass(frozen=True)
@@ -117,13 +129,8 @@ class GeometricMean(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.mu)
 
-    def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
-        r, d = self.mu / (1.0 + self.mu), 1.0 + self.mu
-        return [r ** k / d for k in range(lo, hi)]
-
-    def geometric_form(self) -> tuple[float, float, int, float]:
-        return 0.0, 1.0, 0, self.mu / (1.0 + self.mu)
+    def geometric_form(self) -> tuple[float, float, int, float, float]:
+        return 0.0, 1.0, 0, self.mu / (1.0 + self.mu), 1.0 / (1.0 + self.mu)
 
 
 @dataclass(frozen=True)
@@ -149,19 +156,10 @@ class RhoGeometric(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.mu + self.rho) / (1.0 - self.rho) ** 2
 
-    def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """Pr[X = k] for k in range(lo, hi), 0 <= lo: the body, plus the atom at 0."""
-        atom = self.rho / (self.mu + self.rho)
-        r = (self.mu + self.rho) / (1.0 + self.mu)
-        w, c, d = 1.0 - atom, 1.0 - self.rho, 1.0 + self.mu
-        col = [w * r ** k * c / d for k in range(lo, hi)]
-        if lo == 0 < hi:
-            col[0] += atom
-        return col
-
-    def geometric_form(self) -> tuple[float, float, int, float]:
-        atom = self.rho / (self.mu + self.rho)
-        return atom, 1.0 - atom, 0, (self.mu + self.rho) / (1.0 + self.mu)
+    def geometric_form(self) -> tuple[float, float, int, float, float]:
+        mu, rho = self.mu, self.rho
+        return (rho / (mu + rho), mu / (mu + rho), 0, (mu + rho) / (1.0 + mu),
+                (1.0 - rho) / (1.0 + mu))
 
 
 @dataclass(frozen=True)
@@ -187,14 +185,8 @@ class HurdleGeometric(_Moebius):
     def variance(self) -> float:
         return self.mu * (1.0 + self.rho) * (self.rho + (1.0 + self.rho) * (1.0 - self.mu))
 
-    def pmf_column(self, lo: int, hi: int) -> list[float]:
-        """Pr[X = k] for k in range(lo, hi), 0 <= lo."""
-        r, d = self.rho / (1.0 + self.rho), 1.0 + self.rho
-        col = [self.mu * r ** (k - 1) / d for k in range(max(lo, 1), hi)]
-        return [1.0 - self.mu, *col] if lo == 0 < hi else col
-
-    def geometric_form(self) -> tuple[float, float, int, float]:
-        return 1.0 - self.mu, self.mu, 1, self.rho / (1.0 + self.rho)
+    def geometric_form(self) -> tuple[float, float, int, float, float]:
+        return 1.0 - self.mu, self.mu, 1, self.rho / (1.0 + self.rho), 1.0 / (1.0 + self.rho)
 
 
 MarginalSpec = Union[Geometric, GeometricMean, RhoGeometric, HurdleGeometric]

@@ -162,7 +162,7 @@ def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     m = model.spec.marginal
     if m is None:
         return int(_innovation_draws(model.innovation, gen, 1)[0])
-    atom, body, shift, ratio = m.geometric_form()
+    atom, body, shift, ratio, _ = m.geometric_form()
     u = gen.random()
     if u < atom:
         return 0

@@ -3,7 +3,9 @@
 Checks never raise on failure; they return VerificationReport values whose
 entries carry (observed, expected, tolerance) so the CLI can serialize them
 and CI can gate on the overall flag. Each check is falsifiable: perturbing a
-correct model makes it fail (the test suite injects such faults).
+correct model makes it fail (the test suite injects such faults). The
+moment checks read every law's moments from its parts in closed form
+(decompose.central_moments); none sums pmf rows.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import INARModel
-from .decompose import (CLAMP_TOL, InnovationDistribution, hurdle_pmf_column, pmf_recursive,
-                        tail_dominance_margin, tail_geometric_approx)
+from .decompose import (CLAMP_TOL, InnovationDistribution, central_moments, hurdle_pmf_column,
+                        pmf_recursive, tail_dominance_margin, tail_geometric_approx)
 from .simulate import SeriesSample
 
 
@@ -113,11 +115,10 @@ def check_cross_method(model: INARModel, tol: float = 1e-10) -> VerificationRepo
 # int64, which stays in cache for the block's four reductions
 MOMENT_BLOCK = 1 << 16
 INT64_MAX = (1 << 63) - 1
-MOMENT_REL_TOL = 1e-7  # check_moments: closed forms vs pmf sums, relative
+MOMENT_REL_TOL = 1e-7  # check_moments: closed forms vs the parts' moments, relative
 MOMENT_N_SE = 4.0  # check_moments: empirical vs closed forms, in standard errors
 TAIL_MS = (5, 10, 20)  # the m at which check_tail_quality compares the tail
 CROSS_METHOD_TERMS = 200  # check_cross_method compares pmf values m = 0..this
-MARGINAL_ROWS = 1_000_000  # _marginal_central_moments sums at most this many pmf rows
 
 
 def _ess_factor(alpha: float) -> float:
@@ -125,49 +126,9 @@ def _ess_factor(alpha: float) -> float:
 
 
 def _marginal_central_moments(model: INARModel) -> tuple[float, float, float, float]:
-    """mean, m2, m3, m4 of the marginal law: its pmf rows k < K summed, then each
-    geometric tail past them exactly.
-
-    K - 1 reaches mean + 40 sd + 60 and on until the geometric tail, whose ratio
-    is 1 / R for the pole R = 1 + t (the marginal's, or an iid law's smallest),
-    is below 1e-20: to k = log(1e20) / log1p(t); but K is at most MARGINAL_ROWS.
-    Past row K the law is geometric: the marginal's row K on with its ratio q,
-    an iid law's terms rho s^-(k+1) with q = 1/s. A tail of mass w past K adds
-    w E[(K + G - mean)^j] to the j-th sum, G geometric on {0, 1, ...}, which
-    its central moments give in closed form.
-    """
-    mean, var = model.moments.marginal_mean, model.moments.marginal_var
-    marginal = model.spec.marginal
-    t = marginal.offsets()[1] if marginal else min(model.law.poles, default=math.inf)
-    span = max(int(min(mean + 40.0 * math.sqrt(var) + 60, MARGINAL_ROWS)),
-               math.ceil(min(math.log(1e20) / math.log1p(t), MARGINAL_ROWS)))
-    rows = min(span + 1, MARGINAL_ROWS)
-    # the floats of model.marginal_pmf(k), k <= K, formed in a column
-    ps = (marginal or model.innovation).pmf_column(0, rows + 1)
-    if marginal:  # (w, q, 1 - q) per tail, from row K on
-        # q = 1 / (1 + t), so 1 - q = 1 / (1 + 1/t) keeps t's digits, which 1.0 - q
-        # loses where t is below about 1e-9 (the law's mean would move by 1e-7)
-        q, p = marginal.geometric_form()[3], 1.0 / (1.0 + 1.0 / t)
-        tails = [(ps[rows] / p, q, p)]
-    else:
-        tails = [(rho * s ** -rows / (s - 1.0), 1.0 / s, (s - 1.0) / s)
-                 for rho, s in model.decomposition.terms]
-    ks = np.arange(rows)
-    ps = np.array(ps[:rows])
-    mu = float(ps @ ks) + sum(w * (rows + q / p) for w, q, p in tails)
-    centered = ks - mu
-    m2 = float(ps @ centered**2)
-    m3 = float(ps @ centered**3)
-    m4 = float(ps @ centered**4)
-    for w, q, p in tails:
-        d = rows + q / p - mu  # the tail's mean less mu, then G's central moments
-        k2 = q / p / p
-        k3 = k2 * (1.0 + q) / p
-        k4 = k2 * (1.0 + q * (7.0 + q)) / p / p
-        m2 += w * (d * d + k2)
-        m3 += w * (d * d * d + 3.0 * d * k2 + k3)
-        m4 += w * (d**4 + 6.0 * d * d * k2 + 4.0 * d * k3 + k4)
-    return mu, m2, m3, m4
+    """mean, m2, m3, m4 of the marginal law, in closed form from its parts: the
+    marginal's geometric form, or an iid law's decomposition."""
+    return central_moments((model.spec.marginal or model.decomposition).parts())
 
 
 def _path_sums(xs: np.ndarray) -> tuple[int, int, int]:
@@ -202,7 +163,11 @@ def _path_sums(xs: np.ndarray) -> tuple[int, int, int]:
 def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     """Three-way moment comparison.
 
-    Closed forms vs pmf sums at MOMENT_REL_TOL; empirical values from the sample
+    Closed forms vs the moments of the law's parts at MOMENT_REL_TOL: the
+    innovation's decomposition and the marginal's geometric form (an iid
+    law's decomposition), each through decompose.central_moments, so the
+    derived residues and roots, and the marginal's pmf, are checked against
+    the stationarity identity's moments. Empirical values from the sample
     vs closed forms within MOMENT_N_SE standard errors, inflated by the effective
     sample size factor (1+alpha)/(1-alpha) for the autocorrelated series. The
     empirical mean, variance, dispersion and lag-1 autocorrelation are each one
@@ -212,8 +177,7 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     checks = []
     mom = model.moments
 
-    pm_mean = model.innovation.mean()
-    pm_var = model.innovation.variance()
+    pm_mean, pm_var, _, _ = central_moments(model.decomposition.parts())
     checks.append(_check("innovation_mean_pmf_vs_closed", pm_mean, mom.innovation_mean,
                          MOMENT_REL_TOL * max(1.0, abs(mom.innovation_mean))))
     checks.append(_check("innovation_var_pmf_vs_closed", pm_var, mom.innovation_var,

@@ -63,33 +63,78 @@ def exact_model_quotient(name: str, **p):
     return _quotient(name, {k: F(v).limit_denominator(10**12) for k, v in p.items()})
 
 
-def _quotient(name: str, fr: dict):
-    if name == "ginar":
-        th, al = fr["theta"], fr["alpha"]
-        return innovation_quotient([th], [F(1), -(1 - th)], [1 - al, al], [F(1)])
-    if name == "nginar":
-        mu, al = fr["mu"], fr["alpha"]
-        return innovation_quotient([F(1)], [1 + mu, -mu], [F(1)], [1 + al, -al])
+def _marginal(kind: str, fr: dict):
+    """Exact numerator and denominator of the marginal pgf of the class named
+    kind, written from the family's pmf."""
+    if kind == "Geometric":
+        th = fr["theta"]
+        return [th], [F(1), -(1 - th)]
+    if kind == "GeometricMean":
+        mu = fr["mu"]
+        return [F(1)], [1 + mu, -mu]
+    mu, rho = fr["mu"], fr["rho"]
+    if kind == "RhoGeometric":
+        return [F(1), -rho], [1 + mu, -(rho + mu)]
+    if kind == "HurdleGeometric":
+        k = mu + mu * rho - rho
+        return [1 - k, k], [1 + rho, -rho]
+    raise ValueError(kind)
+
+
+# each thinned catalog family's marginal class, and whether its thinning is binomial
+_THINNED = {"ginar": ("Geometric", True), "nginar": ("GeometricMean", False),
+            "rho-geo-bin": ("RhoGeometric", True), "hurdle-geo-bin": ("HurdleGeometric", True),
+            "rho-geo-nb": ("RhoGeometric", False), "hurdle-geo-nb": ("HurdleGeometric", False)}
+
+
+def _iid(name: str, fr: dict):
+    """Exact numerator and denominator of an iid family's law, its own marginal."""
     if name == "zmg":
         mu, k = fr["mu"], fr["k"]
         return [1 + k * mu, -k * mu], [1 + mu, -mu]
     if name == "two-param":
         r, m = fr["r"], fr["m"]
         return [1 + r - m, m - r], [1 + r, -r]
-    mu, rho, al = fr["mu"], fr["rho"], fr["alpha"]
-    if name == "rho-geo-bin":
-        return innovation_quotient([F(1), -rho], [1 + mu, -(rho + mu)],
-                                   [1 - al, al], [F(1)])
-    if name == "hurdle-geo-bin":
-        k = mu + mu * rho - rho
-        return innovation_quotient([1 - k, k], [1 + rho, -rho], [1 - al, al], [F(1)])
-    if name == "rho-geo-nb":
-        return innovation_quotient([F(1), -rho], [1 + mu, -(rho + mu)],
-                                   [F(1)], [1 + al, -al])
-    if name == "hurdle-geo-nb":
-        k = mu + mu * rho - rho
-        return innovation_quotient([1 - k, k], [1 + rho, -rho], [F(1)], [1 + al, -al])
     raise ValueError(name)
+
+
+def _quotient(name: str, fr: dict):
+    if name not in _THINNED:
+        return _iid(name, fr)
+    kind, binomial = _THINNED[name]
+    al = fr["alpha"]
+    thinning = ([1 - al, al], [F(1)]) if binomial else ([F(1)], [1 + al, -al])
+    return innovation_quotient(*_marginal(kind, fr), *thinning)
+
+
+def marginal_pgf(marginal):
+    """Exact numerator and denominator of a pgf marginal's (a s + b) / (c s + d)
+    at its float parameters (Fraction(v), no rounding)."""
+    return _marginal(type(marginal).__name__, {k: F(v) for k, v in vars(marginal).items()})
+
+
+def exact_marginal_moments(name: str, **p) -> tuple[float, float, float, float]:
+    """Mean and central m2, m3, m4 of a catalog model's marginal law (an iid
+    family's law), from exact Fraction derivatives at s = 1 of its pgf
+    f = (a s + b) / (c s + d) at the float parameters, each rounded to the
+    nearest float once at the end: f^(n)(1) = (-1)^n n! e c^(n-1) / (c + d)^(n+1)
+    with e = b c - a d are the factorial moments."""
+    fr = {k: F(v) for k, v in p.items()}
+    num, den = _marginal(_THINNED[name][0], fr) if name in _THINNED else _iid(name, fr)
+    (b, a), (d, c) = (*num, F(0))[:2], den
+    e, sign, fact = b * c - a * d, -1, 1
+    f = []
+    for n in range(1, 5):
+        fact *= n
+        f.append(sign * fact * e * c ** (n - 1) / (c + d) ** (n + 1))
+        sign = -sign
+    f1, f2, f3, f4 = f
+    mean = f1
+    e2, e3, e4 = f2 + f1, f3 + 3 * f2 + f1, f4 + 6 * f3 + 7 * f2 + f1
+    m2 = e2 - mean ** 2
+    m3 = e3 - 3 * mean * e2 + 2 * mean ** 3
+    m4 = e4 - 4 * mean * e3 + 6 * mean ** 2 * e2 - 3 * mean ** 4
+    return float(mean), float(m2), float(m3), float(m4)
 
 
 def _derivative(poly: list) -> list:
@@ -174,32 +219,3 @@ def loop_pmf_table(dec, target_mass: float) -> tuple[float, ...]:
         m += 1
         if m > 1_000_000:
             raise GeominarError("pmf truncation did not converge within 1e6 entries")
-
-
-def loop_pmf_recursive(rf, n: int) -> list[float]:
-    """The series recursion one row at a time, as pmf_recursive ran it before
-    its steps past the numerator and denominator degrees went branch-free:
-    each row tests whether the b_1 and b_2 terms are present, and a term is
-    skipped, not added as 0.0 * c, before it enters."""
-    from geominar.errors import GeominarError
-
-    b = rf.den.coeffs
-    q = len(b) - 1
-    if q > 2:
-        raise GeominarError(f"pmf recursion supports denominator degree <= 2, got degree {q}")
-    b0, b1, b2 = (*b, 0.0, 0.0)[:3]
-    from1 = 1 if q >= 1 else n + 1
-    from2 = 2 if q == 2 else n + 1
-    a = rf.num.coeffs
-    na = len(a)
-    out = []
-    c1 = c2 = 0.0
-    for el in range(n + 1):
-        acc = a[el] if el < na else 0.0
-        if el >= from2:
-            acc -= c2 * b2
-        if el >= from1:
-            acc -= c1 * b1
-        c2, c1 = c1, acc / b0
-        out.append(c1)
-    return out

@@ -20,8 +20,10 @@ the mean of REPEATS back-to-back builds),
 verify.check_moments and verify.run_all_checks on the path, and the parts
 of run_all_checks that every command pays: simulate_series's SeriesSample
 construction (simulate._drawn, no pass over the path), check_pgf_identity,
-check_cross_method and verify._marginal_central_moments (each the mean of
-REPEATS calls), and verify._path_sums, check_moments' exact sums. Each cell is
+check_cross_method and verify._marginal_central_moments (the marginal's
+mean and central moments in closed form from its parts, no pmf rows; each
+the mean of REPEATS calls), and verify._path_sums, check_moments' exact
+sums. Each cell is
 us per path in the fastest of --passes passes; the points with alpha = 0
 run no thinning stages and build no count rows. Then, per point, the share of the path's
 innovation draws and of its thinned entries that drew a completion word:

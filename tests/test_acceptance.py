@@ -13,6 +13,7 @@ import pytest
 
 from geominar.catalog import build_model, validate_params
 from geominar.decompose import (
+    central_moments,
     hurdle_pmf,
     partial_fractions,
     pmf_recursive,
@@ -181,12 +182,12 @@ def test_criterion_3_closed_form_reproduction():
 
 
 # --------------------------------------------------------------------------
-# criterion 4: moment consistency, with the pmf sum as arbiter
+# criterion 4: moment consistency, with the decomposition's moments as arbiter
 # --------------------------------------------------------------------------
 
 def _rejected_variance(name, mu=None, rho=None, alpha=None, pi=None, p1=None,
                        p2=None, w1=None, w2=None):
-    """Simplified variance candidates that the pmf sum rejects."""
+    """Simplified variance candidates that the decomposition's moments reject."""
     if name == "hfg-master":
         return ((1.0 - pi) * (p1**2 * p2 - 3.0 * p1 * p2 + p1 + p2 + pi)
                 / ((1.0 - p1) ** 2 * (1.0 - p2) ** 2))
@@ -219,30 +220,29 @@ def _rejected_variance(name, mu=None, rho=None, alpha=None, pi=None, p1=None,
 
 
 def test_criterion_4_moment_consistency():
-    with _report(4, "pmf-summed moments match closed forms (1e-7) and arbitrate "
+    with _report(4, "the decomposition's moments match closed forms (1e-7) and arbitrate "
                     "the rejected variance candidates"):
         hurdle_names = ("rho-geo-bin", "hurdle-geo-bin", "rho-geo-nb", "hurdle-geo-nb")
         for name in ("ginar", "nginar", "zmg", "two-param") + hurdle_names:
             for params in GRIDS[name]:
                 model = build_model(name, **params)
-                pm_mean = model.innovation.mean()
-                pm_var = model.innovation.variance()
+                pm_mean, pm_var, _, _ = central_moments(model.decomposition.parts())
                 mo = model.moments
                 assert _close(pm_mean, mo.innovation_mean, 1e-7), (name, params)
                 assert _close(pm_var, mo.innovation_var, 1e-7), (name, params)
                 # exact Fraction pgf derivatives at s = 1 are the arbiter and
-                # must agree with the sum
+                # must agree with the decomposition
                 pg_mean, pg_var = exact_moments(name, **params)
                 assert _close(pm_mean, pg_mean, 1e-7), (name, params)
                 assert _close(pm_var, pg_var, 1e-7), (name, params)
 
-        # the simplified variance candidates disagree with the pmf sum at the
+        # the simplified variance candidates disagree with the decomposition at the
         # canonical points; the stationarity-identity closed form checked
         # above is the one that holds
         for name in hurdle_names:
             params = CANONICAL[name]
             model = build_model(name, **params)
-            pm_var = model.innovation.variance()
+            pm_var = central_moments(model.decomposition.parts())[1]
             bad = _rejected_variance(name, **params)
             assert abs(bad - pm_var) > 1e-4 * pm_var, (name, bad, pm_var)
             h = model.hurdle
@@ -257,7 +257,7 @@ def test_criterion_4_moment_consistency():
             h = model.hurdle
             fixed = ((1.0 - h.pi) * (h.p1 + h.p2 - 3.0 * h.p1 * h.p2 + h.pi)
                      / ((1.0 - h.p1) ** 2 * (1.0 - h.p2) ** 2))
-            assert _close(fixed, model.innovation.variance(), 1e-10)
+            assert _close(fixed, central_moments(model.decomposition.parts())[1], 1e-10)
 
 
 # --------------------------------------------------------------------------

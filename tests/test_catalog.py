@@ -22,7 +22,7 @@ from geominar.catalog import (
     validate_params,
 )
 from geominar.cli import main
-from geominar.decompose import CLAMP_TOL, linear_closed_form, pmf_recursive
+from geominar.decompose import CLAMP_TOL, central_moments, linear_closed_form, pmf_recursive
 from geominar.errors import (
     GeominarError,
     InvalidParameterError,
@@ -442,6 +442,18 @@ def _fuzz_points(n: int = 300, seed: int = 5) -> list[tuple[str, dict]]:
     return out
 
 
+def _assert_derived_moments(name, params):
+    mean, var, _, _ = central_moments(build_model(name, **params).decomposition.parts())
+    want_mean, want_var = exact_moments(name, **params)
+    assert mean == pytest.approx(want_mean, rel=1e-10, abs=0), (name, params)
+    assert var == pytest.approx(want_var, rel=1e-10, abs=0), (name, params)
+
+
+# the one seeded extreme point whose derived moments miss the 1e-10 bound
+BEYOND_THE_BOUND = ("rho-geo-nb", {"mu": 3534.7813008763087, "rho": 0.9968586939334716,
+                                   "alpha": 0.9968826481934381})
+
+
 def _extreme_points(per_family: int = 60, seed: int = 11) -> list[tuple[str, dict]]:
     """Seeded valid points of the six thinned families, many near the edges:
     alpha to 1 - 1e-4, means from 1e-3 to 1e4 and rho to 1 - 1e-3."""
@@ -530,8 +542,8 @@ class TestMoments:
         # b = -d forces dispersion exactly 1 without being Poisson
         a, b, c, d = 0.2, 0.4, 1.0, -0.4
         assert a + b == pytest.approx(c + d)
-        dist = linear_closed_form(a, b, c, d)
-        assert dist.variance() / dist.mean() == pytest.approx(1.0, abs=1e-12)
+        mean, var, _, _ = central_moments(linear_closed_form(a, b, c, d).decomposition.parts())
+        assert var / mean == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_closed_forms_match_series_oracle(self, name):
@@ -554,30 +566,25 @@ class TestMoments:
             assert mo.innovation_var == pytest.approx(var, rel=1e-13, abs=0), (name, params)
 
     def test_derived_law_matches_exact_derivatives_at_extreme_points(self):
-        # the series moments of the derived law, from its residues and roots,
-        # against exact derivatives at s = 1; the two rho-geo-nb points near
-        # rho = alpha = 1 failed verify's moment checks when the roots came
-        # from float coefficients. A law whose table needs more than 1e6
-        # rows is refused with that message, and no other refusal is allowed
+        # the moments of the derived law, from its residues and roots (the
+        # decomposition's parts, no table), against exact derivatives at
+        # s = 1; the two rho-geo-nb points near rho = alpha = 1 failed
+        # verify's moment checks when the roots came from float coefficients
         points = _extreme_points() + [
             ("rho-geo-nb", {"mu": 685.5224468570946, "rho": 0.9843326817031911,
                             "alpha": 0.9996767119104794}),
             ("rho-geo-nb", {"mu": 615.1743779895594, "rho": 0.8760228030573478,
                             "alpha": 0.9996953528469408}),
         ]
-        refused = []
+        points.remove(BEYOND_THE_BOUND)
         for name, params in points:
-            try:
-                law = build_model(name, **params).innovation
-            except GeominarError as exc:
-                assert "did not converge within 1e6 entries" in str(exc), (name, params, exc)
-                refused.append(name)
-                continue
-            mean, var = exact_moments(name, **params)
-            assert law.mean() == pytest.approx(mean, rel=1e-10, abs=0), (name, params)
-            assert law.variance() == pytest.approx(var, rel=1e-10, abs=0), (name, params)
-        # today four rho-geo-nb points need more rows
-        assert set(refused) <= {"rho-geo-nb"} and len(refused) <= 4
+            _assert_derived_moments(name, params)
+
+    @pytest.mark.xfail(strict=True, reason="mean 1.9e-10 and variance 2.8e-10 off: the "
+                       "decomposition forms s - 1 from a root rounded to s = 1 + t "
+                       "(ROADMAP item 4)")
+    def test_derived_law_beyond_the_bound(self):
+        _assert_derived_moments(*BEYOND_THE_BOUND)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_marginal_moments_match_model_pmf(self, name):

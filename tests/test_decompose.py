@@ -11,6 +11,7 @@ from geominar.decompose import (
     HurdleForm,
     _weights_equal_leading,
     _weights_from_residues,
+    central_moments,
     decomposition_to_hurdle,
     hurdle_pmf,
     linear_closed_form,
@@ -37,7 +38,7 @@ from geominar.pgf import (
 from geominar.polyrat import Polynomial, RationalFunction
 
 from grids import CANONICAL, GRIDS, WIDE
-from oracles import loop_pmf_recursive, loop_pmf_table, oracle_pmf
+from oracles import loop_pmf_table, oracle_pmf
 from test_catalog import _extreme_points
 
 
@@ -120,12 +121,26 @@ class TestPmfFromDecomposition:
         assert dist.pmf_table == (1.0,)
         assert dist.pmf(3) == 0.0
 
-    def test_mean_and_variance_match_finite_sums(self):
-        dist = pmf_from_decomposition(partial_fractions(nginar_rf()), 1.0 - 1e-14)
-        mean_sum = sum(m * dist.pmf(m) for m in range(800))
-        var_sum = sum(m * m * dist.pmf(m) for m in range(800)) - mean_sum**2
-        assert dist.mean() == pytest.approx(mean_sum, rel=1e-11)
-        assert dist.variance() == pytest.approx(var_sum, rel=1e-11)
+    def test_central_moments_match_finite_sums(self):
+        # the decomposition's parts, atoms and signed geometric terms, against
+        # the pmf summed over 800 rows (the rest is below 1e-100)
+        dec = partial_fractions(nginar_rf())
+        ps = dec.pmf_column(0, 800)
+        mean_sum = sum(m * p for m, p in enumerate(ps))
+        sums = [sum((m - mean_sum) ** j * p for m, p in enumerate(ps)) for j in (2, 3, 4)]
+        for got, want in zip(central_moments(dec.parts()), [mean_sum, *sums]):
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_central_moments_of_parts(self):
+        # a point mass at 2 with weight 0.25 and 1 + geometric(1/2) with 0.75:
+        # mean 1.5, E[(X - 1.5)^j] summed exactly in Fractions over 200 rows
+        parts = ((0.25, 2, 0.0, 1.0), (0.75, 1, 0.5, 0.5))
+        law = {2: Fraction(1, 4)}
+        for k in range(200):
+            law[1 + k] = law.get(1 + k, 0) + Fraction(3, 4) * Fraction(1, 2 ** (k + 1))
+        mean = sum(k * p for k, p in law.items())
+        want = [mean] + [sum((k - mean) ** j * p for k, p in law.items()) for j in (2, 3, 4)]
+        assert central_moments(parts) == pytest.approx([float(w) for w in want], rel=1e-15)
 
     def test_remaining_mass_is_exact_tail(self):
         # the nginar two-term decomposition; the tail beyond m is the exact
@@ -439,12 +454,24 @@ class TestRecursion:
             assert list(map(float.hex, pmf_recursive(r, n))) == \
                 list(map(float.hex, full_convolution(r, n)))
 
-    def test_grid_models_same_bits_as_the_full_convolution(self):
-        for name, grid in GRIDS.items():
-            for params in grid:
-                r = build_model(name, **params).law.rf
-                assert list(map(float.hex, pmf_recursive(r, 400))) == \
-                    list(map(float.hex, full_convolution(r, 400))), (name, params)
+    @pytest.mark.parametrize("den", [
+        (1.0,), (1.0, -0.5), (1.0, 0.5), (1.0, 0.0, -0.25), (1.0, -0.7, 0.1), (1.0, -0.5, -0.06),
+    ])
+    def test_same_bits_at_each_degree(self, den):
+        nums = [(0.3,), (0.0,), (0.5, 0.5), (-0.0, 1.0), (0.2, 0.0, 0.8), (-0.0, -0.0, 1.0),
+                (0.1, 0.0, -0.0, 0.9), (0.0, 0.0, 0.0, -1.0)]
+        for num in nums:
+            r = RationalFunction(Polynomial(num), Polynomial(den))
+            for n in (0, 1, 2, 3, 200, 400):
+                assert bits(pmf_recursive(r, n)) == bits(full_convolution(r, n)), (num, den, n)
+
+    def test_catalog_laws_same_bits_as_the_full_convolution(self):
+        # the grid, canonical, WIDE and seeded extreme points, sign of zero included
+        points = [(n, p) for n, grid in GRIDS.items() for p in grid]
+        points += list(CANONICAL.items()) + WIDE + _extreme_points()
+        for name, params in points:
+            r = _validate(_entry(name), params)[2].rf
+            assert bits(pmf_recursive(r, 400)) == bits(full_convolution(r, 400)), (name, params)
 
     def test_denominator_above_degree_two_raises_naming_it(self):
         cubic = rf((1.0,), (1.0, -0.5, 0.25, -0.125), pgf=False)
@@ -455,29 +482,6 @@ class TestRecursion:
 def bits(values):
     """Each float's eight bytes, so that 0.0 and -0.0 differ."""
     return [struct.pack("d", x) for x in values]
-
-
-class TestBranchFreeRecursion:
-    """pmf_recursive's branch-free steps give the bits, sign of zero included,
-    of the row loop that tests each term's presence (oracles.loop_pmf_recursive)."""
-
-    @pytest.mark.parametrize("den", [
-        (1.0,), (1.0, -0.5), (1.0, 0.5), (1.0, 0.0, -0.25), (1.0, -0.7, 0.1), (1.0, -0.5, -0.06),
-    ])
-    def test_same_bits_at_each_degree(self, den):
-        nums = [(0.3,), (0.0,), (0.5, 0.5), (-0.0, 1.0), (0.2, 0.0, 0.8), (-0.0, -0.0, 1.0),
-                (0.1, 0.0, -0.0, 0.9), (0.0, 0.0, 0.0, -1.0)]
-        for num in nums:
-            r = RationalFunction(Polynomial(num), Polynomial(den))
-            for n in (0, 1, 2, 3, 200, 400):
-                assert bits(pmf_recursive(r, n)) == bits(loop_pmf_recursive(r, n)), (num, den, n)
-
-    def test_same_bits_for_the_catalog_laws(self):
-        points = [(n, p) for n, grid in GRIDS.items() for p in grid]
-        points += list(CANONICAL.items()) + WIDE + _extreme_points()
-        for name, params in points:
-            r = _validate(_entry(name), params)[2].rf
-            assert bits(pmf_recursive(r, 400)) == bits(loop_pmf_recursive(r, 400)), (name, params)
 
 
 def full_convolution(r, n):
@@ -526,4 +530,4 @@ class TestCrossMethodProperty:
         dist = pmf_from_decomposition(partial_fractions(r))
         h = 1e-6
         fd = (r(1.0 + h) - r(1.0 - h)) / (2.0 * h)
-        assert dist.mean() == pytest.approx(fd, rel=1e-7)
+        assert central_moments(dist.decomposition.parts())[0] == pytest.approx(fd, rel=1e-7)

@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.6.2.
+"""Golden digests pinning the seeded and printed output of version 0.6.3.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -78,7 +78,12 @@ violates it. The nonnegativity margin now reads the decomposition's own
 rows, and moved in its last digits at four accepted points (hurdle-geo-nb
 at mu 0.8, rho 0.8, alpha 0.2 in DERIVE, and three in REFUSAL). No exit
 code, pmf row or stderr line moved. CATALOG pins the `geominar catalog`
-listing.
+listing. In 0.6.3 verify reads every law's moments in closed form from its
+parts (decompose.central_moments) instead of summing pmf rows, so seven
+VERIFY digests (all but ginar) were re-recorded: only the *_pmf_vs_closed
+observed values and the tolerances of the variance and dispersion gates,
+which read m2, m3 and m4, moved, in their last digits, with no pass/fail
+flag changed; every other digest did not move.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -159,13 +164,13 @@ ACROSS_THIN_BLOCKS = {
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
 VERIFY = {
     "ginar": "d285223660f4be489e9e0092acf8f7673ddd1546cde89ddc0abe0df63fbb471f",
-    "nginar": "622e8bfd9be2927c3c012a72e731f3b9f988ef1ea4a3719c814abd806e3f2333",
-    "zmg": "89181c2961369dbf3a11586d4c2309f39f2f138491b76ddf2c569416be1fcd69",
-    "two-param": "283e7bfbdaa4789314283ee57172825b423d04234a10ee335e8a39c3fc20a1f5",
-    "rho-geo-bin": "71e7e3eeff9d369292ab7b751dc1377b8318df818ac98ec5f555f21d50920deb",
-    "hurdle-geo-bin": "cd32a749bc71d3442225b2a3b384dd1ecf3ddf095840f10e1c9f9c3e094cdf6e",
-    "rho-geo-nb": "7100d75c5f13ed2cef7ee0d23b4e06221147f1a0910bc8298f7ac25764b6dcda",
-    "hurdle-geo-nb": "1747a12d68008f6df78958b5aafaeabce113b87e1f7bef64c69f2c38d39fc24c",
+    "nginar": "2b9bb81e2c9c1fd1a6d4f5f442e5cd1030655ec7296b38838e1df8c850330212",
+    "zmg": "288beb7f48670b840beda9eb5f0b3fb9fcae0a024430cae6c01a475d250bcb75",
+    "two-param": "21797d1110ef8db7c0ac9f88de35aeffdf4d13c165107ac3b137c1f87fb44448",
+    "rho-geo-bin": "2d954704231116a7aa71ab846699de2fea1f4fb42cb8e06d57954caedd776594",
+    "hurdle-geo-bin": "4cf293d094af09ca0de8af4fdcd9859efcb09cbc10b800a79527691aafc12a6b",
+    "rho-geo-nb": "f6ec2fcb131b06780f996b262a41b9a98bcc4f57732582af81a32c8fac158b5c",
+    "hurdle-geo-nb": "1869755caff1bfb6e6477733fa727c8c0845a6c56f08359d576f7c0d3b7bf5a7",
 }
 
 # sha256 over `geominar derive` at the 220 grid and 8 canonical points, each in
@@ -250,7 +255,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.6.2"
+    assert __version__ == "0.6.3"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))

@@ -15,6 +15,8 @@ from geominar.pgf import (
     innovation_pgf,
 )
 
+from oracles import marginal_pgf, series_pmf
+
 MARGINALS = [
     Geometric(0.5),
     Geometric(0.2),
@@ -66,12 +68,15 @@ class TestMarginalPgf:
 
     @pytest.mark.parametrize("m", MARGINALS)
     def test_geometric_form_gives_the_pmf(self, m):
-        # an atom at zero plus, with probability body, shift + geometric(ratio)
-        atom, body, shift, ratio = m.geometric_form()
+        # pmf_column, read from the geometric form, against the series of the
+        # exact pgf (a s + b) / (c s + d) written from the family's pmf
+        atom, body, shift, ratio, complement = m.geometric_form()
         assert atom + body == pytest.approx(1.0, abs=1e-15)
-        for k in range(60):
-            geo = body * (1.0 - ratio) * ratio ** (k - shift) if k >= shift else 0.0
-            assert (atom if k == 0 else 0.0) + geo == pytest.approx(m.pmf(k), rel=1e-12)
+        assert ratio + complement == pytest.approx(1.0, abs=1e-15)
+        col = m.pmf_column(0, 60)
+        assert col == pytest.approx(series_pmf(*marginal_pgf(m), 59), rel=1e-12)
+        assert m.pmf_column(7, 60) == col[7:]
+        assert [m.pmf(k) for k in range(60)] == col
         assert m.pmf(-1) == 0.0
 
     def test_invalid_parameters_raise(self):

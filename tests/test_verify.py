@@ -25,7 +25,7 @@ from geominar.verify import (
 )
 
 from grids import CANONICAL, GRIDS, WIDE
-from oracles import scalar_innovation_pmf, scalar_pmf
+from oracles import exact_marginal_moments, scalar_innovation_pmf, scalar_pmf
 from test_acceptance import _with_terms
 
 # the 220 grid points, the WIDE points and the canonical points
@@ -362,51 +362,80 @@ class TestMoments:
         assert float(line.split("tol=")[1]) > 0.0
 
 
+# the worst relative error of the marginal's mean, m2, m3 and m4 against exact
+# derivatives at s = 1 (oracles.exact_marginal_moments) is 1.1e-15 over the
+# canonical, grid and near-pole points (m2 at zmg mu 0.5, k -1.85)
+EXACT_MOMENT_REL = 4e-15
+
+
+def _assert_exact_marginal_moments(name, params):
+    got = verify._marginal_central_moments(build_model(name, **params))
+    for j, (a, b) in enumerate(zip(got, exact_marginal_moments(name, **params))):
+        assert abs(a - b) <= EXACT_MOMENT_REL * abs(b), (name, params, j, a, b)
+
+
 class TestMarginalMoments:
-    def test_bounded_rows_add_the_exact_geometric_tails(self, monkeypatch):
-        # 12 rows and the exact tails past them give the sums of the full rows
-        # (to where the tail is below 1e-20) to within rounding
-        points = list(CANONICAL.items()) + [(n, p) for n in GRIDS for p in GRIDS[n][::4]]
-        for name, params in points:
-            model = build_model(name, **params)
-            full = verify._marginal_central_moments(model)
-            monkeypatch.setattr(verify, "MARGINAL_ROWS", 12)
-            cut = verify._marginal_central_moments(model)
-            monkeypatch.undo()
-            sd = math.sqrt(full[1])
-            scales = (max(1.0, abs(full[0])), sd**2, sd**3, sd**4)
-            for j, (a, b, scale) in enumerate(zip(full, cut, scales)):
-                assert abs(a - b) <= 1e-12 * scale, (name, params, j, a, b)
+    def test_closed_form_gives_the_exact_moments(self):
+        for name, params in list(CANONICAL.items()) + [(n, p) for n in GRIDS for p in GRIDS[n]]:
+            _assert_exact_marginal_moments(name, params)
 
     @pytest.mark.parametrize("name, params", [
-        # marginal poles 1e-10, 3e-11 and 1e-9 from s = 1: nearly all of the mass
-        # lies past the 1e6 rows, in the tail, whose 1 - q must keep t's digits
+        # marginal poles 1e-10, 3e-11 and 1e-9 from s = 1: the geometric part's
+        # complement 1 - q must keep t's digits; and a body of 1e-300 whose
+        # 1 - atom cancels to 0
         ("ginar", {"theta": 1e-10, "alpha": 0.5}),
         ("ginar", {"theta": 3e-11, "alpha": 0.9}),
         ("nginar", {"mu": 1e9, "alpha": 0.5}),
+        ("rho-geo-nb", {"mu": 1e-300, "rho": 0.9999999997, "alpha": 1e-16}),
     ])
-    def test_tail_past_the_rows_gives_the_closed_moments(self, name, params):
+    def test_pole_near_one_gives_the_exact_moments(self, name, params):
+        _assert_exact_marginal_moments(name, params)
         model = build_model(name, **params)
         mean, m2, _, _ = verify._marginal_central_moments(model)
         assert mean == pytest.approx(model.moments.marginal_mean, rel=1e-9)
         assert m2 == pytest.approx(model.moments.marginal_var, rel=1e-9)
 
+    @pytest.mark.parametrize("name", ["ginar", "nginar", "rho-geo-bin", "hurdle-geo-bin"])
+    @pytest.mark.parametrize("fault", ["body", "mean"])
+    def test_scaled_form_or_mean_fails_the_mean_check(self, monkeypatch, name, fault):
+        # the marginal mean's two sources, its geometric form's body and its
+        # closed mean(), each scaled by 1 + 1e-6 in turn, on each marginal class
+        cls = type(build_model(name, **CANONICAL[name]).spec.marginal)
+        if fault == "body":
+            form = cls.geometric_form
+
+            def scaled(self):
+                atom, body, *rest = form(self)
+                return (atom, body * (1.0 + 1e-6), *rest)
+            monkeypatch.setattr(cls, "geometric_form", scaled)
+        else:
+            mean = cls.mean
+            monkeypatch.setattr(cls, "mean", lambda self: mean(self) * (1.0 + 1e-6))
+        model = build_model(name, **CANONICAL[name])
+        sample = SeriesSample(np.zeros(100, dtype=np.int64), model, RngStream(0), 0)
+        failed = {c.name for c in check_moments(model, sample).checks if not c.passed}
+        assert "marginal_mean_pmf_vs_closed" in failed
+
     @pytest.mark.parametrize("argv", [
         # marginal poles 1e-8 and 3e-10 from s = 1: summing the pmf until the
-        # tail is below 1e-20 took 4.6e9 and 1.5e11 rows (34.3 GiB, 1.12 TiB)
+        # tail is below 1e-20 took 4.6e9 and 1.5e11 rows (34.3 GiB, 1.12 TiB).
+        # At the rho-geo-nb points the body's weight is 1e-300 and 5e-324,
+        # which 1 - atom cancelled to 0, and so the variance gate's m4 with it
         ["ginar", "--theta", "1e-8", "--alpha", "0.9999999999999999", "--n", "200"],
         ["rho-geo-nb", "--mu", "1e-300", "--rho", "0.9999999997", "--alpha", "1e-16",
          "--n", "200"],
+        ["rho-geo-nb", "--mu", "5e-324", "--rho", "0.9999999999999895", "--alpha", "0",
+         "--n", "200"],
     ])
     def test_pole_near_one_is_verified_in_bounded_memory(self, argv):
-        # a pass or a failed check, never an internal error; in a child whose
-        # address space is capped, so that a regression cannot take the machine
+        # every check passes; in a child whose address space is capped, so
+        # that a regression cannot take the machine
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
 
         proc = subprocess.run([sys.executable, "-m", "geominar", "verify", *argv],
                               capture_output=True, text=True, preexec_fn=cap, timeout=120)
-        assert proc.returncode in (0, 1), proc.stderr
+        assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "marginal_var_pmf_vs_closed" in proc.stdout
 
 
