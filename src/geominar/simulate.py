@@ -20,12 +20,25 @@ the rest of u from one more word (_uniforms) and search its row. One call
 draws every bucket word, then the completion words, then (thinning) the
 counts above CAP, each in position order: BLOCK and THIN_BLOCK bound the
 temporaries and split no word, so they are not part of the seeded stream.
-Seeded paths changed in 0.4.0, 0.5.0 and 0.6.0; the law did not. The
-generation loop keeps each lineage's origin, the step of its generation-0
-count: generation g lives g steps later, so it is added to out[g:] at the
-origins and no index is shifted per generation. The sampler's paths are
-nonnegative by construction, so simulate_series builds its SeriesSample
-without the check that a SeriesSample built by a caller gets.
+The generation loop keeps each lineage's origin, the step of its
+generation-0 count: generation g lives g steps later, so it is added to
+out[g:] at the origins and no index is shifted per generation.
+
+The recursion is Markov and thinning is additive (Steutel and van Harn
+1979; Al-Osh and Alzaid 1987), so a path is drawn in time blocks of SPAN
+steps (_fill_block), each passing one count, its last, to the next: a
+block draws its innovations, then its step 0 (the exact stationary start
+in the first block; in a later one, the innovation plus one thinning of
+the carried count), then its generations, whose offspring stop at the
+block's last step. SPAN orders the seeded stream, so a path of at most
+SPAN steps, burn-in included, is drawn as one block. Time blocks bound
+what a path's generations hold to one block's worth whatever n:
+simulate_series fills one array of the whole path a block at a time, and
+series_blocks draws each block into one reused SPAN buffer, which verify
+reduces as it is drawn. Seeded paths changed in 0.4.0, 0.5.0 and 0.6.0,
+and in 0.7.0 those longer than SPAN; the law did not. The sampler's paths
+are nonnegative by construction, so simulate_series builds its
+SeriesSample without the check that a SeriesSample built by a caller gets.
 
 Randomness comes from numpy's PCG64 keyed by SeedSequence(seed,
 spawn_key=(stream_id,)): the same (seed, stream_id) reproduces the exact
@@ -90,6 +103,9 @@ GUIDE_MAX = 1 << 16
 THIN_BLOCK = 1 << 16
 CAP = 32
 PER = 256
+# steps per time block of a path: each block's innovations and generations
+# are drawn before the next block's, so SPAN orders the seeded stream
+SPAN = 1 << 18
 
 
 def _geometric_inverse(u: np.ndarray, ratio: float) -> np.ndarray:
@@ -115,12 +131,14 @@ def _uniforms(gen: np.random.Generator, top: np.ndarray, per: int) -> np.ndarray
     return ((top.astype(np.uint64) << (53 - bits)) | (w >> (11 + bits))) * 2.0**-53
 
 
-def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size: int) -> np.ndarray:
-    """size inverse-CDF draws (pmf table, geometric tail), BLOCK at a time: each
-    takes its bucket from 16 bits of a raw word and, where that holds a CDF
-    value or lies past the table, the rest of its uniform after all buckets."""
+def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill the int64 array out with inverse-CDF draws (pmf table, geometric
+    tail), BLOCK at a time, and return it: each takes its bucket from 16 bits
+    of a raw word and, where that holds a CDF value or lies past the table,
+    the rest of its uniform after all buckets."""
     cdf, guide, _ = d.sampling_table
-    out = np.empty(size, dtype=np.int64)
+    size = out.size
     bbuf = np.empty(min(BLOCK, size), dtype=np.intp)
     miss, top = [], []
     for start in range(0, size, BLOCK):
@@ -155,13 +173,13 @@ def _innovation_draws(d: InnovationDistribution, gen: np.random.Generator, size:
 def sample_innovation(d: InnovationDistribution, rng: RngStream | np.random.Generator) -> int:
     """One inverse-CDF draw from the innovation law."""
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return int(_innovation_draws(d, gen, 1)[0])
+    return int(_innovation_draws(d, gen, np.empty(1, dtype=np.int64))[0])
 
 
 def _sample_marginal(model: INARModel, gen: np.random.Generator) -> int:
     m = model.spec.marginal
     if m is None:
-        return int(_innovation_draws(model.innovation, gen, 1)[0])
+        return sample_innovation(model.innovation, gen)
     atom, body, shift, ratio, _ = m.geometric_form()
     u = gen.random()
     if u < atom:
@@ -258,31 +276,38 @@ def _thin(thinning, gen: np.random.Generator, cnt: np.ndarray) -> None:
         cnt[above] = thinning.draw(gen, larger)
 
 
-def simulate_series(model: INARModel, n: int, seed: RngStream,
-                    burn_in: int = 0) -> SeriesSample:
-    """Simulate X_0..X_{n-1} from an exact stationary start, by generations
-    (see the module docstring). Identical (model, n, seed, burn_in)
-    arguments reproduce the series bit for bit.
+def _fill_block(model: INARModel, gen: np.random.Generator, out: np.ndarray,
+                carry: int | None) -> None:
+    """Draw the steps of the path that out holds, given carry, the count at
+    the step before them (None where out starts the path).
+
+    out is first filled with the block's innovations. Its step 0 is then the
+    exact stationary start (no carry), or its innovation plus one _thin of
+    the carry as a one-element array, whatever the count: row 0 never
+    misses, and alpha = 0 thins nothing. Then the block's generations are
+    drawn, its last step passing no offspring on: that is the next block's
+    carry.
     """
-    if n < 1:
-        raise ValueError(f"series length must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    gen = seed.generator()
-    total = n + burn_in
-    out = _innovation_draws(model.innovation, gen, total)
-    out[0] = _sample_marginal(model, gen)
+    _innovation_draws(model.innovation, gen, out)
+    thinning = model.spec.thinning
+    if carry is None:
+        out[0] = _sample_marginal(model, gen)
+    elif model.alpha != 0.0:
+        survivors = np.array([carry], dtype=np.int64)
+        _thin(thinning, gen, survivors)
+        out[0] += survivors[0]
     if model.alpha == 0.0:
         # thinning by zero leaves no offspring: the path is X_0 and iid innovations
-        return _drawn(out[burn_in:], model, seed, burn_in)
+        return
     # generation 0 is out itself; the last step has no successor. idx holds
     # each lineage's origin, and generation g sits at idx + g, in out[g:]
+    last = out.size - 1
     idx = np.flatnonzero(out[:-1] != 0)  # faster than on the int64 values
     cnt = out[idx]
     g = 0
     while idx.size:
         g += 1
-        _thin(model.spec.thinning, gen, cnt)
+        _thin(thinning, gen, cnt)
         # positions once, then one gather each: faster than a boolean mask at
         # every size; rebinding idx before cnt[kept] frees the old idx first
         kept = (cnt > 0).nonzero()[0]
@@ -290,7 +315,53 @@ def simulate_series(model: INARModel, n: int, seed: RngStream,
         cnt = cnt[kept]
         # origins are unique within a generation, so this equals out[g:][idx] += cnt
         np.add.at(out[g:], idx, cnt)
-        if idx.size and idx[-1] == total - 1 - g:
+        if idx.size and idx[-1] == last - g:
             # idx is sorted, so only its last entry can sit on the last step
             idx, cnt = idx[:-1], cnt[:-1]
+
+
+def _drawn_spans(model: INARModel, seed: RngStream, total: int, buf: np.ndarray):
+    """Draw the total steps of seed's path into buf, SPAN steps at a time, and
+    yield (start, block) as each block is drawn: buf holds the whole path, or
+    one block that the next overwrites, which draws the same path, since a
+    block reads only the last count of the one before it."""
+    gen = seed.generator()
+    carry = None
+    for start in range(0, total, SPAN):
+        size = min(SPAN, total - start)
+        block = buf[start:start + size] if buf.size == total else buf[:size]
+        _fill_block(model, gen, block, carry)
+        carry = int(block[-1])
+        yield start, block
+
+
+def _check_length(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError(f"series length must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+
+
+def simulate_series(model: INARModel, n: int, seed: RngStream,
+                    burn_in: int = 0) -> SeriesSample:
+    """Simulate X_0..X_{n-1} from an exact stationary start, by generations
+    within time blocks (see the module docstring). Identical (model, n, seed,
+    burn_in) arguments reproduce the series bit for bit.
+    """
+    _check_length(n, burn_in)
+    total = n + burn_in
+    out = np.empty(total, dtype=np.int64)
+    for _ in _drawn_spans(model, seed, total, out):
+        pass
     return _drawn(out[burn_in:], model, seed, burn_in)
+
+
+def series_blocks(model: INARModel, n: int, seed: RngStream, burn_in: int = 0):
+    """simulate_series(model, n, seed, burn_in).values in consecutive pieces,
+    each drawn when it is asked for into one reused SPAN buffer: a piece is
+    valid until the next is drawn, so the whole path is never held."""
+    _check_length(n, burn_in)
+    total = n + burn_in
+    spans = _drawn_spans(model, seed, total, np.empty(min(SPAN, total), dtype=np.int64))
+    return (block[max(burn_in - start, 0):] for start, block in spans
+            if start + block.size > burn_in)

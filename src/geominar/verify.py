@@ -5,7 +5,10 @@ entries carry (observed, expected, tolerance) so the CLI can serialize them
 and CI can gate on the overall flag. Each check is falsifiable: perturbing a
 correct model makes it fail (the test suite injects such faults). The
 moment checks read every law's moments from its parts in closed form
-(decompose.central_moments); none sums pmf rows.
+(decompose.central_moments); none sums pmf rows. The empirical moment
+checks read a path only through its exact integer sums (PathSums), which
+path_sums forms block by block, so a path can be checked as it is drawn
+(simulate.series_blocks) without being held whole.
 """
 from __future__ import annotations
 
@@ -160,8 +163,41 @@ def _path_sums(xs: np.ndarray) -> tuple[int, int, int]:
     return s1, s2, lag
 
 
-def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
-    """Three-way moment comparison.
+@dataclass(frozen=True)
+class PathSums:
+    """All that check_moments reads of a path: its length n, the exact sums
+    s1 = sum x_t, s2 = sum x_t^2 and lag = sum x_t x_{t+1}, and its first and
+    last values."""
+
+    n: int
+    s1: int
+    s2: int
+    lag: int
+    first: int
+    last: int
+
+
+def path_sums(blocks) -> PathSums:
+    """The PathSums of the path that the consecutive int64 arrays blocks make
+    up, each reduced by _path_sums as it comes, so that a block may reuse the
+    memory of the one before: the lag-1 product across a boundary takes the
+    last value carried over from the block before."""
+    n = s1 = s2 = lag = first = last = 0
+    for b in filter(len, blocks):
+        head = int(b[0])
+        if not n:
+            first = head
+        b1, b2, b_lag = _path_sums(b)
+        s1 += b1
+        s2 += b2
+        lag += b_lag + last * head  # last is 0 before the first block
+        n += b.size
+        last = int(b[-1])
+    return PathSums(n, s1, s2, lag, first, last)
+
+
+def check_moments(model: INARModel, sample: SeriesSample | PathSums) -> VerificationReport:
+    """Three-way moment comparison, on a sample or on the PathSums of one.
 
     Closed forms vs the moments of the law's parts at MOMENT_REL_TOL: the
     innovation's decomposition and the marginal's geometric form (an iid
@@ -171,7 +207,7 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     vs closed forms within MOMENT_N_SE standard errors, inflated by the effective
     sample size factor (1+alpha)/(1-alpha) for the autocorrelated series. The
     empirical mean, variance, dispersion and lag-1 autocorrelation are each one
-    division of exact integer sums of the path (_path_sums), so each is the
+    division of exact integer sums of the path (PathSums), so each is the
     correctly rounded value of its exact sample statistic.
     """
     checks = []
@@ -188,11 +224,10 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     checks.append(_check("marginal_var_pmf_vs_closed", mg_m2, mom.marginal_var,
                          MOMENT_REL_TOL * max(1.0, abs(mom.marginal_var))))
 
-    xs = sample.values
-    n = len(xs)
+    sums = sample if isinstance(sample, PathSums) else path_sums((sample.values,))
+    n, s1, s2, lag = sums.n, sums.s1, sums.s2, sums.lag
     alpha = model.alpha
     ess = _ess_factor(alpha)
-    s1, s2, lag = _path_sums(xs)
     # each statistic is one int / int division of exact sums, so correctly rounded
     emp_mean = s1 / n
     spread = n * s2 - s1 * s1  # n^2 times the sample variance
@@ -222,7 +257,7 @@ def check_moments(model: INARModel, sample: SeriesSample) -> VerificationReport:
     # a constant sample has no spread and no autocorrelation: omit it there too
     if n > 2 and spread > 0:
         # n^2 times the centred lag-1 sum over n times the centred sum of squares
-        ends = int(xs[0]) + int(xs[-1])
+        ends = sums.first + sums.last
         centred_lag = n * n * lag - n * s1 * (2 * s1 - ends) + (n - 1) * s1 * s1
         checks.append(_check("lag1_autocorrelation_empirical", centred_lag / (n * spread),
                              alpha, MOMENT_N_SE * (1.0 + 2.0 * alpha) / math.sqrt(n)))
@@ -252,9 +287,10 @@ def check_tail_quality(d: InnovationDistribution) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def run_all_checks(model: INARModel, sample: SeriesSample,
+def run_all_checks(model: INARModel, sample: SeriesSample | PathSums,
                    grid_points: int = 50, tol: float = 1e-10) -> VerificationReport:
-    """The full suite behind the CLI verify subcommand."""
+    """The full suite behind the CLI verify subcommand, on a sample or on the
+    PathSums of one."""
     report = check_pgf_identity(model, grid_points, tol)
     report = report.merged(check_pmf_validity(model.innovation, tol))
     report = report.merged(check_cross_method(model, tol=tol))

@@ -1,4 +1,4 @@
-"""Golden digests pinning the seeded and printed output of version 0.6.3.
+"""Golden digests pinning the seeded and printed output of version 0.7.0.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against sha256 digests, so any change to the drawn values shows here.
@@ -83,7 +83,14 @@ parts (decompose.central_moments) instead of summing pmf rows, so seven
 VERIFY digests (all but ginar) were re-recorded: only the *_pmf_vs_closed
 observed values and the tolerances of the variance and dispersion gates,
 which read m2, m3 and m4, moved, in their last digits, with no pass/fail
-flag changed; every other digest did not move.
+flag changed; every other digest did not move. The 0.7.0 sampler draws a
+path in time blocks of simulate.SPAN steps, each block's innovations and
+generations before the next block's, its first step thinning the last
+count of the block before: a path of at most SPAN steps (burn-in included)
+is drawn as before, so only ACROSS_THIN_BLOCKS moved, and it was re-pinned
+at larger-mean points whose first generation still crosses a THIN_BLOCK
+boundary within one time block; ACROSS_SPANS was added, and every other
+digest passes unedited.
 tests/golden_points.py lists the runs behind each of these four digests
 one by one. The digests were recorded with numpy 2.4.6; numpy does
 not promise that Generator streams stay the same across its releases, so a
@@ -102,7 +109,7 @@ from geominar.catalog import build_model
 from geominar.cli import main
 from geominar.decompose import pmf_from_decomposition
 from geominar import simulate
-from geominar.simulate import BLOCK, THIN_BLOCK, RngStream, simulate_series
+from geominar.simulate import BLOCK, SPAN, THIN_BLOCK, RngStream, simulate_series
 
 from grids import CANONICAL, GRIDS
 from oracles import oracle_pmf
@@ -153,12 +160,30 @@ WIDE_TABLE = "bfeee507a5d5b882bf9d9b0f8db7361e78bea0ba9244044b6e85a8d4b2ff4ed6"
 SHORT_TABLE = "04fe0b7a27f49e5ad5ae70e437f5eade9bd5acbd8e9c7ece25728742289c2435"
 
 # Paths whose first generation of thinning draws holds more than one block
-# of THIN_BLOCK = 65,536 entries (about 130k for ginar, 101k for nginar, so
-# both thinnings cross a block boundary), burn_in 3, seed 5.
+# of THIN_BLOCK = 65,536 entries (about 89k for ginar, 105k for nginar, so
+# both thinnings cross a block boundary), in one time block (n + burn_in <=
+# SPAN), burn_in 3, seed 5. The canonical points leave too few nonzero steps
+# for that in one time block, so these points have larger means.
 # (model, n) -> sha256 of simulate_series(...).values.tobytes()
+THIN_POINTS = {"ginar": {"theta": 0.1, "alpha": 0.5}, "nginar": {"mu": 4.0, "alpha": 0.5}}
 ACROSS_THIN_BLOCKS = {
-    ("ginar", 8 * THIN_BLOCK + 3): "cbdc75e7566ec939a296cc4739b2260b051e33e52360ca38e77cfe70f7912386",
-    ("nginar", 4 * THIN_BLOCK + 3): "cbbebb727315e0cdc83bba0be78d4cb43443af38e089de22cedfaa6a0dbbf6b6",
+    ("ginar", 3 * THIN_BLOCK + 3): "8c106cd66c28457364951f84c0a065e680163945ed1abf42c36856445058e966",
+    ("nginar", 3 * THIN_BLOCK + 3): "ef113f2b9baa1208d44ddadcc7f45ed2c5e8915395baa8d256b99bec75477f58",
+}
+
+# Paths of three time blocks of SPAN steps (the last of 6 steps), burn_in 3,
+# seed 5: these pin the carry of the last count from block to block, which
+# the shorter paths above, each one time block, never draw.
+# (model, n) -> sha256 of simulate_series(...).values.tobytes()
+ACROSS_SPANS = {
+    ("ginar", 2 * SPAN + 3): "d0b39d8bc061913e5e8274d335363ea24a84b83f08683d1024f3b66f42e086d2",
+    ("nginar", 2 * SPAN + 3): "81f77c4b64fbdc4b41f7de6e9b52454b6ed09004b775dd5a1ffdbc7da1377968",
+    ("zmg", 2 * SPAN + 3): "8e65485449c364ebf79bc56498ea3df96458b8d49a3f0360831ca9a87a9f04ac",
+    ("two-param", 2 * SPAN + 3): "143dffd777e2bf115cafa2bad28b2ff3fd0f3f2c8d38e654acd4aa07c6b66887",
+    ("rho-geo-bin", 2 * SPAN + 3): "698bfe1c21663867a502ca621b737349a58541a0ffae8a7cb03670f274348b7d",
+    ("hurdle-geo-bin", 2 * SPAN + 3): "f406ac5e549e11fc6f8d0432ee276ac56db499a00ac81516103b03a1c6c70fe5",
+    ("rho-geo-nb", 2 * SPAN + 3): "ebe38f4bcb815bfb0a3178df5a87c3b329c0e1e4893ff7b8c2977da7df4ebb51",
+    ("hurdle-geo-nb", 2 * SPAN + 3): "7f562ba0c0dc64b96f004385aa77a45e565aa859619a76ddce1c8be24432118b",
 }
 
 # model -> sha256 of `geominar verify <model> <CANONICAL flags> --n 20000 --seed 5` stdout
@@ -255,7 +280,7 @@ def _sha(data: bytes) -> str:
 
 
 def test_version_matches_the_digests():
-    assert __version__ == "0.6.3"
+    assert __version__ == "0.7.0"
 
 
 @pytest.mark.parametrize("name, n, burn_in", sorted(SERIES))
@@ -274,7 +299,7 @@ def test_series_digest_across_blocks(name, n):
 
 @pytest.mark.parametrize("name, n", sorted(ACROSS_THIN_BLOCKS))
 def test_series_digest_across_thin_blocks(name, n, monkeypatch):
-    model = build_model(name, **CANONICAL[name])
+    model = build_model(name, **THIN_POINTS[name])
     sizes = []
     thin = simulate._thin
 
@@ -286,6 +311,13 @@ def test_series_digest_across_thin_blocks(name, n, monkeypatch):
     values = simulate_series(model, n, RngStream(5), 3).values
     assert sizes[0] > THIN_BLOCK
     assert _sha(values.tobytes()) == ACROSS_THIN_BLOCKS[name, n]
+
+
+@pytest.mark.parametrize("name, n", sorted(ACROSS_SPANS))
+def test_series_digest_across_spans(name, n):
+    model = build_model(name, **CANONICAL[name])
+    values = simulate_series(model, n, RngStream(5), 3).values
+    assert _sha(values.tobytes()) == ACROSS_SPANS[name, n]
 
 
 def test_series_digest_wide_table():

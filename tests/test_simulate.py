@@ -114,9 +114,9 @@ def _adversarial_uniforms(cdf: np.ndarray, buckets: int) -> np.ndarray:
 
 
 def _innovation_words(d, u: np.ndarray) -> _RawWords:
-    """The raw words that make _innovation_draws(d, ., len(u)) read the
-    uniforms u: a completion word where the bucket holds a CDF value (-1)
-    or lies past the table."""
+    """The raw words that make _innovation_draws(d, ., out), len(out) = len(u),
+    read the uniforms u: a completion word where the bucket holds a CDF value
+    (-1) or lies past the table."""
     guide = d.sampling_table[1]
     index = guide[(u * len(guide)).astype(int)]
     return _RawWords(u, len(guide), (index < 0) | (index > d.truncation))
@@ -126,7 +126,7 @@ def _lookup(d, u: np.ndarray) -> np.ndarray:
     """The sampler's table index of each u: its innovation draw, with a draw
     from the tail beyond the table read as T + 1, where a search puts it."""
     gen = _innovation_words(d, u)
-    k = simulate._innovation_draws(d, gen, len(u))
+    k = simulate._innovation_draws(d, gen, np.empty(len(u), dtype=np.int64))
     assert gen.words.size == 0  # every word read, and no more
     return np.minimum(k, d.truncation + 1)
 
@@ -157,7 +157,7 @@ class TestGuideTable:
                             [np.nextafter(1.0, 0.0)]])
         u = np.ceil(u[u < 1.0] * 2.0**53) * 2.0**-53  # on the sampler's grid, at or above
         gen = _innovation_words(dist, u)
-        draws = simulate._innovation_draws(dist, gen, len(u))
+        draws = simulate._innovation_draws(dist, gen, np.empty(len(u), dtype=np.int64))
         assert (draws > dist.truncation).all() and gen.words.size == 0
 
     def test_built_once_per_distribution(self, monkeypatch):
@@ -650,6 +650,39 @@ class TestTransitionLaw:
         stat = _transition_chi_square(wrong, s.values[:-1], s.values[1:],
                                       self.ROWS, self.CELLS)
         assert stat > self.GATE, stat
+
+    # (rows, cells) with at least 5 expected pairs per cell in about 12,000 pairs
+    ACROSS_ROWS, ACROSS_CELLS = 4, 6
+
+    @staticmethod
+    def _across_spans(monkeypatch, name, span: int = 97):
+        """The model and the pairs (X_t, X_{t+1}) that straddle a time block
+        boundary, about 12,000 of them, on a path drawn in blocks of span steps."""
+        monkeypatch.setattr(simulate, "SPAN", span)
+        model = build_model(name, **CANONICAL[name])
+        values = simulate_series(model, span * 12_000, RngStream(314)).values
+        return model, values[span - 1:-1:span], values[span::span]
+
+    @pytest.mark.parametrize("name", ["nginar", "rho-geo-bin"])
+    def test_pairs_across_spans_match_kernel(self, monkeypatch, name):
+        # each block's first step thins the count carried from the block before
+        model, prev, nxt = self._across_spans(monkeypatch, name)
+        rows, cells = self.ACROSS_ROWS, self.ACROSS_CELLS
+        stat = _transition_chi_square(model, prev, nxt, rows, cells)
+        assert stat < _gate(rows, cells), (name, stat, _gate(rows, cells))
+
+    def test_statistic_rejects_a_dropped_carry(self, monkeypatch):
+        # a block that starts from its innovation alone, as if the count
+        # before it were 0, fails the same gate
+        fill = simulate._fill_block
+
+        def dropped(model, gen, out, carry):
+            fill(model, gen, out, None if carry is None else 0)
+
+        monkeypatch.setattr(simulate, "_fill_block", dropped)
+        model, prev, nxt = self._across_spans(monkeypatch, "nginar")
+        rows, cells = self.ACROSS_ROWS, self.ACROSS_CELLS
+        assert _transition_chi_square(model, prev, nxt, rows, cells) > _gate(rows, cells)
 
     def test_innovation_blocks_do_not_change_the_path(self, monkeypatch):
         # innovations are drawn a block at a time, and the completion words of

@@ -3,24 +3,27 @@ import math
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 import pytest
 
-from geominar import verify
+from geominar import simulate, verify
 from geominar.catalog import build_model
 from geominar.cli import main
 from geominar.decompose import hurdle_pmf, hurdle_pmf_column, pmf_recursive
 from geominar.errors import DomainViolationError
-from geominar.simulate import RngStream, SeriesSample, simulate_series
+from geominar.simulate import RngStream, SeriesSample, series_blocks, simulate_series
 from geominar.verify import (
+    PathSums,
     check_cross_method,
     check_moments,
     check_pgf_identity,
     check_pmf_validity,
     check_tail_quality,
+    path_sums,
     run_all_checks,
 )
 
@@ -433,6 +436,70 @@ class TestMarginalMoments:
                               capture_output=True, text=True, preexec_fn=cap, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "marginal_var_pmf_vs_closed" in proc.stdout
+
+
+class TestStreamedSums:
+    """verify reduces a path block by block as it is drawn (series_blocks into
+    path_sums), and never holds it whole."""
+
+    # an odd span puts block boundaries at every parity of step
+    SPAN = 97
+
+    @pytest.mark.parametrize("name", ["ginar", "nginar", "zmg"])
+    @pytest.mark.parametrize("n, burn_in", [
+        (1, 0), (97, 0), (98, 0), (1000, 0),
+        # burn-in ending inside the second block, on its first step, and two
+        # whole blocks of burn-in before a path shorter than one block
+        (1000, 150), (1000, 97), (5, 200),
+    ])
+    def test_streamed_sums_equal_the_whole_path(self, monkeypatch, name, n, burn_in):
+        monkeypatch.setattr(simulate, "SPAN", self.SPAN)
+        model = build_model(name, **CANONICAL[name])
+        values = simulate_series(model, n, RngStream(4, 1), burn_in).values
+        blocks = list(series_blocks(model, n, RngStream(4, 1), burn_in))
+        # every piece is a view of one reused SPAN buffer, so only the last
+        # is still whole: the sums must be taken as the pieces come
+        assert all(b.base is blocks[0].base for b in blocks)
+        assert blocks[0].base.size == min(self.SPAN, n + burn_in)
+        sums = path_sums(series_blocks(model, n, RngStream(4, 1), burn_in))
+        assert (sums.s1, sums.s2, sums.lag) == verify._path_sums(values)
+        assert (sums.n, sums.first, sums.last) == (n, int(values[0]), int(values[-1]))
+        assert _empirical(check_moments(model, sums)) == \
+            _empirical(check_moments(model, SeriesSample(values, model, RngStream(4, 1), burn_in)))
+
+    def test_lag_product_crosses_each_boundary(self):
+        # the last value of each block times the first of the next
+        blocks = [np.array(b, dtype=np.int64) for b in ([2, 3], [5], [], [7, 1])]
+        assert path_sums(blocks) == PathSums(5, 18, 88, 2 * 3 + 3 * 5 + 5 * 7 + 7 * 1, 2, 1)
+
+    def test_verify_holds_one_block_at_a_time(self, tmp_path):
+        # eight times the steps, and about the same peak: the path is never whole
+        # (a whole 8-SPAN path is 16 MiB of int64 alone)
+        def peak(n: int) -> int:
+            tracemalloc.start()
+            try:
+                argv = ["verify", "ginar", *(f"--{k}={v!r}" for k, v in CANONICAL["ginar"].items()),
+                        "--n", str(n), "--output", str(tmp_path / "report.txt")]
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(simulate.SPAN), peak(8 * simulate.SPAN)
+        assert eight - one < 2 * 2**20, (one, eight)
+
+    def test_long_path_is_verified_in_one_gigabyte(self):
+        # 1e8 steps, whose whole path alone would be 763 MiB of int64; in a
+        # child whose address space is capped at 1 GB
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1_000_000_000, 1_000_000_000))
+
+        argv = ["verify", "ginar", "--theta", "0.5", "--alpha", "0.5", "--n", "100000000",
+                "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "geominar", *argv], capture_output=True,
+                              text=True, preexec_fn=cap, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.endswith("overall: pass\n")
 
 
 class TestTailQuality:
